@@ -8,57 +8,13 @@ independent algorithms, and checks the strong hull inequality
     |Conv(u,v)| * |Conv(v,w)| >= |Conv(u,v,w)|
 
 exhaustively at configurable radius, alongside symbolic verification of
-the closed-form counting identities behind it.
+the closed-form counting identities behind it.  The rest of the API lives
+in the submodules (`coxhull.convexity`, `coxhull.tessellation`, ...).
 """
 
-from .coxeter import (BadDiagonal, CoxeterMatrix, CoxeterMatrixError,
-                      NonSymmetric, OrderBelowTwo, TypeTag, classify,
-                      matrix_for, validate_matrix)
-from .convexity import (ChamberSet, CheckReport, CoarseningDiagnostic,
-                        HullDisagreement, HullVerdict, checked_hull,
-                        closure_hull, distance, g2_diagnostic, halfspace_hull,
-                        interval, minimal_gallery, strong_hull_check,
-                        sweep_triples)
-from .formulas import (A2Coord, C2CaseParams, ConstraintViolation,
-                       Orientation, ParityViolation, ShapeViolation,
-                       a2_chamber_pair, a2_pair_count, a2_reduced_triple,
-                       a2_strong_hull_sides, c2_case2_chambers,
-                       c2_case2_counts, c2_triangle, dihedral_pair_count,
-                       i2_cell, orientation_for_parity)
-from .group import GroupElement, Line, MixedContext, compose, equals, inverse
-from .poly import (MultiPoly, ParseError, UnknownVariable, check_nonneg_coeffs,
-                   poly_add, poly_eval, poly_mul, poly_parse, poly_sub,
-                   poly_substitute)
-from .propcheck import (CASE2_EXPECTED_DIFFERENCE, MismatchReport,
-                        a2_box_violations, c2_box_violations,
-                        c2_difference_poly, verify_a2_identities,
-                        verify_c2_expansion)
-from .ring import RingScalar
-from .tessellation import (Chamber, Gallery, GroupContext, UnsupportedType,
-                           Wall, WallFamily, build_group, element_to_chamber,
-                           g2_coarsen, wall_families)
+from .coxeter import TypeTag
+from .tessellation import build_group
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A2Coord", "BadDiagonal", "C2CaseParams", "CASE2_EXPECTED_DIFFERENCE",
-    "Chamber", "ChamberSet", "CheckReport", "CoarseningDiagnostic",
-    "ConstraintViolation", "CoxeterMatrix", "CoxeterMatrixError", "Gallery",
-    "GroupContext", "GroupElement", "HullDisagreement", "HullVerdict", "Line",
-    "MismatchReport", "MixedContext", "MultiPoly", "NonSymmetric",
-    "OrderBelowTwo", "Orientation", "ParityViolation", "ParseError",
-    "RingScalar", "ShapeViolation", "TypeTag", "UnknownVariable",
-    "UnsupportedType", "Wall", "WallFamily", "a2_box_violations",
-    "a2_chamber_pair", "a2_pair_count", "a2_reduced_triple",
-    "a2_strong_hull_sides",
-    "build_group", "c2_box_violations", "c2_case2_chambers",
-    "c2_case2_counts", "c2_difference_poly", "c2_triangle",
-    "check_nonneg_coeffs", "checked_hull", "classify", "closure_hull",
-    "compose", "dihedral_pair_count", "distance", "element_to_chamber",
-    "equals", "g2_coarsen", "g2_diagnostic", "halfspace_hull", "i2_cell",
-    "interval", "inverse", "matrix_for", "minimal_gallery",
-    "orientation_for_parity", "poly_add", "poly_eval", "poly_mul",
-    "poly_parse", "poly_sub", "poly_substitute", "strong_hull_check",
-    "sweep_triples", "validate_matrix", "verify_a2_identities",
-    "verify_c2_expansion", "wall_families",
-]
+__all__ = ["TypeTag", "build_group"]

@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .convexity import halfspace_hull, strong_hull_check, sweep_triples
+from .convexity import HullVerdict, halfspace_hull, sweep_triples
 from .coxeter import TypeTag
 from .formulas import (A2Coord, C2CaseParams, ConstraintViolation,
                        CoordinateError, a2_chamber_pair, c2_case2_chambers,
@@ -40,7 +40,6 @@ class RunConfig:
     radius: int
     parallelism: int = 1
     report_path: str | None = None
-    svg_path: str | None = None
     seed: int = 0
     radius_cap: int = 8
 
@@ -116,7 +115,7 @@ def cmd_hull(args) -> int:
           f"d(u,w)={ctx.wall_distance(u, w)}")
     print(f"|Conv(u,v)|={hull_uv.size} |Conv(v,w)|={hull_vw.size} "
           f"|Conv(u,w)|={hull_uw.size} |Conv(u,v,w)|={hull_uvw.size}")
-    verdict = strong_hull_check(u, v, w)
+    verdict = HullVerdict(hull_uv.size, hull_vw.size, hull_uvw.size)
     rel = ">=" if verdict.holds else "<"
     print(f"strong hull: {verdict.size_uv}*{verdict.size_vw} = "
           f"{verdict.product} {rel} {verdict.size_uvw} "

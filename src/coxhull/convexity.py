@@ -41,23 +41,28 @@ def _shared_ctx(*chambers: Chamber) -> GroupContext:
 
 
 class ChamberSet:
-    """A finite set of chambers with a deterministic iteration order."""
+    """A finite set of chambers with a deterministic iteration order.
 
-    __slots__ = ("chambers", "_members")
+    Chambers are interned by their context, so the members are held in a
+    plain frozenset and size, membership and comparison use identity.
+    Iteration and `chambers` follow `Chamber.sort_key`, sorted on each
+    read rather than on construction: a sweep reads only the size."""
+
+    __slots__ = ("_members",)
 
     def __init__(self, chambers):
-        uniq = {}
-        for c in chambers:
-            uniq[c.sort_key] = c
-        self.chambers = tuple(uniq[k] for k in sorted(uniq))
-        self._members = frozenset(self.chambers)
+        self._members = frozenset(chambers)
+
+    @property
+    def chambers(self) -> tuple:
+        return tuple(sorted(self._members, key=lambda c: c.sort_key))
 
     @property
     def size(self) -> int:
-        return len(self.chambers)
+        return len(self._members)
 
     def __len__(self) -> int:
-        return len(self.chambers)
+        return len(self._members)
 
     def __iter__(self):
         return iter(self.chambers)
@@ -167,27 +172,20 @@ def closure_hull(points) -> ChamberSet:
     if not points:
         raise ValueError("hull of an empty point list")
     _shared_ctx(*points)
-    members = {}
-    for p in points:
-        members[p.sort_key] = p
+    # Each chamber is paired with the members before it as it joins, so
+    # every unordered pair of members is queued exactly once.
+    members = set()
     pending = []
-    keys = sorted(members)
-    for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
-            pending.append((members[a], members[b]))
-    done = set()
+    for c in dict.fromkeys(points):
+        pending.extend((c, m) for m in members)
+        members.add(c)
     while pending:
         a, b = pending.pop()
-        pk = tuple(sorted((a.sort_key, b.sort_key)))
-        if pk in done:
-            continue
-        done.add(pk)
-        for c in interval(a, b):
-            if c.sort_key not in members:
-                for other in list(members.values()):
-                    pending.append((c, other))
-                members[c.sort_key] = c
-    return ChamberSet(members.values())
+        for c in interval(a, b)._members:
+            if c not in members:
+                pending.extend((c, m) for m in members)
+                members.add(c)
+    return ChamberSet(members)
 
 
 class HullDisagreement(RuntimeError):
@@ -280,35 +278,16 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-_WORKER_STATE: dict = {}
-
-
 def _pair_sizes(tag_code: str, radius: int, pairs):
     """Hull sizes for unordered ball-index pairs; used directly and by
-    worker processes.  Returns rows (i, j, size_u_i, size_u_j, size_ij,
-    size_uij) with u fixed at the identity."""
-    key = (tag_code, radius)
-    state = _WORKER_STATE.get(key)
-    if state is None:
-        ctx = build_group(TypeTag.from_code(tag_code))
-        ball = ctx.ball(radius)
-        usize = [halfspace_hull([ctx.base_chamber, c]).size for c in ball]
-        _WORKER_STATE[key] = state = (ctx, ball, usize)
-    ctx, ball, usize = state
+    worker processes.  Returns rows (i, j, size_ij, size_uij) with u fixed
+    at the identity."""
+    ctx = build_group(TypeTag.from_code(tag_code))
+    ball = ctx.ball(radius)
     u = ctx.base_chamber
-    rows = []
-    for i, j in pairs:
-        v, w = ball[i], ball[j]
-        rows.append((
-            i, j, usize[i], usize[j],
-            halfspace_hull([v, w]).size,
-            halfspace_hull([u, v, w]).size,
-        ))
-    return rows
-
-
-def _pair_sizes_star(args):
-    return _pair_sizes(*args)
+    return [(i, j, halfspace_hull([ball[i], ball[j]]).size,
+             halfspace_hull([u, ball[i], ball[j]]).size)
+            for i, j in pairs]
 
 
 def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
@@ -334,30 +313,32 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
         args = [(tag.code, radius, batch) for batch in batches]
         mp = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
         with mp.Pool(jobs) as pool:
-            chunks = pool.map(_pair_sizes_star, args)
+            chunks = pool.starmap(_pair_sizes, args)
         rows = [row for part in chunks for row in part]
     else:
         rows = _pair_sizes(tag.code, radius, pairs)
 
-    assert len({(r[0], r[1]) for r in rows}) == len(pairs)
+    if [row[:2] for row in rows] != pairs:
+        raise RuntimeError("sweep lost, duplicated or reordered pair rows")
+    # ball[0] is u, so the rows (0, j) come first and hold |Conv(u, ball[j])|.
+    usize = [vw for _, _, vw, _ in rows[:n]]
     if oracle_samples and pairs:
         rng = random.Random(seed)
         for i, j in (pairs[rng.randrange(len(pairs))] for _ in range(oracle_samples)):
             checked_hull([ctx.base_chamber, ball[i], ball[j]])
     counterexamples = []
     max_ratio = Fraction(0)
-    for i, j, ui, uj, vw, uvw in rows:
+    for i, j, vw, uvw in rows:
         # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes.
-        ordered = [(ui, i, j)] if i == j else [(ui, i, j), (uj, j, i)]
-        for size_uv, a, b in ordered:
-            verdict = HullVerdict(size_uv, vw, uvw)
+        for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
+            verdict = HullVerdict(usize[a], vw, uvw)
             if verdict.ratio > max_ratio:
                 max_ratio = verdict.ratio
             if not verdict.holds:
                 counterexamples.append({
                     "v": ctx.word_of(ball[a]),
                     "w": ctx.word_of(ball[b]),
-                    "size_uv": size_uv,
+                    "size_uv": verdict.size_uv,
                     "size_vw": vw,
                     "size_uvw": uvw,
                 })

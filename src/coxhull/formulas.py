@@ -38,7 +38,7 @@ import enum
 from dataclasses import dataclass
 
 from .coxeter import TypeTag
-from .ring import RingScalar
+from .ring import HALF, SQRT3, RingScalar
 from .tessellation import Chamber, GroupContext
 
 
@@ -175,15 +175,13 @@ def dihedral_pair_count(dist: int) -> int:
 
 _SIXTH = RingScalar.rational(1, 6)
 _THIRD = RingScalar.rational(1, 3)
-_HALF = RingScalar.rational(1, 2)
-_SQRT3 = RingScalar(0, 1)
 
 
 def _a2_barycenter(col_halfsteps: RingScalar, row: int, up: bool):
     """Barycenter of the triangle in the given row whose barycenter sits at
     the given horizontal position; rows have height sqrt3/2."""
-    height = _SQRT3 * (_SIXTH if up else _THIRD)
-    return (col_halfsteps, _SQRT3 * _HALF * RingScalar(row) + height)
+    height = SQRT3 * (_SIXTH if up else _THIRD)
+    return (col_halfsteps, SQRT3 * HALF * RingScalar(row) + height)
 
 
 def a2_chamber_pair(ctx: GroupContext, coord: A2Coord) -> tuple[Chamber, Chamber]:
@@ -191,7 +189,7 @@ def a2_chamber_pair(ctx: GroupContext, coord: A2Coord) -> tuple[Chamber, Chamber
     if ctx.tag is not TypeTag.A2Tilde:
         raise ConstraintViolation("A2 coordinates address the triangular complex")
     if coord.base_orientation is Orientation.Up:
-        base_col = _HALF
+        base_col = HALF
         u = ctx.base_chamber
         v_up = (coord.x + coord.y) % 2 == 0
     else:
@@ -246,7 +244,7 @@ def i2_cell(ctx: GroupContext, n: int) -> Chamber:
     """The n-th unit cell of the line model."""
     if ctx.tag is not TypeTag.I2Infinity:
         raise ConstraintViolation("cells are addressed on the line model only")
-    return ctx.chamber_containing((RingScalar(n) + _HALF, _HALF))
+    return ctx.chamber_containing((RingScalar(n) + HALF, HALF))
 
 
 def a2_coordinate_of(ctx: GroupContext, chamber: Chamber,
@@ -255,9 +253,9 @@ def a2_coordinate_of(ctx: GroupContext, chamber: Chamber,
     a chamber relative to the origin chamber of the given orientation."""
     if ctx.tag is not TypeTag.A2Tilde:
         raise ConstraintViolation("A2 coordinates address the triangular complex")
-    base_col = _HALF if base_orientation is Orientation.Up else RingScalar(1)
+    base_col = HALF if base_orientation is Orientation.Up else RingScalar(1)
     bx, by = chamber.barycenter
-    row = (by / (_SQRT3 * _HALF)).floor()
+    row = (by / (SQRT3 * HALF)).floor()
     x2 = (bx - base_col) * RingScalar(2)
     if x2 != RingScalar(x2.floor()):
         raise ConstraintViolation("chamber is not on the half-step grid")

@@ -23,10 +23,6 @@ def vec(x, y) -> Vec:
     return (RingScalar.of(x), RingScalar.of(y))
 
 
-def vec_key(v: Vec):
-    return (v[0].key(), v[1].key())
-
-
 @dataclass(frozen=True)
 class Line:
     """The line {p : n1*x + n2*y = c}; (n1, n2) need not be a unit vector."""
@@ -124,20 +120,6 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return self == GroupElement.identity(self.tag)
-
-
-def compose(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a.compose(b)
-
-
-def inverse(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
-def equals(a: GroupElement, b: GroupElement) -> bool:
-    if a.tag != b.tag:
-        raise MixedContext(f"cannot compare {a.tag} with {b.tag}")
-    return a == b
 
 
 def reflection_across(tag: str, line: Line) -> GroupElement:

@@ -205,10 +205,6 @@ class MultiPoly:
         return f"MultiPoly({self.variables}, {str(self)!r})"
 
 
-_ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Name, ast.Constant,
-                  ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.USub, ast.UAdd)
-
-
 def poly_parse(expr, variables):
     """Parse integer polynomial text over the declared variables.
 
@@ -253,22 +249,6 @@ def poly_parse(expr, variables):
         raise
     except RecursionError:
         raise ParseError("expression too deeply nested") from None
-
-
-def poly_add(p, q):
-    return p + q
-
-
-def poly_sub(p, q):
-    return p - q
-
-
-def poly_mul(p, q):
-    return p * q
-
-
-def poly_substitute(p, name, replacement):
-    return p.substitute(name, replacement)
 
 
 def poly_eval(p, assignment):

@@ -70,6 +70,9 @@ class RingScalar:
         return body if self.d == 1 else f"({body})/{self.d}"
 
     def __hash__(self) -> int:
+        # Equal to an int exactly when integer-valued, so hash as that int.
+        if self.q == 0 and self.d == 1:
+            return hash(self.p)
         return hash((self.p, self.q, self.d))
 
     def __eq__(self, other: object) -> bool:

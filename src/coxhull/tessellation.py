@@ -59,7 +59,14 @@ class Chamber:
     """A chamber of the complex, identified with the element mapping the
     base chamber onto it.  `floors` holds, per wall family, the floor of
     the barycenter's family coordinate; all metric predicates reduce to
-    integer arithmetic on these vectors."""
+    integer arithmetic on these vectors.
+
+    Chambers are interned: only `GroupContext.chamber_of` creates them,
+    and it returns one object per element of its context.  Identity is
+    therefore equality, so chambers keep the default identity `__eq__`
+    and `__hash__`; chambers of two separately built contexts are never
+    equal.  `sort_key` (the exact barycenter) gives a deterministic order
+    where one is needed."""
 
     __slots__ = ("ctx", "element", "barycenter", "floors", "sort_key",
                  "_neighbors", "_panel_walls")
@@ -77,14 +84,6 @@ class Chamber:
     def __repr__(self) -> str:
         bx, by = self.barycenter
         return f"Chamber({self.ctx.tag.code}, word={self.ctx.word_of(self)!r}, at=({bx}, {by}))"
-
-    def __hash__(self) -> int:
-        return hash(self.element)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Chamber):
-            return NotImplemented
-        return self.ctx is other.ctx and self.element == other.element
 
     def neighbors(self):
         """List of (generator index, adjacent chamber), one per generator."""
@@ -251,6 +250,8 @@ class GroupContext:
     # -- chambers ---------------------------------------------------------
 
     def chamber_of(self, element: GroupElement) -> Chamber:
+        """The one chamber of this context for `element`: the intern table
+        that makes chamber identity equality.  Nothing else builds one."""
         if element.tag != self.tag.code:
             raise MixedContext(f"element of {element.tag} used in {self.tag.code}")
         ch = self._chambers.get(element.key())
@@ -436,14 +437,6 @@ class GroupContext:
 def build_group(tag: TypeTag) -> GroupContext:
     """Build (and memoize) the canonical context for a supported type."""
     return GroupContext(tag)
-
-
-def element_to_chamber(ctx: GroupContext, element: GroupElement) -> Chamber:
-    return ctx.chamber_of(element)
-
-
-def wall_families(tag: TypeTag):
-    return build_group(tag).families
 
 
 def g2_coarsen(chamber: Chamber) -> Chamber:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coxhull import convexity
 from coxhull.convexity import (ChamberSet, HullVerdict, checked_hull,
                                closure_hull, distance, g2_diagnostic,
                                halfspace_hull, interval, minimal_gallery,
@@ -9,7 +10,7 @@ from coxhull.convexity import (ChamberSet, HullVerdict, checked_hull,
 from coxhull.coxeter import TypeTag
 from coxhull.formulas import C2CaseParams, c2_case2_chambers, i2_cell
 from coxhull.group import MixedContext
-from coxhull.tessellation import build_group
+from coxhull.tessellation import GroupContext, build_group
 
 
 def test_distance_examples(a2, i2):
@@ -168,6 +169,12 @@ def test_mixed_context_rejected(a2, c2):
         halfspace_hull([a2.base_chamber, c2.base_chamber])
 
 
+def test_same_type_contexts_rejected():
+    first, second = GroupContext(TypeTag.A2Tilde), GroupContext(TypeTag.A2Tilde)
+    with pytest.raises(MixedContext):
+        halfspace_hull([first.base_chamber, second.chamber_from_word([0])])
+
+
 def test_hull_verdict_fields():
     v = HullVerdict(3, 4, 6)
     assert v.product == 12
@@ -199,6 +206,14 @@ def test_sweep_deterministic_across_jobs():
     d1.pop("wall_clock_ms")
     d2.pop("wall_clock_ms")
     assert d1 == d2
+
+
+def test_sweep_rejects_lost_pair_row(monkeypatch):
+    pair_sizes = convexity._pair_sizes
+    monkeypatch.setattr(convexity, "_pair_sizes",
+                        lambda *args: pair_sizes(*args)[:-1])
+    with pytest.raises(RuntimeError, match="pair rows"):
+        sweep_triples(TypeTag.A2Tilde, 2)
 
 
 def test_sweep_radius_zero(g2):

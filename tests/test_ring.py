@@ -25,6 +25,9 @@ def test_equality_is_canonical():
     assert RingScalar(1, 1, 2) != RingScalar(1, 1, 3)
     assert RingScalar(7) == 7
     assert hash(RingScalar(3, 6, 9)) == hash(RingScalar(1, 2, 3))
+    # Equal to an int, so hashed as one: mixed int and scalar keys agree.
+    assert hash(RingScalar(3)) == hash(3)
+    assert 3 in {RingScalar(3)} and RingScalar(-4, 0, 2) in {-2}
 
 
 @given(scalars, scalars)

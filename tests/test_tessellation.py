@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from coxhull.coxeter import TypeTag
 from coxhull.group import reflection_across
 from coxhull.ring import RingScalar
-from coxhull.tessellation import g2_coarsen
+from coxhull.tessellation import GroupContext, g2_coarsen
 
 
 def bfs_distances(start, depth):
@@ -151,6 +152,21 @@ def test_identity_chamber_and_products(ctx):
     dist = bfs_distances(base, 3)
     assert dist[s1s2] == 2
     assert ctx.wall_distance(base, s1s2) == 2
+
+
+def test_chambers_are_interned(ctx):
+    # Two words for one element give the one chamber object.
+    for i in range(ctx.rank):
+        assert ctx.chamber_from_word([i, i]) is ctx.base_chamber
+    assert ctx.chamber_from_word([0, 1, 1]) is ctx.base_chamber.neighbor(0)
+
+
+def test_separate_contexts_never_share_chambers():
+    first, second = GroupContext(TypeTag.A2Tilde), GroupContext(TypeTag.A2Tilde)
+    a, b = first.chamber_from_word([0, 1]), second.chamber_from_word([0, 1])
+    assert a.element == b.element
+    assert a != b
+    assert len({a, b}) == 2
 
 
 def test_word_roundtrip(ctx):
