@@ -9,6 +9,7 @@ Reports are written atomically (write to a temp file, then rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -69,10 +70,19 @@ def _word_chamber(ctx: GroupContext, word: str):
 
 
 def _write_atomic(path: str, content: str) -> None:
+    """Write, flush and fsync a temp file, then rename it over `path`; on
+    any failure remove the temp file and leave `path` as it was."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(content)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # -- subcommands -------------------------------------------------------------

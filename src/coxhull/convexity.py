@@ -6,7 +6,8 @@ Two hull algorithms are kept deliberately independent:
   the hull of a point set iff, for every wall with all the points strictly
   on one side, the chamber lies on that same side.  Per wall family this
   is an integer window test on floor vectors, and the hull is collected by
-  flood fill from one seed.
+  flood fill from one seed.  A sweep reads the same windows from bit masks
+  over one precomputed cover (``_HullTable``) instead of flood filling.
 
 * ``closure_hull`` is the oracle.  It iterates geodesic intervals (the
   sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint, never looking
@@ -26,6 +27,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .coxeter import TypeTag
 from .group import MixedContext
@@ -113,27 +115,32 @@ def minimal_gallery(u: Chamber, v: Chamber) -> Gallery:
 
 
 def interval(u: Chamber, v: Chamber) -> ChamberSet:
-    """All chambers on some minimal gallery from u to v, found by searching
-    the metric condition d(u,c) + d(c,v) = d(u,v) outward from u."""
+    """All chambers on some minimal gallery from u to v.
+
+    A chamber is on one iff it is reached from u by steps that each lower
+    the distance to v by exactly 1, so the search outward from u needs
+    only distances to v."""
     ctx = _shared_ctx(u, v)
-    total = ctx.wall_distance(u, v)
-    fu, fv = u.floors, v.floors
+    fv = v.floors
     seen = {u}
     frontier = [u]
-    while frontier:
+    for dv in range(ctx.wall_distance(u, v) - 1, -1, -1):
         nxt = []
         for c in frontier:
             for _, nb in c.neighbors():
-                if nb in seen:
-                    continue
-                fn = nb.floors
-                du = sum(abs(a - b) for a, b in zip(fu, fn))
-                dv = sum(abs(a - b) for a, b in zip(fn, fv))
-                if du + dv == total:
+                if nb not in seen and sum(map(abs, map(sub, nb.floors, fv))) == dv:
                     seen.add(nb)
                     nxt.append(nb)
         frontier = nxt
     return ChamberSet(seen)
+
+
+def _window(points):
+    """Per-family [lo, hi] floor bounds of the points.  The halfspace hull
+    is exactly the chambers whose floors lie inside: it is convex, hence
+    gallery-connected, so no chamber of the window is cut off."""
+    cols = list(zip(*(p.floors for p in points)))
+    return [min(c) for c in cols], [max(c) for c in cols]
 
 
 def halfspace_hull(points) -> ChamberSet:
@@ -142,10 +149,8 @@ def halfspace_hull(points) -> ChamberSet:
     points = list(points)
     if not points:
         raise ValueError("hull of an empty point list")
-    ctx = _shared_ctx(*points)
-    nfam = len(ctx.families)
-    lo = [min(p.floors[f] for p in points) for f in range(nfam)]
-    hi = [max(p.floors[f] for p in points) for f in range(nfam)]
+    nfam = len(_shared_ctx(*points).families)
+    lo, hi = _window(points)
     seed = points[0]
     seen = {seed}
     frontier = [seed]
@@ -189,15 +194,18 @@ def closure_hull(points) -> ChamberSet:
 
 
 class HullDisagreement(RuntimeError):
-    """Dual-route hull algorithms returned different sets."""
+    """Dual-route hull algorithms returned different sets, or a sweep used
+    a size (`size_used`) other than the closure hull's."""
 
-    def __init__(self, ctx, points, via_halfspace, via_closure):
+    def __init__(self, ctx, points, via_halfspace, via_closure, size_used=None):
         words = [ctx.word_of(p) for p in points]
         only_h = [ctx.word_of(c) for c in via_halfspace if c not in via_closure]
         only_c = [ctx.word_of(c) for c in via_closure if c not in via_halfspace]
+        used = "" if size_used is None else (
+            f", sweep used size {size_used} for closure size {via_closure.size}")
         super().__init__(
             f"hull algorithms disagree on {ctx.tag.code} points {words}: "
-            f"halfspace-only={only_h}, closure-only={only_c}"
+            f"halfspace-only={only_h}, closure-only={only_c}{used}"
         )
         self.points = words
         self.halfspace_only = only_h
@@ -278,15 +286,53 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+class _HullTable:
+    """Halfspace hulls of points of one ball, as bit masks over a cover.
+
+    The cover is the halfspace hull of the whole ball.  A hull is the set
+    of chambers whose floors lie in its points' window, and a subset of
+    the ball has a window inside the ball's, so each hull of ball points
+    is the set of cover chambers inside its window.  Per family and floor
+    value t the table keeps the mask of cover chambers with floor >= t and
+    the mask of those with floor <= t; a hull is the AND of 2·nfam masks."""
+
+    def __init__(self, ball) -> None:
+        cover = halfspace_hull(ball).chambers
+        self._bit = {c: 1 << k for k, c in enumerate(cover)}
+        self._ge, self._le = [], []
+        for f in range(len(cover[0].floors)):
+            values = {c.floors[f] for c in cover}
+            self._ge.append({t: sum(bit for c, bit in self._bit.items() if c.floors[f] >= t)
+                             for t in values})
+            self._le.append({t: sum(bit for c, bit in self._bit.items() if c.floors[f] <= t)
+                             for t in values})
+
+    def _mask(self, points) -> int:
+        lo, hi = _window(points)
+        mask = -1
+        for ge, le, a, b in zip(self._ge, self._le, lo, hi):
+            mask &= ge[a] & le[b]
+        return mask
+
+    def size(self, points) -> int:
+        return self._mask(points).bit_count()
+
+    def hull(self, points) -> ChamberSet:
+        if any(p not in self._bit for p in points):
+            raise ValueError("point outside the table's cover")
+        mask = self._mask(points)
+        return ChamberSet(c for c, bit in self._bit.items() if mask & bit)
+
+
 def _pair_sizes(tag_code: str, radius: int, pairs):
-    """Hull sizes for unordered ball-index pairs; used directly and by
-    worker processes.  Returns rows (i, j, size_ij, size_uij) with u fixed
-    at the identity."""
+    """Hull sizes for unordered ball-index pairs, read from one mask table
+    of the ball; used directly and by worker processes.  Returns rows
+    (i, j, size_ij, size_uij) with u fixed at the identity."""
     ctx = build_group(TypeTag.from_code(tag_code))
     ball = ctx.ball(radius)
+    table = _HullTable(ball)
     u = ctx.base_chamber
-    return [(i, j, halfspace_hull([ball[i], ball[j]]).size,
-             halfspace_hull([u, ball[i], ball[j]]).size)
+    return [(i, j, table.size((ball[i], ball[j])), table.size((u, ball[i], ball[j])))
             for i, j in pairs]
 
 
@@ -298,8 +344,9 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     The work is a map over unordered pairs with a canonical-order
     reduction, so the report is independent of the level of parallelism.
     A seeded sample of the checked triples is recomputed through the
-    interval-closure oracle; any disagreement with the halfspace route
-    aborts the sweep with a structured report.
+    interval-closure oracle and compared with the table's hull and with
+    the size the sweep used; any disagreement aborts the sweep with a
+    structured report.
     """
     started = time.monotonic()
     ctx = build_group(tag)
@@ -324,8 +371,14 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     usize = [vw for _, _, vw, _ in rows[:n]]
     if oracle_samples and pairs:
         rng = random.Random(seed)
-        for i, j in (pairs[rng.randrange(len(pairs))] for _ in range(oracle_samples)):
-            checked_hull([ctx.base_chamber, ball[i], ball[j]])
+        table = _HullTable(ball)
+        for k in (rng.randrange(len(pairs)) for _ in range(oracle_samples)):
+            i, j, _, uvw = rows[k]
+            points = [ctx.base_chamber, ball[i], ball[j]]
+            via_table = table.hull(points)
+            via_closure = closure_hull(points)
+            if via_table != via_closure or uvw != via_closure.size:
+                raise HullDisagreement(ctx, points, via_table, via_closure, uvw)
     counterexamples = []
     max_ratio = Fraction(0)
     for i, j, vw, uvw in rows:

@@ -251,10 +251,6 @@ def poly_parse(expr, variables):
         raise ParseError("expression too deeply nested") from None
 
 
-def poly_eval(p, assignment):
-    return p.eval(assignment)
-
-
 def check_nonneg_coeffs(p) -> bool:
     """True iff every stored coefficient is non-negative."""
     return all(c >= 0 for c in p.terms.values())

@@ -235,6 +235,8 @@ class GroupContext:
             sum((v[0] for v in verts), ZERO) / RingScalar(n),
             sum((v[1] for v in verts), ZERO) / RingScalar(n),
         )
+        if not self.generator_orders_ok():
+            raise RuntimeError(f"{tag.code} generators do not realize the Coxeter matrix")
         self.families = _derive_families(self.gens, walls)
         self._family_by_dir = {
             (f.normal[0].key(), f.normal[1].key()): f for f in self.families
@@ -259,9 +261,6 @@ class GroupContext:
             ch = Chamber(self, element)
             self._chambers[element.key()] = ch
         return ch
-
-    def chamber_of_identity(self) -> Chamber:
-        return self.base_chamber
 
     def chamber_from_word(self, word) -> Chamber:
         """Word is an iterable of generator indices (0-based)."""

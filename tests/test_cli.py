@@ -144,3 +144,18 @@ def test_prove_c2(capsys):
     assert "term-for-term match with pinned corrected expansion: ok" in out
     assert "all corrected coefficients strictly positive: ok" in out
     assert out.strip().endswith("PASS")
+
+
+def test_failed_report_write_leaves_no_temp_and_old_report(tmp_path, monkeypatch, capsys):
+    report = tmp_path / "report.json"
+    report.write_text("previous report\n")
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(coxhull.cli.os, "fsync", fail)
+    assert main(["check", "--type", "a2t", "--radius", "2",
+                 "--report", str(report)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert report.read_text() == "previous report\n"
+    assert list(tmp_path.glob("*.tmp.*")) == []

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from coxhull import convexity
-from coxhull.convexity import (ChamberSet, HullVerdict, checked_hull,
+from coxhull.convexity import (ChamberSet, HullDisagreement, HullVerdict,
+                               _HullTable, checked_hull,
                                closure_hull, distance, g2_diagnostic,
                                halfspace_hull, interval, minimal_gallery,
                                strong_hull_check, sweep_triples)
@@ -38,6 +39,19 @@ def test_interval_contains_endpoints_and_meets_lower_bound(planar_ctx):
         iv = interval(u, v)
         assert u in iv and v in iv
         assert iv.size >= distance(u, v) + 1
+
+
+def test_interval_equals_brute_force(planar_ctx):
+    # Every chamber on a geodesic between points of ball(5) is within
+    # distance 10 of the base, so ball(10) holds the whole interval.
+    around = planar_ctx.ball(10)
+    ball = planar_ctx.ball(5)
+    rng = random.Random(21)
+    for _ in range(40):
+        u, v = rng.choice(ball), rng.choice(ball)
+        d = distance(u, v)
+        brute = ChamberSet(c for c in around if distance(u, c) + distance(c, v) == d)
+        assert interval(u, v) == brute
 
 
 def test_halfspace_single_point(ctx):
@@ -214,6 +228,45 @@ def test_sweep_rejects_lost_pair_row(monkeypatch):
                         lambda *args: pair_sizes(*args)[:-1])
     with pytest.raises(RuntimeError, match="pair rows"):
         sweep_triples(TypeTag.A2Tilde, 2)
+
+
+def test_hull_table_equals_halfspace_hull(planar_ctx):
+    ball = planar_ctx.ball(6)
+    table = _HullTable(ball)
+    for i, v in enumerate(ball):
+        for w in ball[i:]:
+            assert table.hull([v, w]) == halfspace_hull([v, w])
+    rng = random.Random(12)
+    for _ in range(1000):
+        pts = [rng.choice(ball) for _ in range(3)]
+        hull = halfspace_hull(pts)
+        assert table.hull(pts) == hull
+        assert table.size(pts) == hull.size
+
+
+def test_hull_table_rejects_points_outside_cover(a2):
+    table = _HullTable(a2.ball(2))
+    with pytest.raises(ValueError, match="cover"):
+        table.hull([a2.ball(4)[-1]])
+
+
+def test_sweep_oracle_catches_wrong_table_hull(monkeypatch):
+    hull = _HullTable.hull
+
+    def drop_one(self, points):
+        return ChamberSet(hull(self, points).chambers[1:])
+
+    monkeypatch.setattr(_HullTable, "hull", drop_one)
+    with pytest.raises(HullDisagreement, match="closure-only"):
+        sweep_triples(TypeTag.C2Tilde, 3)
+
+
+def test_sweep_oracle_catches_wrong_swept_size(monkeypatch):
+    pair_sizes = convexity._pair_sizes
+    monkeypatch.setattr(convexity, "_pair_sizes", lambda *args: [
+        (i, j, vw, uvw + 1) for i, j, vw, uvw in pair_sizes(*args)])
+    with pytest.raises(HullDisagreement, match="sweep used size"):
+        sweep_triples(TypeTag.A2Tilde, 3)
 
 
 def test_sweep_radius_zero(g2):

@@ -146,12 +146,19 @@ def test_chamber_element_bijection(ctx):
 
 
 def test_identity_chamber_and_products(ctx):
-    base = ctx.chamber_of_identity()
+    base = ctx.base_chamber
     assert base.element.is_identity()
     s1s2 = ctx.chamber_from_word([0, 1])
     dist = bfs_distances(base, 3)
     assert dist[s1s2] == 2
     assert ctx.wall_distance(base, s1s2) == 2
+
+
+def test_wrong_generator_orders_rejected_at_construction(monkeypatch):
+    import coxhull.tessellation as tessellation
+    monkeypatch.setattr(tessellation, "element_order", lambda g: 5)
+    with pytest.raises(RuntimeError, match="Coxeter matrix"):
+        GroupContext(TypeTag.A2Tilde)
 
 
 def test_chambers_are_interned(ctx):
