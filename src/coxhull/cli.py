@@ -2,8 +2,10 @@
 evaluation and the symbolic verification transcript.
 
 Exit codes: 0 when every requested check passes, 1 when a counterexample
-or verification mismatch is found, 2 for unusable configuration or input.
-Reports are written atomically (write to a temp file, then rename).
+or verification mismatch is found, 2 for unusable configuration or input,
+3 when the two hull routes disagree (an implementation fault, reported on
+one `error:` line).  Reports are written atomically (write to a temp
+file, then rename).
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass
 
-from .convexity import HullVerdict, halfspace_hull, sweep_triples
+from .convexity import (HullDisagreement, HullVerdict, halfspace_hull,
+                        sweep_triples)
 from .coxeter import TypeTag
 from .formulas import (A2Coord, C2CaseParams, ConstraintViolation,
                        CoordinateError, a2_chamber_pair, c2_case2_chambers,
@@ -33,26 +35,6 @@ class ConfigError(ValueError):
 
 class ParseError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    type_tag: TypeTag
-    radius: int
-    parallelism: int = 1
-    report_path: str | None = None
-    seed: int = 0
-    radius_cap: int = 8
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ConfigError("radius must be non-negative")
-        if self.radius > self.radius_cap:
-            raise ConfigError(
-                f"radius {self.radius} exceeds the cap {self.radius_cap}; "
-                f"raise it explicitly with --radius-cap")
-        if self.parallelism < 1:
-            raise ConfigError("jobs must be at least 1")
 
 
 def _context(code: str) -> GroupContext:
@@ -88,16 +70,16 @@ def _write_atomic(path: str, content: str) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    config = RunConfig(
-        type_tag=TypeTag.from_code(args.type),
-        radius=args.radius,
-        parallelism=args.jobs,
-        report_path=args.report,
-        seed=args.seed,
-        radius_cap=args.radius_cap,
-    )
-    report = sweep_triples(config.type_tag, config.radius,
-                           jobs=config.parallelism, seed=config.seed)
+    if args.radius < 0:
+        raise ConfigError("radius must be non-negative")
+    if args.radius > args.radius_cap:
+        raise ConfigError(
+            f"radius {args.radius} exceeds the cap {args.radius_cap}; "
+            f"raise it explicitly with --radius-cap")
+    if args.jobs < 1:
+        raise ConfigError("jobs must be at least 1")
+    report = sweep_triples(TypeTag.from_code(args.type), args.radius,
+                           jobs=args.jobs, seed=args.seed)
     print(f"type {report.type} radius {report.radius}: "
           f"{report.triples_checked} triples checked, "
           f"{len(report.counterexamples)} counterexamples, "
@@ -106,9 +88,9 @@ def cmd_check(args) -> int:
     for ce in report.counterexamples:
         print(f"  counterexample: v={ce['v']!r} w={ce['w']!r} "
               f"{ce['size_uv']}*{ce['size_vw']} < {ce['size_uvw']}")
-    if config.report_path:
-        _write_atomic(config.report_path, report.to_json())
-        print(f"report written to {config.report_path}")
+    if args.report:
+        _write_atomic(args.report, report.to_json())
+        print(f"report written to {args.report}")
     return 0 if report.ok else 1
 
 
@@ -297,6 +279,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except HullDisagreement as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -101,10 +101,6 @@ class HullVerdict:
     def holds(self) -> bool:
         return self.product >= self.size_uvw
 
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.size_uvw, self.product)
-
 
 def distance(u: Chamber, v: Chamber) -> int:
     return _shared_ctx(u, v).wall_distance(u, v)
@@ -380,18 +376,19 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
             if via_table != via_closure or uvw != via_closure.size:
                 raise HullDisagreement(ctx, points, via_table, via_closure, uvw)
     counterexamples = []
-    max_ratio = Fraction(0)
+    # The largest ratio uvw / product so far, as the int pair (uvw, product).
+    top_uvw, top_product = 0, 1
     for i, j, vw, uvw in rows:
         # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes.
         for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
-            verdict = HullVerdict(usize[a], vw, uvw)
-            if verdict.ratio > max_ratio:
-                max_ratio = verdict.ratio
-            if not verdict.holds:
+            product = usize[a] * vw
+            if uvw * top_product > top_uvw * product:
+                top_uvw, top_product = uvw, product
+            if product < uvw:
                 counterexamples.append({
                     "v": ctx.word_of(ball[a]),
                     "w": ctx.word_of(ball[b]),
-                    "size_uv": verdict.size_uv,
+                    "size_uv": usize[a],
                     "size_vw": vw,
                     "size_uvw": uvw,
                 })
@@ -401,6 +398,6 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
         radius=radius,
         triples_checked=n * n,
         counterexamples=counterexamples,
-        max_ratio=max_ratio,
+        max_ratio=Fraction(top_uvw, top_product),
         wall_clock_ms=elapsed_ms,
     )

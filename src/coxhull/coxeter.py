@@ -1,17 +1,15 @@
-"""Coxeter matrices and classification of the supported group types.
+"""Coxeter matrices of the supported group types.
 
 A Coxeter matrix is a symmetric matrix of generator orders m_ij with
-m_ii = 1 and m_ij >= 2 off the diagonal (infinity allowed).  A rank-3
-matrix tessellates the Euclidean plane by triangles exactly when
-1/m12 + 1/m23 + 1/m31 = 1, which pins the off-diagonal order multisets
-{3,3,3}, {2,4,4} and {2,3,6}.  The rank-2 matrix with an infinite order
-acts on the real line.  Everything else is reported as unsupported.
+m_ii = 1 and m_ij >= 2 off the diagonal (infinity allowed).  The four
+supported types are the rank-3 triangle groups with off-diagonal orders
+{3,3,3}, {2,4,4} and {2,3,6}, which tessellate the Euclidean plane, and
+the rank-2 group with an infinite order, which acts on the real line.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 INF = float("inf")
@@ -44,7 +42,6 @@ class TypeTag(enum.Enum):
     C2Tilde = "c2t"
     G2Tilde = "g2t"
     I2Infinity = "i2inf"
-    Unsupported = "unsupported"
 
     @property
     def code(self) -> str:
@@ -56,7 +53,7 @@ class TypeTag(enum.Enum):
             if tag.value == code:
                 return tag
         raise ValueError(f"unknown type code {code!r}; expected one of "
-                         f"{[t.value for t in cls if t is not cls.Unsupported]}")
+                         f"{[t.value for t in cls]}")
 
 
 @dataclass(frozen=True)
@@ -66,14 +63,6 @@ class CoxeterMatrix:
 
     def order(self, i, j):
         return self.entries[i][j]
-
-    def off_diagonal_orders(self):
-        """Multiset of orders m_ij for i < j, sorted."""
-        return sorted(
-            self.entries[i][j]
-            for i in range(self.rank)
-            for j in range(i + 1, self.rank)
-        )
 
 
 def _as_order(value):
@@ -102,36 +91,6 @@ def validate_matrix(raw) -> CoxeterMatrix:
             if entries[i][j] < 2:
                 raise OrderBelowTwo(i, j, entries[i][j])
     return CoxeterMatrix(rank, entries)
-
-
-def matrix_from_json(text: str) -> CoxeterMatrix:
-    """Parse a matrix from a JSON array of arrays; "inf" is the infinity
-    sentinel."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CoxeterMatrixError(f"invalid JSON: {exc}") from None
-    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
-        raise CoxeterMatrixError("JSON matrix must be an array of arrays")
-    return validate_matrix(raw)
-
-
-def classify(matrix: CoxeterMatrix) -> TypeTag:
-    """Type of the group up to generator relabeling; Unsupported is a value."""
-    if matrix.rank == 2:
-        if matrix.entries[0][1] == INF:
-            return TypeTag.I2Infinity
-        return TypeTag.Unsupported
-    if matrix.rank != 3:
-        return TypeTag.Unsupported
-    orders = matrix.off_diagonal_orders()
-    if orders == [3, 3, 3]:
-        return TypeTag.A2Tilde
-    if orders == [2, 4, 4]:
-        return TypeTag.C2Tilde
-    if orders == [2, 3, 6]:
-        return TypeTag.G2Tilde
-    return TypeTag.Unsupported
 
 
 def matrix_for(tag: TypeTag) -> CoxeterMatrix:

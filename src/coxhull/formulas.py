@@ -245,18 +245,3 @@ def i2_cell(ctx: GroupContext, n: int) -> Chamber:
     if ctx.tag is not TypeTag.I2Infinity:
         raise ConstraintViolation("cells are addressed on the line model only")
     return ctx.chamber_containing((RingScalar(n) + HALF, HALF))
-
-
-def a2_coordinate_of(ctx: GroupContext, chamber: Chamber,
-                     base_orientation: Orientation = Orientation.Up):
-    """Inverse view of a2_chamber_pair for reporting: the (x, y) address of
-    a chamber relative to the origin chamber of the given orientation."""
-    if ctx.tag is not TypeTag.A2Tilde:
-        raise ConstraintViolation("A2 coordinates address the triangular complex")
-    base_col = HALF if base_orientation is Orientation.Up else RingScalar(1)
-    bx, by = chamber.barycenter
-    row = (by / (SQRT3 * HALF)).floor()
-    x2 = (bx - base_col) * RingScalar(2)
-    if x2 != RingScalar(x2.floor()):
-        raise ConstraintViolation("chamber is not on the half-step grid")
-    return x2.floor(), row

@@ -2,8 +2,8 @@
 
 A group element acts on the plane as p -> A p + t with A orthogonal
 (det +-1) and both A and t exact.  Reflections across exact lines are
-built here; compositions, inverses and equality are all O(1) and exact,
-which is what makes chamber identity and wall-side tests decidable.
+built here; composition and equality are O(1) and exact, which is what
+makes chamber identity and wall-side tests decidable.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ class Line:
     n1: RingScalar
     n2: RingScalar
     c: RingScalar
-
-    def eval_at(self, point: Vec) -> RingScalar:
-        return self.n1 * point[0] + self.n2 * point[1] - self.c
-
-    def side(self, point: Vec) -> int:
-        return self.eval_at(point).sign()
 
     def canonical(self) -> "Line":
         """Scale so the first nonzero normal component is exactly 1."""
@@ -109,13 +103,6 @@ class GroupElement:
         d = self.c * other.b + self.d * other.d
         tx = self.a * other.tx + self.b * other.ty + self.tx
         ty = self.c * other.tx + self.d * other.ty + self.ty
-        return GroupElement(self.tag, (a, b, c, d), (tx, ty))
-
-    def inverse(self) -> "GroupElement":
-        # A orthogonal, so A^-1 = A^T and the inverse maps p -> A^T (p - t).
-        a, b, c, d = self.a, self.c, self.b, self.d
-        tx = -(a * self.tx + b * self.ty)
-        ty = -(c * self.tx + d * self.ty)
         return GroupElement(self.tag, (a, b, c, d), (tx, ty))
 
     def is_identity(self) -> bool:

@@ -30,7 +30,7 @@ positive terms.
 from __future__ import annotations
 
 from .formulas import c2_case2_forms
-from .poly import MultiPoly, check_nonneg_coeffs, poly_parse
+from .poly import MultiPoly, poly_parse
 
 VARS_A2 = ("x", "y", "a", "b")
 VARS_C2 = ("a", "b", "x", "y")
@@ -112,12 +112,6 @@ def verify_a2_identities() -> tuple[bool, bool]:
     return (a2_decomposed_lhs() == lhs, a2_factored_rhs() == rhs)
 
 
-def a2_admissible(x, y, a, b) -> bool:
-    return (x >= y - 1 and a >= b - 1
-            and (x + y) % 2 == 1 and x + y > 0
-            and (a + b) % 2 == 0 and a + b > 0)
-
-
 def a2_box_violations(limit: int = 25):
     """Tuples in [0, limit]^4 meeting the constraints with LHS < RHS.
     Pure integer arithmetic, independent of the polynomial route."""
@@ -143,7 +137,8 @@ def a2_box_violations(limit: int = 25):
 
 def c2_case2_sides_ints(a, b, x, y) -> tuple[int, int]:
     """LHS (product of the two pair counts) and RHS (triple count) of the
-    case-2 inequality, as plain integers."""
+    case-2 inequality with the paper's middle count; the expressions serve
+    plain integers and polynomials alike."""
     lhs = (2 * a + (b - 2) * (a + 2)) * (3 * (x - a + 3) + (y - b - 2) * (x - a + 5))
     rhs = 3 * (x + 1) + (y - 3) * (x + 3)
     return lhs, rhs
@@ -166,11 +161,7 @@ def _reparametrized(sides) -> MultiPoly:
 
 def c2_difference_poly() -> MultiPoly:
     """The reparametrized case-2 difference with the paper's middle count."""
-    def sides(a, b, x, y):
-        lhs = (2 * a + (b - 2) * (a + 2)) * (3 * (x - a + 3) + (y - b - 2) * (x - a + 5))
-        rhs = 3 * (x + 1) + (y - 3) * (x + 3)
-        return lhs, rhs
-    return _reparametrized(sides)
+    return _reparametrized(c2_case2_sides_ints)
 
 
 def c2_corrected_difference_poly() -> MultiPoly:
@@ -216,24 +207,3 @@ def c2_box_violations(limit: int = 40):
                     if lhs < rhs:
                         bad.append((a, b, x, y, lhs, rhs))
     return bad
-
-
-__all__ = [
-    "CASE2_CORRECTED_DIFFERENCE",
-    "CASE2_EXPECTED_DIFFERENCE",
-    "MismatchReport",
-    "MultiPoly",
-    "a2_admissible",
-    "a2_box_violations",
-    "a2_decomposed_lhs",
-    "a2_factored_rhs",
-    "a2_sides_poly",
-    "c2_box_violations",
-    "c2_case2_sides_ints",
-    "c2_corrected_difference_poly",
-    "c2_difference_poly",
-    "check_nonneg_coeffs",
-    "verify_a2_identities",
-    "verify_c2_corrected_expansion",
-    "verify_c2_expansion",
-]

@@ -27,7 +27,7 @@ from .ring import HALF, ONE, ZERO, RingScalar, SQRT3
 
 
 class UnsupportedType(ValueError):
-    """Raised when a context is requested for a type outside the four models."""
+    """Raised when a structure is requested for a type that lacks it."""
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,6 @@ class WallFamily:
         """Walls of this family sit exactly at the integers of this coordinate."""
         raw = self.normal[0] * point[0] + self.normal[1] * point[1] - self.ref
         return raw / self.spacing
-
-    def wall_line(self, offset: int) -> Line:
-        return Line(self.normal[0], self.normal[1],
-                    self.ref + self.spacing * RingScalar(offset))
 
 
 class Chamber:
@@ -163,8 +159,6 @@ def _base_data(tag: TypeTag):
             Line(ONE, ZERO, ZERO),            # x = 0
             Line(ONE, ZERO, ONE),             # x = 1
         ]
-    else:
-        raise UnsupportedType(f"cannot build a group of type {tag}")
     return verts, walls
 
 
@@ -221,8 +215,6 @@ class GroupContext:
     """
 
     def __init__(self, tag: TypeTag) -> None:
-        if tag in (TypeTag.Unsupported,):
-            raise UnsupportedType("cannot build a group for an unsupported matrix")
         self.tag = tag
         self.matrix: CoxeterMatrix = matrix_for(tag)
         verts, walls = _base_data(tag)
@@ -282,13 +274,6 @@ class GroupContext:
             raise ValueError("line offset is not on the family's wall lattice")
         return Wall(fam.index, k)
 
-    def side_of_wall(self, wall: Wall, chamber: Chamber) -> int:
-        self._check(chamber)
-        return 1 if chamber.floors[wall.family] >= wall.offset else -1
-
-    def separates(self, wall: Wall, c1: Chamber, c2: Chamber) -> bool:
-        return self.side_of_wall(wall, c1) != self.side_of_wall(wall, c2)
-
     def separating_walls(self, c1: Chamber, c2: Chamber):
         """All walls with c1 and c2 strictly on opposite sides."""
         self._check(c1, c2)
@@ -304,67 +289,47 @@ class GroupContext:
         self._check(c1, c2)
         return sum(abs(a - b) for a, b in zip(c1.floors, c2.floors))
 
-    # -- point location ---------------------------------------------------
+    # -- walks -------------------------------------------------------------
 
-    def point_floors(self, point: Vec):
-        return tuple(f.projection(point).floor() for f in self.families)
-
-    def chamber_containing(self, point: Vec) -> Chamber:
-        """Chamber whose interior holds `point`; the point must avoid walls.
-
-        Walks from the base chamber, always crossing a panel wall that
-        separates the current chamber from the target, so the walk length
-        equals the wall-separation count and the result is exact.
-        """
-        target = self.point_floors(point)
-        c = self.base_chamber
+    def _walk(self, start: Chamber, target):
+        """Steps (generator index, chamber) from `start` to the chamber
+        with floor vector `target`, each crossing the lowest-index panel
+        wall that separates the current chamber from the target.  Every
+        step removes one separating wall, so the walk is a minimal gallery."""
+        c = start
         while c.floors != target:
-            for i in range(self.rank):
-                w = c.panel_walls()[i]
-                here = c.floors[w.family] >= w.offset
-                there = target[w.family] >= w.offset
-                if here != there:
+            for i, w in enumerate(c.panel_walls()):
+                if (c.floors[w.family] >= w.offset) != (target[w.family] >= w.offset):
                     c = c.neighbor(i)
+                    yield i, c
                     break
             else:
-                raise ValueError("point lies on a wall or outside the complex")
-        return c
+                raise RuntimeError("no separating panel found on a geodesic walk")
 
-    # -- canonical geodesics ----------------------------------------------
+    def chamber_containing(self, point: Vec) -> Chamber:
+        """Chamber whose interior holds `point`; a point on a wall raises
+        ValueError.  The walk from the base chamber is exact."""
+        target = []
+        for f in self.families:
+            proj = f.projection(point)
+            k = proj.floor()
+            if proj == RingScalar(k):
+                raise ValueError("point lies on a wall")
+            target.append(k)
+        c = self.base_chamber
+        for _, c in self._walk(c, tuple(target)):
+            pass
+        return c
 
     def geodesic(self, u: Chamber, v: Chamber) -> Gallery:
         """Minimal gallery from u to v, lowest generator index first."""
         self._check(u, v)
-        steps = [u]
-        c = u
-        while c != v:
-            for i in range(self.rank):
-                w = c.panel_walls()[i]
-                if (c.floors[w.family] >= w.offset) != (v.floors[w.family] >= w.offset):
-                    c = c.neighbor(i)
-                    steps.append(c)
-                    break
-            else:
-                raise RuntimeError("no separating panel found on a geodesic walk")
-        return Gallery(tuple(steps))
+        return Gallery((u, *(c for _, c in self._walk(u, v.floors))))
 
     def word_of(self, c: Chamber) -> str:
         """Canonical geodesic word from the base, 1-based generator digits."""
-        gallery = self.geodesic(self.base_chamber, c)
-        digits = []
-        for a, b in zip(gallery.chambers, gallery.chambers[1:]):
-            for i, nb in a.neighbors():
-                if nb == b:
-                    digits.append(str(i + 1))
-                    break
-        return "".join(digits)
-
-    def serialize_chamber(self, c: Chamber) -> dict:
-        """Wire form: canonical word plus the exact barycenter triples."""
         self._check(c)
-        bx, by = c.barycenter
-        return {"word": self.word_of(c),
-                "barycenter": [list(bx.key()), list(by.key())]}
+        return "".join(str(i + 1) for i, _ in self._walk(self.base_chamber, c.floors))
 
     # -- balls -------------------------------------------------------------
 
@@ -436,7 +401,3 @@ class GroupContext:
 def build_group(tag: TypeTag) -> GroupContext:
     """Build (and memoize) the canonical context for a supported type."""
     return GroupContext(tag)
-
-
-def g2_coarsen(chamber: Chamber) -> Chamber:
-    return chamber.ctx.coarsen(chamber)

@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import coxhull.cli
 from coxhull.cli import main
+from coxhull.convexity import ChamberSet, CheckReport, _HullTable
 from coxhull.formulas import c2_case2_counts
 
 
@@ -39,6 +41,33 @@ def test_check_radius_cap(capsys):
     # explicit override allows it (but keep it tiny here by capping lower)
     assert main(["check", "--type", "a2t", "--radius", "2",
                  "--radius-cap", "2"]) == 0
+
+
+def test_check_counterexample_exits_1(monkeypatch, capsys):
+    ce = {"v": "12", "w": "3", "size_uv": 3, "size_vw": 2, "size_uvw": 7}
+    monkeypatch.setattr(coxhull.cli, "sweep_triples", lambda *args, **kwargs:
+                        CheckReport("a2t", 2, 100, [ce], Fraction(7, 6), 0))
+    assert main(["check", "--type", "a2t", "--radius", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "1 counterexamples, max ratio 7/6" in out
+    assert "  counterexample: v='12' w='3' 3*2 < 7\n" in out
+
+
+def test_check_hull_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    hull = _HullTable.hull
+
+    def drop_one(self, points):
+        return ChamberSet(hull(self, points).chambers[1:])
+
+    monkeypatch.setattr(_HullTable, "hull", drop_one)
+    report = tmp_path / "report.json"
+    assert main(["check", "--type", "c2t", "--radius", "3",
+                 "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: hull algorithms disagree on c2t")
+    assert err.count("\n") == 1
+    assert not report.exists()
+    assert list(tmp_path.glob("*.tmp.*")) == []
 
 
 def test_hull_command(capsys):

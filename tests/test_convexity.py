@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -267,6 +268,28 @@ def test_sweep_oracle_catches_wrong_swept_size(monkeypatch):
         (i, j, vw, uvw + 1) for i, j, vw, uvw in pair_sizes(*args)])
     with pytest.raises(HullDisagreement, match="sweep used size"):
         sweep_triples(TypeTag.A2Tilde, 3)
+
+
+def test_sweep_reports_counterexamples(monkeypatch):
+    # Inflate |Conv(u,v,w)| of the one row for v = ball[1] (distance 1)
+    # and w = ball[-1] (distance 2); both orders of (v, w) then fail.
+    ctx = build_group(TypeTag.A2Tilde)
+    ball = ctx.ball(2)
+    u, v, w = ctx.base_chamber, ball[1], ball[-1]
+    pair_sizes = convexity._pair_sizes
+    monkeypatch.setattr(convexity, "_pair_sizes", lambda *args: [
+        (i, j, vw, 100 if (i, j) == (1, len(ball) - 1) else uvw)
+        for i, j, vw, uvw in pair_sizes(*args)])
+    report = sweep_triples(TypeTag.A2Tilde, 2, oracle_samples=0)
+    sizes = [halfspace_hull(p).size for p in ([u, v], [u, w], [v, w])]
+    assert sizes == [2, 3, 4]
+    assert report.counterexamples == [
+        {"v": "2", "w": "31", "size_uv": 2, "size_vw": 4, "size_uvw": 100},
+        {"v": "31", "w": "2", "size_uv": 3, "size_vw": 4, "size_uvw": 100},
+    ]
+    assert [ctx.word_of(v), ctx.word_of(w)] == ["2", "31"]
+    assert report.max_ratio == Fraction(100, 2 * 4)
+    assert report.ok is False
 
 
 def test_sweep_radius_zero(g2):

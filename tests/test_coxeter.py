@@ -1,20 +1,19 @@
 import pytest
 
 from coxhull.coxeter import (INF, BadDiagonal, NonSymmetric, OrderBelowTwo,
-                             TypeTag, classify, matrix_for, validate_matrix)
+                             TypeTag, validate_matrix)
 
 
 def test_valid_triangular_matrix():
     m = validate_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
     assert m.rank == 3
-    assert classify(m) is TypeTag.A2Tilde
+    assert m.order(0, 1) == 3
 
 
 def test_infinite_order_sentinel():
     m = validate_matrix([[1, "inf"], ["inf", 1]])
     assert m.rank == 2
     assert m.order(0, 1) == INF
-    assert classify(m) is TypeTag.I2Infinity
 
 
 def test_non_symmetric_names_indices():
@@ -35,49 +34,8 @@ def test_order_below_two():
     assert exc.value.indices == (0, 1)
 
 
-@pytest.mark.parametrize("orders,tag", [
-    ((3, 3, 3), TypeTag.A2Tilde),
-    ((2, 4, 4), TypeTag.C2Tilde),
-    ((4, 2, 4), TypeTag.C2Tilde),
-    ((2, 3, 6), TypeTag.G2Tilde),
-    ((6, 3, 2), TypeTag.G2Tilde),
-    ((2, 3, 5), TypeTag.Unsupported),
-    ((3, 3, 4), TypeTag.Unsupported),
-])
-def test_classification_up_to_relabeling(orders, tag):
-    m12, m13, m23 = orders
-    m = validate_matrix([[1, m12, m13], [m12, 1, m23], [m13, m23, 1]])
-    assert classify(m) is tag
-
-
-def test_higher_rank_unsupported():
-    rows = [[1, 2, 2, 2], [2, 1, 2, 2], [2, 2, 1, 2], [2, 2, 2, 1]]
-    assert classify(validate_matrix(rows)) is TypeTag.Unsupported
-
-
-def test_rank2_finite_unsupported():
-    assert classify(validate_matrix([[1, 5], [5, 1]])) is TypeTag.Unsupported
-
-
 def test_tag_codes_roundtrip():
     for tag in (TypeTag.A2Tilde, TypeTag.C2Tilde, TypeTag.G2Tilde, TypeTag.I2Infinity):
         assert TypeTag.from_code(tag.code) is tag
     with pytest.raises(ValueError):
         TypeTag.from_code("b2t")
-
-
-def test_canonical_matrices_classify_to_their_tag():
-    for tag in (TypeTag.A2Tilde, TypeTag.C2Tilde, TypeTag.G2Tilde, TypeTag.I2Infinity):
-        assert classify(matrix_for(tag)) is tag
-
-
-def test_matrix_from_json():
-    from coxhull.coxeter import CoxeterMatrixError, matrix_from_json
-    m = matrix_from_json('[[1, "inf"], ["inf", 1]]')
-    assert classify(m) is TypeTag.I2Infinity
-    m = matrix_from_json('[[1, 2, 4], [2, 1, 4], [4, 4, 1]]')
-    assert classify(m) is TypeTag.C2Tilde
-    with pytest.raises(CoxeterMatrixError):
-        matrix_from_json("not json")
-    with pytest.raises(CoxeterMatrixError):
-        matrix_from_json('{"rank": 2}')

@@ -3,7 +3,7 @@ import pytest
 from coxhull.convexity import halfspace_hull
 from coxhull.formulas import (A2Coord, C2CaseParams, ConstraintViolation,
                               Orientation, ParityViolation, ShapeViolation,
-                              a2_chamber_pair, a2_coordinate_of, a2_pair_count,
+                              a2_chamber_pair, a2_pair_count,
                               a2_strong_hull_sides, c2_case2_chambers,
                               c2_case2_counts, dihedral_pair_count, i2_cell,
                               orientation_for_parity)
@@ -45,12 +45,6 @@ def test_formula_agrees_with_enumeration_small(a2):
             coord = A2Coord(x, y, orientation_for_parity(x, y))
             u, v = a2_chamber_pair(a2, coord)
             assert halfspace_hull([u, v]).size == a2_pair_count(coord)
-
-
-def test_coordinate_roundtrip(a2):
-    coord = A2Coord(7, 3, Orientation.Up)
-    _, v = a2_chamber_pair(a2, coord)
-    assert a2_coordinate_of(a2, v, Orientation.Up) == (7, 3)
 
 
 def test_strong_hull_sides_examples():

@@ -36,19 +36,6 @@ def test_braid_relation_in_triangular_group(a2):
     assert s1.compose(s2).compose(s1) == s2.compose(s1).compose(s2)
 
 
-def test_inverse_is_antihomomorphism(a2):
-    s1, s2, s3 = a2.gens
-    g = s1.compose(s2).compose(s3)
-    h = s2.compose(s3).compose(s1)
-    assert g.compose(h).inverse() == h.inverse().compose(g.inverse())
-    assert g.compose(g.inverse()).is_identity()
-
-
-def test_inverse_of_product_of_two(a2):
-    s1, s2, _ = a2.gens
-    assert s1.compose(s2).inverse() == s2.compose(s1)
-
-
 @given(st.sampled_from(["a2t", "c2t", "g2t", "i2inf"]),
        st.lists(st.integers(min_value=0, max_value=2), max_size=12))
 def test_word_times_reverse_is_identity(code, word):

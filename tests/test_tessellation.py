@@ -4,9 +4,9 @@ import random
 import pytest
 
 from coxhull.coxeter import TypeTag
-from coxhull.group import reflection_across
-from coxhull.ring import RingScalar
-from coxhull.tessellation import GroupContext, g2_coarsen
+from coxhull.group import Line, reflection_across
+from coxhull.ring import HALF, RingScalar
+from coxhull.tessellation import GroupContext
 
 
 def bfs_distances(start, depth):
@@ -24,6 +24,12 @@ def bfs_distances(start, depth):
     return dist
 
 
+def line_of_wall(ctx, wall):
+    """The line of a wall, rebuilt from its family's table entry."""
+    fam = ctx.families[wall.family]
+    return Line(fam.normal[0], fam.normal[1], fam.ref + fam.spacing * RingScalar(wall.offset))
+
+
 EXPECTED_FAMILY_COUNT = {"a2t": 3, "c2t": 4, "g2t": 6, "i2inf": 1}
 
 
@@ -36,7 +42,7 @@ def test_family_counts(ctx):
 def test_base_walls_in_table(ctx):
     for line in ctx.base_walls:
         wall = ctx.wall_of_line(line)
-        rebuilt = ctx.families[wall.family].wall_line(wall.offset).canonical()
+        rebuilt = line_of_wall(ctx, wall).canonical()
         assert rebuilt.key() == line.canonical().key()
 
 
@@ -68,10 +74,8 @@ def test_adjacent_chambers_separated_by_exactly_their_panel(ctx):
 
 def test_separates_basics(ctx):
     base = ctx.base_chamber
-    some_wall = base.panel_walls()[0]
-    assert not ctx.separates(some_wall, base, base)
-    nb = base.neighbor(0)
-    assert ctx.separates(some_wall, base, nb)
+    assert ctx.separating_walls(base, base) == set()
+    assert base.panel_walls()[0] in ctx.separating_walls(base, base.neighbor(0))
 
 
 def test_distance_equals_bfs(ctx):
@@ -135,7 +139,7 @@ def test_wall_table_complete_for_short_conjugates(ctx):
         for line in ctx.base_walls:
             image = w.apply_line(line)
             wall = ctx.wall_of_line(image)  # raises if not on the lattice
-            rebuilt = ctx.families[wall.family].wall_line(wall.offset)
+            rebuilt = line_of_wall(ctx, wall)
             assert rebuilt.canonical().key() == image.canonical().key()
 
 
@@ -184,21 +188,29 @@ def test_word_roundtrip(ctx):
         assert len(word) == ctx.wall_distance(ctx.base_chamber, c)
 
 
-def test_serialize_chamber(a2):
-    payload = a2.serialize_chamber(a2.chamber_from_word([0, 1]))
-    assert set(payload) == {"word", "barycenter"}
-    assert len(payload["word"]) == 2
-    (p1, q1, d1), (p2, q2, d2) = payload["barycenter"]
-    assert all(isinstance(v, int) for v in (p1, q1, d1, p2, q2, d2))
-    assert d1 > 0 and d2 > 0
-
-
 def test_separating_wall_count_spec_words(a2):
     base = a2.base_chamber
     c = a2.chamber_from_word([0, 1, 0])
     assert len(a2.separating_walls(base, c)) == 3
     c = a2.chamber_from_word([0, 1, 0, 2])
     assert len(a2.separating_walls(base, c)) == 4
+
+
+def test_barycenter_locates_own_chamber(ctx):
+    for c in ctx.ball(4):
+        assert ctx.chamber_containing(c.barycenter) is c
+
+
+@pytest.mark.parametrize("code,point", [
+    ("a2t", (HALF, 0)),
+    ("a2t", (0, 0)),
+    ("c2t", (1, HALF)),
+    ("i2inf", (3, HALF)),
+])
+def test_point_on_wall_rejected(code, point):
+    ctx = GroupContext(TypeTag.from_code(code))
+    with pytest.raises(ValueError, match="on a wall"):
+        ctx.chamber_containing(tuple(map(RingScalar.of, point)))
 
 
 def test_vertices_map_with_element(ctx):
@@ -209,11 +221,11 @@ def test_vertices_map_with_element(ctx):
 # -- coarsening ---------------------------------------------------------------
 
 def test_coarsen_base_to_base(g2):
-    assert g2_coarsen(g2.base_chamber) == g2.companion.base_chamber
+    assert g2.coarsen(g2.base_chamber) == g2.companion.base_chamber
 
 
 def test_coarse_preimage_count_is_two(g2):
-    counts = collections.Counter(g2_coarsen(c) for c in g2.ball(8))
+    counts = collections.Counter(g2.coarsen(c) for c in g2.ball(8))
     assert max(counts.values()) == 2
     # Interior coarse chambers all reach the constant; only the boundary of
     # the ball truncates preimages.
@@ -227,8 +239,8 @@ def test_coarsen_commutes_with_shared_reflections(g2):
         rg = reflection_across("g2t", line)
         ra = reflection_across("a2t", line)
         for c in g2.ball(4):
-            lhs = g2_coarsen(g2.chamber_of(rg.compose(c.element)))
-            rhs = a2.chamber_of(ra.compose(g2_coarsen(c).element))
+            lhs = g2.coarsen(g2.chamber_of(rg.compose(c.element)))
+            rhs = a2.chamber_of(ra.compose(g2.coarsen(c).element))
             assert lhs == rhs
 
 
@@ -238,10 +250,9 @@ def test_coarsen_rejected_for_other_types(a2):
 
 
 def test_unsupported_type_rejected():
-    from coxhull.coxeter import TypeTag
-    from coxhull.tessellation import GroupContext, UnsupportedType
-    with pytest.raises(UnsupportedType):
-        GroupContext(TypeTag.Unsupported)
+    # TypeTag has only the four supported members; anything else is refused.
+    with pytest.raises(ValueError, match="unsupported type"):
+        GroupContext("b2t")
 
 
 def test_companion_families_align(g2):
