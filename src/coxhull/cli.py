@@ -3,9 +3,10 @@ evaluation and the symbolic verification transcript.
 
 Exit codes: 0 when every requested check passes, 1 when a counterexample
 or verification mismatch is found, 2 for unusable configuration or input,
-3 when the two hull routes disagree (an implementation fault, reported on
-one `error:` line).  Reports are written atomically (write to a temp
-file, then rename).
+a crashed sweep worker or an interrupt (Ctrl-C), 3 when the two hull
+routes disagree (an implementation fault).  Exits 2 and 3 report on one
+`error:` line and write no report.  Reports are written atomically (write
+to a temp file, then rename).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import contextlib
 import os
 import sys
 
-from .convexity import (HullDisagreement, HullVerdict, halfspace_hull,
-                        sweep_triples)
+from .convexity import (HullDisagreement, HullVerdict, WorkerFailure,
+                        halfspace_hull, sweep_triples)
 from .coxeter import TypeTag
 from .formulas import (A2Coord, C2CaseParams, ConstraintViolation,
                        CoordinateError, a2_chamber_pair, c2_case2_chambers,
@@ -273,11 +274,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, CoordinateError, ConstraintViolation) as exc:
+    except (ConfigError, ParseError, CoordinateError, ConstraintViolation,
+            WorkerFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 2
     except HullDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)

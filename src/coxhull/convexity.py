@@ -7,7 +7,10 @@ Two hull algorithms are kept deliberately independent:
   on one side, the chamber lies on that same side.  Per wall family this
   is an integer window test on floor vectors, and the hull is collected by
   flood fill from one seed.  A sweep reads the same windows from bit masks
-  over one precomputed cover (``_HullTable``) instead of flood filling.
+  over one precomputed cover (``_HullTable``) instead of flood filling:
+  per family, lists of masks indexed by floor offset, and per v one row
+  list of the masks of Conv(v, w) and Conv(u, v, w) over w's offsets, so
+  each pair's two sizes take one lookup per family and one AND.
 
 * ``closure_hull`` is the oracle.  It iterates geodesic intervals (the
   sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint, never looking
@@ -27,7 +30,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from functools import reduce
+from itertools import accumulate
+from operator import and_, getitem, or_, sub
 
 from .coxeter import TypeTag
 from .group import MixedContext
@@ -288,48 +293,73 @@ class _HullTable:
     The cover is the halfspace hull of the whole ball.  A hull is the set
     of chambers whose floors lie in its points' window, and a subset of
     the ball has a window inside the ball's, so each hull of ball points
-    is the set of cover chambers inside its window.  Per family and floor
-    value t the table keeps the mask of cover chambers with floor >= t and
-    the mask of those with floor <= t; a hull is the AND of 2·nfam masks."""
+    is the set of cover chambers inside its window.  The cover is convex,
+    so each family's floors on it run through one interval of integers.
+    Per family the table keeps two lists indexed by floor minus that
+    interval's least floor: at offset t, the mask of cover chambers at or
+    above it (`ge`) and of those at or below it (`le`).  A hull is the AND
+    of 2·nfam list entries."""
 
     def __init__(self, ball) -> None:
         cover = halfspace_hull(ball).chambers
         self._bit = {c: 1 << k for k, c in enumerate(cover)}
-        self._ge, self._le = [], []
+        self.least, self.ge, self.le = [], [], []
         for f in range(len(cover[0].floors)):
-            values = {c.floors[f] for c in cover}
-            self._ge.append({t: sum(bit for c, bit in self._bit.items() if c.floors[f] >= t)
-                             for t in values})
-            self._le.append({t: sum(bit for c, bit in self._bit.items() if c.floors[f] <= t)
-                             for t in values})
+            least = min(c.floors[f] for c in cover)
+            at = [0] * (max(c.floors[f] for c in cover) - least + 1)
+            for c, bit in self._bit.items():
+                at[c.floors[f] - least] |= bit
+            self.least.append(least)
+            self.ge.append(list(accumulate(reversed(at), or_))[::-1])
+            self.le.append(list(accumulate(at, or_)))
 
-    def _mask(self, points) -> int:
-        lo, hi = _window(points)
-        mask = -1
-        for ge, le, a, b in zip(self._ge, self._le, lo, hi):
-            mask &= ge[a] & le[b]
-        return mask
-
-    def size(self, points) -> int:
-        return self._mask(points).bit_count()
+    def offsets(self, chamber) -> tuple:
+        """The chamber's floors minus each family's least cover floor."""
+        return tuple(map(sub, chamber.floors, self.least))
 
     def hull(self, points) -> ChamberSet:
         if any(p not in self._bit for p in points):
             raise ValueError("point outside the table's cover")
-        mask = self._mask(points)
+        lo, hi = _window(points)
+        mask = -1
+        for least, ge, le, a, b in zip(self.least, self.ge, self.le, lo, hi):
+            mask &= ge[a - least] & le[b - least]
         return ChamberSet(c for c, bit in self._bit.items() if mask & bit)
 
 
 def _pair_sizes(tag_code: str, radius: int, pairs):
     """Hull sizes for unordered ball-index pairs, read from one mask table
     of the ball; used directly and by worker processes.  Returns rows
-    (i, j, size_ij, size_uij) with u fixed at the identity."""
+    (i, j, size_ij, size_uij) with u fixed at the identity.
+
+    For each v = ball[i] the loop builds per family the masks of
+    Conv(v, w) and of Conv(u, v, w) as lists indexed by w's floor offset,
+    so a pair's sizes are the bit counts of one AND over the families.
+    The lists are rebuilt whenever i changes, so a batch may start or end
+    anywhere in the pair list."""
     ctx = build_group(TypeTag.from_code(tag_code))
     ball = ctx.ball(radius)
     table = _HullTable(ball)
-    u = ctx.base_chamber
-    return [(i, j, table.size((ball[i], ball[j])), table.size((u, ball[i], ball[j])))
-            for i, j in pairs]
+    offsets = [table.offsets(c) for c in ball]
+    u = table.offsets(ctx.base_chamber)
+    rows = []
+    row_i = None
+    for i, j in pairs:
+        if i != row_i:
+            row_i = i
+            pair_row, triple_row = [], []
+            for ge, le, a, b in zip(table.ge, table.le, offsets[i], u):
+                pair_row.append([ge[min(a, t)] & le[max(a, t)] for t in range(len(ge))])
+                triple_row.append([ge[min(a, b, t)] & le[max(a, b, t)]
+                                   for t in range(len(ge))])
+        w = offsets[j]
+        rows.append((i, j, reduce(and_, map(getitem, pair_row, w)).bit_count(),
+                     reduce(and_, map(getitem, triple_row, w)).bit_count()))
+    return rows
+
+
+class WorkerFailure(RuntimeError):
+    """A sweep worker process raised or died."""
 
 
 def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
@@ -353,11 +383,26 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     if jobs > 1 and len(pairs) > jobs:
         chunk = (len(pairs) + 4 * jobs - 1) // (4 * jobs)
         batches = [pairs[k:k + chunk] for k in range(0, len(pairs), chunk)]
-        args = [(tag.code, radius, batch) for batch in batches]
+        # Imported here: it adds about 10 ms and 1 MB to every cold start,
+        # and a sequential sweep never needs it.
+        from concurrent.futures import ProcessPoolExecutor
         mp = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
-        with mp.Pool(jobs) as pool:
-            chunks = pool.starmap(_pair_sizes, args)
-        rows = [row for part in chunks for row in part]
+        pool = ProcessPoolExecutor(jobs, mp_context=mp)
+        try:
+            futures = [pool.submit(_pair_sizes, tag.code, radius, batch)
+                       for batch in batches]
+            rows = []
+            for future in futures:
+                # exception() waits without raising, so an interrupt of
+                # this process is not taken for a worker's failure.
+                if (exc := future.exception()) is not None:
+                    raise WorkerFailure(
+                        f"sweep worker failed: {type(exc).__name__}: {exc}") from exc
+                rows.extend(future.result())
+        finally:
+            # On a failure or an interrupt, drop the batches not yet started
+            # instead of waiting for the whole sweep.
+            pool.shutdown(cancel_futures=True)
     else:
         rows = _pair_sizes(tag.code, radius, pairs)
 

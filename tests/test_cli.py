@@ -1,7 +1,13 @@
+import contextlib
 import json
+import os
+import signal
 from fractions import Fraction
 
+import pytest
+
 import coxhull.cli
+from coxhull import convexity
 from coxhull.cli import main
 from coxhull.convexity import ChamberSet, CheckReport, _HullTable
 from coxhull.formulas import c2_case2_counts
@@ -68,6 +74,66 @@ def test_check_hull_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1
     assert not report.exists()
     assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+class _Overrun(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise _Overrun in this (main) thread if the block outlasts `seconds`."""
+    def expire(signum, frame):
+        raise _Overrun(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _raising_pair_sizes(tag_code, radius, pairs):
+    raise ValueError("bad batch")
+
+
+def _dying_pair_sizes(tag_code, radius, pairs):
+    os._exit(9)
+
+
+@pytest.mark.parametrize("pair_sizes, cause", [
+    (_raising_pair_sizes, "ValueError: bad batch"),
+    (_dying_pair_sizes, "BrokenProcessPool: "),
+])
+def test_check_worker_failure_exits_2(tmp_path, monkeypatch, capsys, pair_sizes, cause):
+    monkeypatch.setattr(convexity, "_pair_sizes", pair_sizes)
+    report = tmp_path / "report.json"
+    with _deadline(60):
+        code = main(["check", "--type", "a2t", "--radius", "3", "--jobs", "2",
+                     "--report", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sweep worker failed: {cause}")
+    assert err.count("\n") == 1
+    assert not report.exists()
+    assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+def test_check_interrupt_exits_2(tmp_path, monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(coxhull.cli, "sweep_triples", interrupted)
+    report = tmp_path / "report.json"
+    try:
+        code = main(["check", "--type", "a2t", "--radius", "2", "--report", str(report)])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == 2
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_hull_command(capsys):

@@ -242,7 +242,26 @@ def test_hull_table_equals_halfspace_hull(planar_ctx):
         pts = [rng.choice(ball) for _ in range(3)]
         hull = halfspace_hull(pts)
         assert table.hull(pts) == hull
-        assert table.size(pts) == hull.size
+        assert table.hull(pts).size == hull.size
+
+
+def test_pair_sizes_rows_under_any_split(ctx):
+    # Pool batches cut the pair list anywhere, mostly in the middle of a
+    # row of fixed i; the rows must not depend on where.
+    radius = 6
+    ball = ctx.ball(radius)
+    u = ctx.base_chamber
+    pairs = [(i, j) for i in range(len(ball)) for j in range(i, len(ball))]
+    rows = convexity._pair_sizes(ctx.tag.code, radius, pairs)
+    assert rows == [(i, j, halfspace_hull([ball[i], ball[j]]).size,
+                     halfspace_hull([u, ball[i], ball[j]]).size) for i, j in pairs]
+    rng = random.Random(31)
+    for _ in range(4):
+        cuts = sorted(rng.sample(range(1, len(pairs)), 5))
+        assert any(pairs[k - 1][0] == pairs[k][0] for k in cuts)
+        pieces = [pairs[a:b] for a, b in zip([0] + cuts, cuts + [len(pairs)])]
+        assert [row for piece in pieces
+                for row in convexity._pair_sizes(ctx.tag.code, radius, piece)] == rows
 
 
 def test_hull_table_rejects_points_outside_cover(a2):
