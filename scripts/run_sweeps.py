@@ -22,7 +22,6 @@ SWEEPS = [
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="reports", help="report directory")
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -33,7 +32,7 @@ def main():
         report = out / f"sweep_{code}_r{radius}.json"
         rc = coxhull_main([
             "check", "--type", code, "--radius", str(radius),
-            "--jobs", str(args.jobs), "--seed", str(args.seed),
+            "--seed", str(args.seed),
             "--report", str(report),
         ])
         worst = max(worst, rc)

@@ -2,11 +2,11 @@
 evaluation and the symbolic verification transcript.
 
 Exit codes: 0 when every requested check passes, 1 when a counterexample
-or verification mismatch is found, 2 for unusable configuration or input,
-a crashed sweep worker or an interrupt (Ctrl-C), 3 when the two hull
-routes disagree (an implementation fault).  Exits 2 and 3 report on one
-`error:` line and write no report.  Reports are written atomically (write
-to a temp file, then rename).
+or verification mismatch is found, 2 for unusable configuration or input
+or an interrupt (Ctrl-C), 3 when the two hull routes disagree (an
+implementation fault).  Exits 2 and 3 report on one `error:` line and
+write no report.  Reports are written atomically (write to a temp file,
+then rename).  `check` sweeps in this one process.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import contextlib
 import os
 import sys
 
-from .convexity import (HullDisagreement, HullVerdict, WorkerFailure,
-                        halfspace_hull, sweep_triples)
+from .convexity import HullDisagreement, HullVerdict, halfspace_hull, sweep_triples
 from .coxeter import TypeTag
 from .formulas import (A2Coord, C2CaseParams, ConstraintViolation,
                        CoordinateError, a2_chamber_pair, c2_case2_chambers,
@@ -44,11 +43,12 @@ def _context(code: str) -> GroupContext:
 
 def _word_chamber(ctx: GroupContext, word: str):
     indices = []
+    digits = "123456789"[:ctx.rank]
     for ch in word:
-        if not ch.isdigit() or not (1 <= int(ch) <= ctx.rank):
+        if ch not in digits:
             raise ParseError(
                 f"word {word!r}: expected digits 1..{ctx.rank} only")
-        indices.append(int(ch) - 1)
+        indices.append(digits.index(ch))
     return ctx.chamber_from_word(indices)
 
 
@@ -77,10 +77,8 @@ def cmd_check(args) -> int:
         raise ConfigError(
             f"radius {args.radius} exceeds the cap {args.radius_cap}; "
             f"raise it explicitly with --radius-cap")
-    if args.jobs < 1:
-        raise ConfigError("jobs must be at least 1")
     report = sweep_triples(TypeTag.from_code(args.type), args.radius,
-                           jobs=args.jobs, seed=args.seed)
+                           seed=args.seed)
     print(f"type {report.type} radius {report.radius}: "
           f"{report.triples_checked} triples checked, "
           f"{len(report.counterexamples)} counterexamples, "
@@ -238,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="exhaustive strong-hull sweep")
     p.add_argument("--type", required=True, choices=types)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--radius-cap", type=int, default=8)
@@ -274,8 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, CoordinateError, ConstraintViolation,
-            WorkerFailure) as exc:
+    except (ConfigError, ParseError, CoordinateError, ConstraintViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -24,8 +24,6 @@ an implementation bug, not new mathematics.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -215,6 +213,7 @@ class HullDisagreement(RuntimeError):
 
 def checked_hull(points) -> ChamberSet:
     """halfspace_hull cross-checked against closure_hull; aborts on mismatch."""
+    points = list(points)
     ctx = _shared_ctx(*points)
     h = halfspace_hull(points)
     c = closure_hull(points)
@@ -327,84 +326,51 @@ class _HullTable:
         return ChamberSet(c for c, bit in self._bit.items() if mask & bit)
 
 
-def _pair_sizes(tag_code: str, radius: int, pairs):
-    """Hull sizes for unordered ball-index pairs, read from one mask table
-    of the ball; used directly and by worker processes.  Returns rows
-    (i, j, size_ij, size_uij) with u fixed at the identity.
+def _pair_sizes(table: _HullTable, ball) -> list:
+    """Hull sizes for the unordered ball-index pairs i <= j, in order, as
+    rows (i, j, size_ij, size_uij) with u = ball[0], the identity.
 
     For each v = ball[i] the loop builds per family the masks of
     Conv(v, w) and of Conv(u, v, w) as lists indexed by w's floor offset,
-    so a pair's sizes are the bit counts of one AND over the families.
-    The lists are rebuilt whenever i changes, so a batch may start or end
-    anywhere in the pair list."""
-    ctx = build_group(TypeTag.from_code(tag_code))
-    ball = ctx.ball(radius)
-    table = _HullTable(ball)
+    so a pair's sizes are the bit counts of one AND over the families."""
     offsets = [table.offsets(c) for c in ball]
-    u = table.offsets(ctx.base_chamber)
+    u = offsets[0]
     rows = []
-    row_i = None
-    for i, j in pairs:
-        if i != row_i:
-            row_i = i
-            pair_row, triple_row = [], []
-            for ge, le, a, b in zip(table.ge, table.le, offsets[i], u):
-                pair_row.append([ge[min(a, t)] & le[max(a, t)] for t in range(len(ge))])
-                triple_row.append([ge[min(a, b, t)] & le[max(a, b, t)]
-                                   for t in range(len(ge))])
-        w = offsets[j]
-        rows.append((i, j, reduce(and_, map(getitem, pair_row, w)).bit_count(),
-                     reduce(and_, map(getitem, triple_row, w)).bit_count()))
+    for i, v in enumerate(offsets):
+        pair_row, triple_row = [], []
+        for ge, le, a, b in zip(table.ge, table.le, v, u):
+            pair_row.append([ge[min(a, t)] & le[max(a, t)] for t in range(len(ge))])
+            triple_row.append([ge[min(a, b, t)] & le[max(a, b, t)]
+                               for t in range(len(ge))])
+        for j, w in enumerate(offsets[i:], i):
+            rows.append((i, j, reduce(and_, map(getitem, pair_row, w)).bit_count(),
+                         reduce(and_, map(getitem, triple_row, w)).bit_count()))
     return rows
-
-
-class WorkerFailure(RuntimeError):
-    """A sweep worker process raised or died."""
 
 
 def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
                   seed: int = 0, oracle_samples: int = 32) -> CheckReport:
     """Check the strong hull inequality for u = identity and all ordered
-    pairs (v, w) in the ball of the given radius.
+    pairs (v, w) in the ball of the given radius, in this process.
 
-    The work is a map over unordered pairs with a canonical-order
-    reduction, so the report is independent of the level of parallelism.
-    A seeded sample of the checked triples is recomputed through the
-    interval-closure oracle and compared with the table's hull and with
-    the size the sweep used; any disagreement aborts the sweep with a
-    structured report.
+    One mask table serves the pair loop and the oracle.  A seeded sample
+    of the checked triples is recomputed through the interval-closure
+    oracle and compared with the table's hull and with the size the sweep
+    used; any disagreement aborts the sweep with a structured report.
+
+    `jobs` must be 1; any other value raises ValueError.  The slot stays
+    only because `bench/worker.py` passes 1 there by position, before the
+    seed; it goes once the benchmark stops passing it.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}: sweeps run in one process")
     started = time.monotonic()
     ctx = build_group(tag)
     ball = ctx.ball(radius)
     n = len(ball)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-
-    if jobs > 1 and len(pairs) > jobs:
-        chunk = (len(pairs) + 4 * jobs - 1) // (4 * jobs)
-        batches = [pairs[k:k + chunk] for k in range(0, len(pairs), chunk)]
-        # Imported here: it adds about 10 ms and 1 MB to every cold start,
-        # and a sequential sweep never needs it.
-        from concurrent.futures import ProcessPoolExecutor
-        mp = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
-        pool = ProcessPoolExecutor(jobs, mp_context=mp)
-        try:
-            futures = [pool.submit(_pair_sizes, tag.code, radius, batch)
-                       for batch in batches]
-            rows = []
-            for future in futures:
-                # exception() waits without raising, so an interrupt of
-                # this process is not taken for a worker's failure.
-                if (exc := future.exception()) is not None:
-                    raise WorkerFailure(
-                        f"sweep worker failed: {type(exc).__name__}: {exc}") from exc
-                rows.extend(future.result())
-        finally:
-            # On a failure or an interrupt, drop the batches not yet started
-            # instead of waiting for the whole sweep.
-            pool.shutdown(cancel_futures=True)
-    else:
-        rows = _pair_sizes(tag.code, radius, pairs)
+    table = _HullTable(ball)
+    rows = _pair_sizes(table, ball)
 
     if [row[:2] for row in rows] != pairs:
         raise RuntimeError("sweep lost, duplicated or reordered pair rows")
@@ -412,7 +378,6 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     usize = [vw for _, _, vw, _ in rows[:n]]
     if oracle_samples and pairs:
         rng = random.Random(seed)
-        table = _HullTable(ball)
         for k in (rng.randrange(len(pairs)) for _ in range(oracle_samples)):
             i, j, _, uvw = rows[k]
             points = [ctx.base_chamber, ball[i], ball[j]]

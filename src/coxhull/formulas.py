@@ -84,14 +84,27 @@ class A2Coord:
             raise ParityViolation("x+y must be positive")
 
 
+def a2_pair_form(x, y, base: Orientation):
+    """The pair count xy + x - y^2 + y + 1 (upward origin) or
+    xy + x - y^2 + 2y + 1 (downward origin), unchecked, so that the same
+    expression serves integers and the symbolic route's polynomials."""
+    return x * y + x - y * y + (1 if base is Orientation.Up else 2) * y + 1
+
+
+def a2_sides_forms(x, y, a, b):
+    """Both sides of the reduced-triple product inequality, unchecked:
+    the downward count at (x, y) times the upward count at (a, b), and the
+    downward count at (x+a, y+b)."""
+    return (a2_pair_form(x, y, Orientation.Down) * a2_pair_form(a, b, Orientation.Up),
+            a2_pair_form(x + a, y + b, Orientation.Down))
+
+
 def a2_pair_count(coord: A2Coord) -> int:
     """Chambers in the pair hull addressed by the coordinate."""
     x, y = coord.x, coord.y
     if x < y - 1:
         raise ShapeViolation(f"need x >= y-1 for the truncated-parallelogram shape, got {(x, y)}")
-    if coord.base_orientation is Orientation.Up:
-        return x * y + x - y * y + y + 1
-    return x * y + x - y * y + 2 * y + 1
+    return a2_pair_form(x, y, coord.base_orientation)
 
 
 def orientation_for_parity(x: int, y: int) -> Orientation:
@@ -113,10 +126,7 @@ def a2_strong_hull_sides(x: int, y: int, a: int, b: int) -> tuple[int, int]:
         raise ConstraintViolation(f"x+y must be positive odd, got {x + y}")
     if a + b <= 0 or (a + b) % 2 != 0:
         raise ConstraintViolation(f"a+b must be positive even, got {a + b}")
-    lhs = (x * y + x - y * y + 2 * y + 1) * (a * b + a - b * b + b + 1)
-    X, Y = x + a, y + b
-    rhs = X * Y + X - Y * Y + 2 * Y + 1
-    return lhs, rhs
+    return a2_sides_forms(x, y, a, b)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ positive terms.
 
 from __future__ import annotations
 
-from .formulas import c2_case2_forms
+from .formulas import Orientation, a2_pair_form, a2_sides_forms, c2_case2_forms
 from .poly import MultiPoly, poly_parse
 
 VARS_A2 = ("x", "y", "a", "b")
@@ -82,12 +82,7 @@ def _vars(names):
 
 def a2_sides_poly():
     """Direct expansions of both sides of the product inequality."""
-    x, y, a, b = _vars(VARS_A2)
-    lhs = (x * y + x - y * y + 2 * y + 1) * (a * b + a - b * b + b + 1)
-    X = x + a
-    Y = y + b
-    rhs = X * Y + X - Y * Y + 2 * Y + 1
-    return lhs, rhs
+    return a2_sides_forms(*_vars(VARS_A2))
 
 
 def a2_decomposed_lhs():
@@ -114,20 +109,21 @@ def verify_a2_identities() -> tuple[bool, bool]:
 
 def a2_box_violations(limit: int = 25):
     """Tuples in [0, limit]^4 meeting the constraints with LHS < RHS.
-    Pure integer arithmetic, independent of the polynomial route."""
+    The counts of ``formulas.a2_pair_form`` are evaluated on integers at
+    each tuple, never expanded, so this does not lean on the polynomial
+    route."""
     bad = []
     for x in range(limit + 1):
         for y in range(limit + 1):
             if x < y - 1 or (x + y) % 2 != 1:
                 continue
-            f1 = x * y + x - y * y + 2 * y + 1
+            f1 = a2_pair_form(x, y, Orientation.Down)
             for a in range(limit + 1):
                 for b in range(limit + 1):
                     if a < b - 1 or (a + b) % 2 != 0 or a + b == 0:
                         continue
-                    lhs = f1 * (a * b + a - b * b + b + 1)
-                    X, Y = x + a, y + b
-                    rhs = X * Y + X - Y * Y + 2 * Y + 1
+                    lhs = f1 * a2_pair_form(a, b, Orientation.Up)
+                    rhs = a2_pair_form(x + a, y + b, Orientation.Down)
                     if lhs < rhs:
                         bad.append((x, y, a, b, lhs, rhs))
     return bad

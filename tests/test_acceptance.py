@@ -42,7 +42,7 @@ def test_criterion_01_exhaustive_sweeps():
     details = []
     ok = True
     for code, radius in (("a2t", 6), ("c2t", 6), ("g2t", 5)):
-        report = sweep_triples(TypeTag.from_code(code), radius, jobs=4, seed=SEED)
+        report = sweep_triples(TypeTag.from_code(code), radius, seed=SEED)
         details.append(f"{code} r{radius}: {report.triples_checked} triples, "
                        f"{len(report.counterexamples)} ce, {report.wall_clock_ms} ms")
         ok = ok and report.ok and report.wall_clock_ms <= budget_ms

@@ -90,6 +90,11 @@ def test_closure_equals_halfspace_on_random_triples(planar_ctx):
         checked_hull(pts)
 
 
+def test_checked_hull_takes_an_iterator(a2):
+    pts = a2.ball(3)[-3:]
+    assert checked_hull(iter(pts)) == halfspace_hull(pts)
+
+
 def test_convexity_idempotence(planar_ctx):
     ball = planar_ctx.ball(5)
     rng = random.Random(5)
@@ -214,13 +219,9 @@ def test_sweep_small_all_types():
         assert report.max_ratio == 1  # attained by degenerate triples
 
 
-def test_sweep_deterministic_across_jobs():
-    r1 = sweep_triples(TypeTag.A2Tilde, 3, jobs=1, seed=5)
-    r2 = sweep_triples(TypeTag.A2Tilde, 3, jobs=2, seed=5)
-    d1, d2 = r1.to_dict(), r2.to_dict()
-    d1.pop("wall_clock_ms")
-    d2.pop("wall_clock_ms")
-    assert d1 == d2
+def test_sweep_refuses_jobs_other_than_1():
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        sweep_triples(TypeTag.A2Tilde, 2, 2)
 
 
 def test_sweep_rejects_lost_pair_row(monkeypatch):
@@ -246,22 +247,13 @@ def test_hull_table_equals_halfspace_hull(planar_ctx):
 
 
 def test_pair_sizes_rows_under_any_split(ctx):
-    # Pool batches cut the pair list anywhere, mostly in the middle of a
-    # row of fixed i; the rows must not depend on where.
-    radius = 6
-    ball = ctx.ball(radius)
+    # Every pair and u-triple of the ball, against the flood-fill hull.
+    ball = ctx.ball(6)
     u = ctx.base_chamber
-    pairs = [(i, j) for i in range(len(ball)) for j in range(i, len(ball))]
-    rows = convexity._pair_sizes(ctx.tag.code, radius, pairs)
+    rows = convexity._pair_sizes(_HullTable(ball), ball)
     assert rows == [(i, j, halfspace_hull([ball[i], ball[j]]).size,
-                     halfspace_hull([u, ball[i], ball[j]]).size) for i, j in pairs]
-    rng = random.Random(31)
-    for _ in range(4):
-        cuts = sorted(rng.sample(range(1, len(pairs)), 5))
-        assert any(pairs[k - 1][0] == pairs[k][0] for k in cuts)
-        pieces = [pairs[a:b] for a, b in zip([0] + cuts, cuts + [len(pairs)])]
-        assert [row for piece in pieces
-                for row in convexity._pair_sizes(ctx.tag.code, radius, piece)] == rows
+                     halfspace_hull([u, ball[i], ball[j]]).size)
+                    for i in range(len(ball)) for j in range(i, len(ball))]
 
 
 def test_hull_table_rejects_points_outside_cover(a2):
