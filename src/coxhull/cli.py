@@ -3,10 +3,10 @@ evaluation and the symbolic verification transcript.
 
 Exit codes: 0 when every requested check passes, 1 when a counterexample
 or verification mismatch is found, 2 for unusable configuration or input
-or an interrupt (Ctrl-C), 3 when the two hull routes disagree (an
-implementation fault).  Exits 2 and 3 report on one `error:` line and
-write no report.  Reports are written atomically (write to a temp file,
-then rename).  `check` sweeps in this one process.
+or an interrupt (Ctrl-C), 3 for an implementation fault (any
+RuntimeError, such as disagreeing hull routes).  Exits 2 and 3 report on
+one `error:` line and write no report.  Reports are written atomically
+(write to a temp file, then rename).  `check` sweeps in one pass.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import contextlib
 import os
 import sys
 
-from .convexity import HullDisagreement, HullVerdict, halfspace_hull, sweep_triples
+from .convexity import HullVerdict, halfspace_hull, sweep_triples
 from .coxeter import TypeTag
 from .formulas import (A2Coord, C2CaseParams, ConstraintViolation,
                        CoordinateError, a2_chamber_pair, c2_case2_chambers,
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 2
-    except HullDisagreement as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

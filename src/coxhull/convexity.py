@@ -326,26 +326,20 @@ class _HullTable:
         return ChamberSet(c for c, bit in self._bit.items() if mask & bit)
 
 
-def _pair_sizes(table: _HullTable, ball) -> list:
-    """Hull sizes for the unordered ball-index pairs i <= j, in order, as
-    rows (i, j, size_ij, size_uij) with u = ball[0], the identity.
-
-    For each v = ball[i] the loop builds per family the masks of
-    Conv(v, w) and of Conv(u, v, w) as lists indexed by w's floor offset,
-    so a pair's sizes are the bit counts of one AND over the families."""
-    offsets = [table.offsets(c) for c in ball]
-    u = offsets[0]
-    rows = []
-    for i, v in enumerate(offsets):
-        pair_row, triple_row = [], []
-        for ge, le, a, b in zip(table.ge, table.le, v, u):
-            pair_row.append([ge[min(a, t)] & le[max(a, t)] for t in range(len(ge))])
-            triple_row.append([ge[min(a, b, t)] & le[max(a, b, t)]
-                               for t in range(len(ge))])
-        for j, w in enumerate(offsets[i:], i):
-            rows.append((i, j, reduce(and_, map(getitem, pair_row, w)).bit_count(),
-                         reduce(and_, map(getitem, triple_row, w)).bit_count()))
-    return rows
+def _row_sizes(table: _HullTable, offsets, i: int) -> list:
+    """Sizes (|Conv(v, w)|, |Conv(u, v, w)|) for v = ball[i] and each
+    w = ball[j], j >= i, in order; `offsets` are the ball's table offsets
+    and u = ball[0].  Per family the masks of both hulls are listed by w's
+    floor offset, so a pair's sizes are bit counts of one AND per hull."""
+    v, u = offsets[i], offsets[0]
+    pair_row, triple_row = [], []
+    for ge, le, a, b in zip(table.ge, table.le, v, u):
+        pair_row.append([ge[min(a, t)] & le[max(a, t)] for t in range(len(ge))])
+        triple_row.append([ge[min(a, b, t)] & le[max(a, b, t)]
+                           for t in range(len(ge))])
+    return [(reduce(and_, map(getitem, pair_row, w)).bit_count(),
+             reduce(and_, map(getitem, triple_row, w)).bit_count())
+            for w in offsets[i:]]
 
 
 def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
@@ -353,10 +347,12 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     """Check the strong hull inequality for u = identity and all ordered
     pairs (v, w) in the ball of the given radius, in this process.
 
-    One mask table serves the pair loop and the oracle.  A seeded sample
-    of the checked triples is recomputed through the interval-closure
-    oracle and compared with the table's hull and with the size the sweep
-    used; any disagreement aborts the sweep with a structured report.
+    One pass over v = ball[i]: each row of sizes for w = ball[j], j >= i,
+    is checked, sampled and reduced as it arrives, so one row is alive at
+    a time.  One mask table serves the rows and the oracle.  A seeded
+    sample of the pairs i <= j, numbered in that order, is recomputed
+    through the interval-closure oracle and compared with the table's hull
+    and with the size the sweep used; a disagreement aborts the sweep.
 
     `jobs` must be 1; any other value raises ValueError.  The slot stays
     only because `bench/worker.py` passes 1 there by position, before the
@@ -368,40 +364,43 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     ctx = build_group(tag)
     ball = ctx.ball(radius)
     n = len(ball)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
     table = _HullTable(ball)
-    rows = _pair_sizes(table, ball)
-
-    if [row[:2] for row in rows] != pairs:
-        raise RuntimeError("sweep lost, duplicated or reordered pair rows")
-    # ball[0] is u, so the rows (0, j) come first and hold |Conv(u, ball[j])|.
-    usize = [vw for _, _, vw, _ in rows[:n]]
-    if oracle_samples and pairs:
-        rng = random.Random(seed)
-        for k in (rng.randrange(len(pairs)) for _ in range(oracle_samples)):
-            i, j, _, uvw = rows[k]
+    offsets = [table.offsets(c) for c in ball]
+    rng = random.Random(seed)
+    # Sampled pair numbers, popped from the end in ascending order.
+    sampled = sorted({rng.randrange(n * (n + 1) // 2)
+                      for _ in range(oracle_samples)}, reverse=True)
+    counterexamples = []
+    # The largest ratio uvw / product so far, as the int pair (uvw, product).
+    top_uvw, top_product = 0, 1
+    first = 0  # the number of the pair (i, i)
+    for i in range(n):
+        row = _row_sizes(table, offsets, i)
+        if len(row) != n - i:
+            raise RuntimeError(
+                f"sweep row {i} has {len(row)} sizes, expected {n - i}")
+        if i == 0:
+            # ball[0] is u, so row 0 holds |Conv(u, ball[j])|.
+            usize = [vw for vw, _ in row]
+        while sampled and sampled[-1] < first + n - i:
+            j = i + sampled.pop() - first
+            uvw = row[j - i][1]
             points = [ctx.base_chamber, ball[i], ball[j]]
             via_table = table.hull(points)
             via_closure = closure_hull(points)
             if via_table != via_closure or uvw != via_closure.size:
                 raise HullDisagreement(ctx, points, via_table, via_closure, uvw)
-    counterexamples = []
-    # The largest ratio uvw / product so far, as the int pair (uvw, product).
-    top_uvw, top_product = 0, 1
-    for i, j, vw, uvw in rows:
-        # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes.
-        for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
-            product = usize[a] * vw
-            if uvw * top_product > top_uvw * product:
-                top_uvw, top_product = uvw, product
-            if product < uvw:
-                counterexamples.append({
-                    "v": ctx.word_of(ball[a]),
-                    "w": ctx.word_of(ball[b]),
-                    "size_uv": usize[a],
-                    "size_vw": vw,
-                    "size_uvw": uvw,
-                })
+        first += n - i
+        for j, (vw, uvw) in enumerate(row, i):
+            # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes.
+            for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
+                product = usize[a] * vw
+                if uvw * top_product > top_uvw * product:
+                    top_uvw, top_product = uvw, product
+                if product < uvw:
+                    counterexamples.append(dict(
+                        v=ctx.word_of(ball[a]), w=ctx.word_of(ball[b]),
+                        size_uv=usize[a], size_vw=vw, size_uvw=uvw))
     elapsed_ms = int((time.monotonic() - started) * 1000)
     return CheckReport(
         type=tag.code,

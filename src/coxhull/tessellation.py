@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
 from .coxeter import CoxeterMatrix, TypeTag, matrix_for
 from .group import (GroupElement, Line, MixedContext, Vec, element_order,
@@ -89,9 +90,6 @@ class Chamber:
                 for i, s in enumerate(self.ctx.gens)
             ]
         return self._neighbors
-
-    def neighbor(self, i: int) -> "Chamber":
-        return self.neighbors()[i][1]
 
     def panel_walls(self):
         """Wall containing the i-th panel, for each generator index i."""
@@ -210,8 +208,8 @@ def _derive_families(gens, base_walls, max_rounds: int = 12):
 class GroupContext:
     """Generators, base chamber and wall-family table for one supported type.
 
-    Immutable after construction apart from internal memo tables; safe to
-    share across threads, and cheap enough to rebuild per worker process.
+    Immutable after construction apart from internal memo tables;
+    `build_group` memoizes one per type.
     """
 
     def __init__(self, tag: TypeTag) -> None:
@@ -293,18 +291,19 @@ class GroupContext:
 
     def _walk(self, start: Chamber, target):
         """Steps (generator index, chamber) from `start` to the chamber
-        with floor vector `target`, each crossing the lowest-index panel
-        wall that separates the current chamber from the target.  Every
-        step removes one separating wall, so the walk is a minimal gallery."""
+        with floor vector `target`, each to the lowest-index neighbour one
+        nearer the target in floor L1 distance.  Adjacent chambers differ
+        by one in exactly one family's floor, so every step crosses one
+        separating wall and the walk is a minimal gallery."""
         c = start
-        while c.floors != target:
-            for i, w in enumerate(c.panel_walls()):
-                if (c.floors[w.family] >= w.offset) != (target[w.family] >= w.offset):
-                    c = c.neighbor(i)
+        for d in range(sum(map(abs, map(sub, c.floors, target))) - 1, -1, -1):
+            for i, nb in c.neighbors():
+                if sum(map(abs, map(sub, nb.floors, target))) == d:
+                    c = nb
                     yield i, c
                     break
             else:
-                raise RuntimeError("no separating panel found on a geodesic walk")
+                raise RuntimeError("no neighbour one step nearer on a geodesic walk")
 
     def chamber_containing(self, point: Vec) -> Chamber:
         """Chamber whose interior holds `point`; a point on a wall raises

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import coxhull.cli
+import coxhull.convexity
 from coxhull.cli import main
 from coxhull.convexity import ChamberSet, CheckReport, _HullTable
 from coxhull.formulas import c2_case2_counts
@@ -62,6 +63,20 @@ def test_check_hull_disagreement_exits_3(tmp_path, monkeypatch, capsys):
                  "--report", str(report)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: hull algorithms disagree on c2t")
+    assert err.count("\n") == 1
+    assert not report.exists()
+    assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+def test_check_internal_fault_exits_3(tmp_path, monkeypatch, capsys):
+    row_sizes = coxhull.convexity._row_sizes
+    monkeypatch.setattr(coxhull.convexity, "_row_sizes",
+                        lambda *args: row_sizes(*args)[:-1])
+    report = tmp_path / "report.json"
+    assert main(["check", "--type", "a2t", "--radius", "2",
+                 "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep row 0 has ")
     assert err.count("\n") == 1
     assert not report.exists()
     assert list(tmp_path.glob("*.tmp.*")) == []

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from coxhull.tessellation import GroupContext, build_group
 def test_distance_examples(a2, i2):
     base = a2.base_chamber
     assert distance(base, base) == 0
-    assert distance(base, base.neighbor(0)) == 1
+    assert distance(base, base.neighbors()[0][1]) == 1
     for a in range(7):
         assert distance(i2_cell(i2, -a), i2_cell(i2, 0)) == a
 
@@ -26,7 +27,7 @@ def test_distance_examples(a2, i2):
 def test_interval_examples(a2, i2):
     base = a2.base_chamber
     assert interval(base, base).size == 1
-    assert interval(base, base.neighbor(1)).size == 2
+    assert interval(base, base.neighbors()[1][1]).size == 2
     for a in range(4):
         for b in range(4):
             assert interval(i2_cell(i2, -a), i2_cell(i2, b)).size == a + b + 1
@@ -158,7 +159,7 @@ def test_gallery_is_minimal_and_deterministic(planar_ctx):
 def test_gallery_trivial_cases(a2):
     base = a2.base_chamber
     assert minimal_gallery(base, base).chambers == (base,)
-    nb = base.neighbor(2)
+    nb = base.neighbors()[2][1]
     assert minimal_gallery(base, nb).chambers == (base, nb)
 
 
@@ -225,11 +226,25 @@ def test_sweep_refuses_jobs_other_than_1():
 
 
 def test_sweep_rejects_lost_pair_row(monkeypatch):
-    pair_sizes = convexity._pair_sizes
-    monkeypatch.setattr(convexity, "_pair_sizes",
-                        lambda *args: pair_sizes(*args)[:-1])
-    with pytest.raises(RuntimeError, match="pair rows"):
+    row_sizes = convexity._row_sizes
+    monkeypatch.setattr(convexity, "_row_sizes",
+                        lambda *args: row_sizes(*args)[:-1])
+    with pytest.raises(RuntimeError, match="sizes, expected"):
         sweep_triples(TypeTag.A2Tilde, 2)
+
+
+def test_sweep_memory_does_not_grow_with_pairs():
+    # One row of sizes is alive at a time: an all-pairs list of the
+    # 27,730 pairs i <= j of a2t's ball(12) alone would take megabytes.
+    build_group(TypeTag.A2Tilde).ball(12)
+    tracemalloc.start()
+    try:
+        report = sweep_triples(TypeTag.A2Tilde, 12, oracle_samples=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 1 << 20
 
 
 def test_hull_table_equals_halfspace_hull(planar_ctx):
@@ -247,13 +262,16 @@ def test_hull_table_equals_halfspace_hull(planar_ctx):
 
 
 def test_pair_sizes_rows_under_any_split(ctx):
-    # Every pair and u-triple of the ball, against the flood-fill hull.
+    # Every pair and u-triple of the ball, row by row, against the
+    # flood-fill hull.
     ball = ctx.ball(6)
     u = ctx.base_chamber
-    rows = convexity._pair_sizes(_HullTable(ball), ball)
-    assert rows == [(i, j, halfspace_hull([ball[i], ball[j]]).size,
-                     halfspace_hull([u, ball[i], ball[j]]).size)
-                    for i in range(len(ball)) for j in range(i, len(ball))]
+    table = _HullTable(ball)
+    offsets = [table.offsets(c) for c in ball]
+    for i, v in enumerate(ball):
+        assert convexity._row_sizes(table, offsets, i) == [
+            (halfspace_hull([v, w]).size, halfspace_hull([u, v, w]).size)
+            for w in ball[i:]]
 
 
 def test_hull_table_rejects_points_outside_cover(a2):
@@ -274,23 +292,29 @@ def test_sweep_oracle_catches_wrong_table_hull(monkeypatch):
 
 
 def test_sweep_oracle_catches_wrong_swept_size(monkeypatch):
-    pair_sizes = convexity._pair_sizes
-    monkeypatch.setattr(convexity, "_pair_sizes", lambda *args: [
-        (i, j, vw, uvw + 1) for i, j, vw, uvw in pair_sizes(*args)])
+    row_sizes = convexity._row_sizes
+    monkeypatch.setattr(convexity, "_row_sizes", lambda *args: [
+        (vw, uvw + 1) for vw, uvw in row_sizes(*args)])
     with pytest.raises(HullDisagreement, match="sweep used size"):
         sweep_triples(TypeTag.A2Tilde, 3)
 
 
 def test_sweep_reports_counterexamples(monkeypatch):
-    # Inflate |Conv(u,v,w)| of the one row for v = ball[1] (distance 1)
-    # and w = ball[-1] (distance 2); both orders of (v, w) then fail.
+    # Inflate |Conv(u,v,w)| of the one pair v = ball[1] (distance 1) and
+    # w = ball[-1] (distance 2), the last of row 1; both orders of (v, w)
+    # then fail.
     ctx = build_group(TypeTag.A2Tilde)
     ball = ctx.ball(2)
     u, v, w = ctx.base_chamber, ball[1], ball[-1]
-    pair_sizes = convexity._pair_sizes
-    monkeypatch.setattr(convexity, "_pair_sizes", lambda *args: [
-        (i, j, vw, 100 if (i, j) == (1, len(ball) - 1) else uvw)
-        for i, j, vw, uvw in pair_sizes(*args)])
+    row_sizes = convexity._row_sizes
+
+    def inflated(table, offsets, i):
+        row = row_sizes(table, offsets, i)
+        if i == 1:
+            row[-1] = (row[-1][0], 100)
+        return row
+
+    monkeypatch.setattr(convexity, "_row_sizes", inflated)
     report = sweep_triples(TypeTag.A2Tilde, 2, oracle_samples=0)
     sizes = [halfspace_hull(p).size for p in ([u, v], [u, w], [v, w])]
     assert sizes == [2, 3, 4]

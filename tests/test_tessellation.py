@@ -75,7 +75,7 @@ def test_adjacent_chambers_separated_by_exactly_their_panel(ctx):
 def test_separates_basics(ctx):
     base = ctx.base_chamber
     assert ctx.separating_walls(base, base) == set()
-    assert base.panel_walls()[0] in ctx.separating_walls(base, base.neighbor(0))
+    assert base.panel_walls()[0] in ctx.separating_walls(base, base.neighbors()[0][1])
 
 
 def test_distance_equals_bfs(ctx):
@@ -169,7 +169,7 @@ def test_chambers_are_interned(ctx):
     # Two words for one element give the one chamber object.
     for i in range(ctx.rank):
         assert ctx.chamber_from_word([i, i]) is ctx.base_chamber
-    assert ctx.chamber_from_word([0, 1, 1]) is ctx.base_chamber.neighbor(0)
+    assert ctx.chamber_from_word([0, 1, 1]) is ctx.base_chamber.neighbors()[0][1]
 
 
 def test_separate_contexts_never_share_chambers():
