@@ -186,9 +186,15 @@ def cmd_formula(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    # The least boxes that admit a tuple: (x,y,a,b) = (1,0,1,1) for a2,
+    # and a = 2, x = a+3 for c2.
+    default, least = (25, 1) if args.which == "a2" else (40, 5)
+    box = default if args.box is None else args.box
+    if box < least:
+        raise ConfigError(f"box {box} admits no {args.which} tuple; "
+                          f"it must be at least {least}")
     ok = True
     if args.which == "a2":
-        box = args.box if args.box is not None else 25
         lhs_match, rhs_match = verify_a2_identities()
         print(f"left-side decomposition identity: {'ok' if lhs_match else 'MISMATCH'}")
         print(f"right-side factorization identity: {'ok' if rhs_match else 'MISMATCH'}")
@@ -198,7 +204,6 @@ def cmd_prove(args) -> int:
             print(f"  violation at (x,y,a,b)=({v[0]},{v[1]},{v[2]},{v[3]}): {v[4]} < {v[5]}")
         ok = lhs_match and rhs_match and not violations
     else:
-        box = args.box if args.box is not None else 40
         # The paper's expansion, then the one of the corrected middle count.
         for label, verify in (("", verify_c2_expansion),
                               ("corrected ", verify_c2_corrected_expansion)):

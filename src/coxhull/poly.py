@@ -3,17 +3,13 @@
 Terms are a map from exponent vectors (dense over the declared variable
 list) to nonzero integer coefficients.  The variable list is fixed per
 polynomial and binary operations require the same list, which keeps
-exponent vectors positionally comparable.  Serialization uses graded
-lexicographic term order so printed expansions are reproducible.
+exponent vectors positionally comparable.  Polynomials are built by
+arithmetic on `MultiPoly.var` and integers, so an expression written for
+integers expands unchanged; there is no parser.  Serialization uses
+graded lexicographic term order so printed expansions are reproducible.
 """
 
 from __future__ import annotations
-
-import ast
-
-
-class ParseError(ValueError):
-    pass
 
 
 class UnknownVariable(ValueError):
@@ -89,14 +85,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponents must be non-negative integers")
-        out = MultiPoly.constant(self.variables, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -121,39 +109,6 @@ class MultiPoly:
     def sorted_terms(self):
         """Terms in graded lexicographic order, highest first."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
-    def substitute(self, name, replacement):
-        """Replace a variable by a polynomial over the same variable list."""
-        replacement = self._same_vars(replacement)
-        if name not in self.variables:
-            raise UnknownVariable(f"{name!r} is not among {self.variables}")
-        idx = self.variables.index(name)
-        out = MultiPoly.constant(self.variables, 0)
-        for expo, coeff in self.terms.items():
-            rest = list(expo)
-            power = rest[idx]
-            rest[idx] = 0
-            term = MultiPoly(self.variables, {tuple(rest): coeff})
-            out = out + term * replacement ** power
-        return out
-
-    def restrict(self, variables):
-        """Reinterpret over a smaller variable list; every dropped variable
-        must have exponent zero in every term."""
-        variables = tuple(variables)
-        keep = []
-        for i, v in enumerate(self.variables):
-            if v in variables:
-                keep.append((variables.index(v), i))
-            elif any(e[i] for e in self.terms):
-                raise UnknownVariable(f"{v!r} still occurs, cannot drop it")
-        terms = {}
-        for expo, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for target, source in keep:
-                new[target] = expo[source]
-            terms[tuple(new)] = coeff
-        return MultiPoly(variables, terms)
 
     def eval(self, assignment):
         """Exact integer evaluation; the assignment must cover every variable
@@ -203,52 +158,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.variables}, {str(self)!r})"
-
-
-def poly_parse(expr, variables):
-    """Parse integer polynomial text over the declared variables.
-
-    Accepts +, -, *, parentheses and both ^ and ** for powers.
-    """
-    try:
-        tree = ast.parse(expr.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise ParseError(f"cannot parse {expr!r}: {exc}") from None
-    variables = tuple(variables)
-
-    def build(node):
-        if isinstance(node, ast.Expression):
-            return build(node.body)
-        if isinstance(node, ast.Constant):
-            if not isinstance(node.value, int):
-                raise ParseError(f"non-integer literal {node.value!r}")
-            return MultiPoly.constant(variables, node.value)
-        if isinstance(node, ast.Name):
-            return MultiPoly.var(variables, node.id)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            inner = build(node.operand)
-            return -inner if isinstance(node.op, ast.USub) else inner
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
-                if not (isinstance(node.right, ast.Constant)
-                        and isinstance(node.right.value, int) and node.right.value >= 0):
-                    raise ParseError("exponents must be non-negative integer literals")
-                return build(node.left) ** node.right.value
-            left, right = build(node.left), build(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-        raise ParseError(f"unsupported syntax in {expr!r}")
-
-    try:
-        return build(tree)
-    except UnknownVariable:
-        raise
-    except RecursionError:
-        raise ParseError("expression too deeply nested") from None
 
 
 def check_nonneg_coeffs(p) -> bool:

@@ -14,10 +14,12 @@ For the square-grid case-2 family the difference LHS - RHS, after the
 reparametrization a = 4n+2, b = k+2, x = 4n+4q+5, y = k+p+3 over
 non-negative integers, must expand to a fixed 16-term polynomial with
 every coefficient strictly positive; positivity of the coefficients is
-what proves the inequality on the whole admissible domain.  The expected
-expansion is pinned term by term, and any deviation is reported verbatim
-rather than corrected, so a transcription error stays distinguishable
-from an implementation bug.
+what proves the inequality on the whole admissible domain.  Both routes
+work alike: the forms are called with polynomial arguments, here the
+reparametrization itself, and expanded by plain arithmetic.  The expected
+expansion is pinned term by term as a function of (k, n, p, q), and any
+deviation is reported verbatim rather than corrected, so a transcription
+error stays distinguishable from an implementation bug.
 
 That pinned expansion is the paper's: its middle count
 3(x-a+3) + (y-b-2)(x-a+5) is one chamber short of the enumerated hull.
@@ -30,26 +32,25 @@ positive terms.
 from __future__ import annotations
 
 from .formulas import Orientation, a2_pair_form, a2_sides_forms, c2_case2_forms
-from .poly import MultiPoly, poly_parse
+from .poly import MultiPoly
 
 VARS_A2 = ("x", "y", "a", "b")
-VARS_C2 = ("a", "b", "x", "y")
 VARS_SUB = ("k", "n", "p", "q")
 
-# Pinned expansion of the reparametrized case-2 difference (16 terms).
-CASE2_EXPECTED_DIFFERENCE = (
-    "16*k*n*p*q + 32*k*n*p + 32*k*n*q + 36*k*n + 32*n*p*q + 64*n*q"
-    " + 60*n*p + 68*n + 16*k*p*q + 32*k*p + 28*k*q + 32*k"
-    " + 12*p*q + 24*p + 20*q + 22"
-)
 
-# Pinned expansion of the same difference with the corrected middle count
-# (16 terms).
-CASE2_CORRECTED_DIFFERENCE = (
-    "16*k*n*p*q + 32*k*n*p + 32*k*n*q + 16*k*p*q + 32*n*p*q + 40*k*n"
-    " + 32*k*p + 28*k*q + 60*n*p + 64*n*q + 12*p*q + 36*k + 76*n + 24*p"
-    " + 20*q + 26"
-)
+def case2_expected_difference(k, n, p, q):
+    """Pinned expansion of the reparametrized case-2 difference (16 terms)."""
+    return (16*k*n*p*q + 32*k*n*p + 32*k*n*q + 36*k*n + 32*n*p*q + 64*n*q
+            + 60*n*p + 68*n + 16*k*p*q + 32*k*p + 28*k*q + 32*k
+            + 12*p*q + 24*p + 20*q + 22)
+
+
+def case2_corrected_difference(k, n, p, q):
+    """Pinned expansion of the same difference with the corrected middle
+    count (16 terms)."""
+    return (16*k*n*p*q + 32*k*n*p + 32*k*n*q + 16*k*p*q + 32*n*p*q + 40*k*n
+            + 32*k*p + 28*k*q + 60*n*p + 64*n*q + 12*p*q + 36*k + 76*n + 24*p
+            + 20*q + 26)
 
 
 class MismatchReport(AssertionError):
@@ -141,18 +142,11 @@ def c2_case2_sides_ints(a, b, x, y) -> tuple[int, int]:
 
 
 def _reparametrized(sides) -> MultiPoly:
-    """LHS - RHS of a function of (a, b, x, y) returning (lhs, rhs), after
-    substituting a=4n+2, b=k+2, x=4n+4q+5, y=k+p+3, expanded over
-    (k, n, p, q)."""
-    names = VARS_C2 + VARS_SUB
-    a, b, x, y, k, n, p, q = _vars(names)
-    lhs, rhs = sides(a, b, x, y)
-    diff = lhs - rhs
-    diff = diff.substitute("a", 4 * n + 2)
-    diff = diff.substitute("b", k + 2)
-    diff = diff.substitute("x", 4 * n + 4 * q + 5)
-    diff = diff.substitute("y", k + p + 3)
-    return diff.restrict(VARS_SUB)
+    """LHS - RHS of a function of (a, b, x, y) returning (lhs, rhs), called
+    at a=4n+2, b=k+2, x=4n+4q+5, y=k+p+3 on polynomials over (k, n, p, q)."""
+    k, n, p, q = _vars(VARS_SUB)
+    lhs, rhs = sides(4 * n + 2, k + 2, 4 * n + 4 * q + 5, k + p + 3)
+    return lhs - rhs
 
 
 def c2_difference_poly() -> MultiPoly:
@@ -170,7 +164,7 @@ def c2_corrected_difference_poly() -> MultiPoly:
 
 
 def _verify_pinned(label, diff, pinned) -> MultiPoly:
-    expected = poly_parse(pinned, VARS_SUB)
+    expected = pinned(*_vars(VARS_SUB))
     if diff != expected:
         raise MismatchReport(label, expected, diff)
     return diff
@@ -180,7 +174,7 @@ def verify_c2_expansion() -> MultiPoly:
     """The expanded case-2 difference, checked term by term against the
     pinned 16-term form.  Raises MismatchReport on any deviation."""
     return _verify_pinned("case-2 difference", c2_difference_poly(),
-                          CASE2_EXPECTED_DIFFERENCE)
+                          case2_expected_difference)
 
 
 def verify_c2_corrected_expansion() -> MultiPoly:
@@ -188,7 +182,7 @@ def verify_c2_corrected_expansion() -> MultiPoly:
     pinned 16-term form.  Raises MismatchReport on any deviation."""
     return _verify_pinned("corrected case-2 difference",
                           c2_corrected_difference_poly(),
-                          CASE2_CORRECTED_DIFFERENCE)
+                          case2_corrected_difference)
 
 
 def c2_box_violations(limit: int = 40):

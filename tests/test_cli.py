@@ -5,6 +5,7 @@ import pytest
 
 import coxhull.cli
 import coxhull.convexity
+import coxhull.propcheck
 from coxhull.cli import main
 from coxhull.convexity import ChamberSet, CheckReport, _HullTable
 from coxhull.formulas import c2_case2_counts
@@ -202,12 +203,47 @@ def test_prove_c2(capsys):
     out = capsys.readouterr().out
     assert "16 terms" in out
     assert "16*k*n*p*q" in out
+    assert ("\n  16*k*n*p*q + 32*k*n*p + 32*k*n*q + 16*k*p*q + 32*n*p*q + 36*k*n"
+            " + 32*k*p + 28*k*q + 60*n*p + 64*n*q + 12*p*q + 32*k + 68*n + 24*p"
+            " + 20*q + 22\n") in out
+    assert ("\n  16*k*n*p*q + 32*k*n*p + 32*k*n*q + 16*k*p*q + 32*n*p*q + 40*k*n"
+            " + 32*k*p + 28*k*q + 60*n*p + 64*n*q + 12*p*q + 36*k + 76*n + 24*p"
+            " + 20*q + 26\n") in out
     assert "term-for-term match with pinned expansion: ok" in out
     assert "all coefficients strictly positive: ok" in out
     assert "corrected difference expansion (16 terms)" in out
     assert "term-for-term match with pinned corrected expansion: ok" in out
     assert "all corrected coefficients strictly positive: ok" in out
     assert out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("which, box", [("a2", "-3"), ("a2", "0"), ("c2", "4")])
+def test_prove_box_admitting_no_tuple_exits_2(capsys, which, box):
+    assert main(["prove", which, "--box", box]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("which, box", [("a2", "1"), ("c2", "5")])
+def test_prove_least_box_passes(capsys, which, box):
+    assert main(["prove", which, "--box", box]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+def test_prove_c2_wrong_pin_fails(monkeypatch, capsys):
+    paper = coxhull.propcheck.case2_expected_difference
+    monkeypatch.setattr(coxhull.propcheck, "case2_expected_difference",
+                        lambda k, n, p, q: paper(k, n, p, q) + k * q)
+    with pytest.raises(coxhull.propcheck.MismatchReport) as exc:
+        coxhull.propcheck.verify_c2_expansion()
+    assert exc.value.differences == [("k*q", 29, 28)]
+    assert main(["prove", "c2", "--box", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "expansion mismatch" in out
+    assert "k*q: expected 29, got 28" in out
+    assert out.strip().endswith("FAIL")
 
 
 def test_failed_report_write_leaves_no_temp_and_old_report(tmp_path, monkeypatch, capsys):

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from coxhull.formulas import C2CaseParams, c2_case2_counts
-from coxhull.poly import check_nonneg_coeffs, poly_parse
-from coxhull.propcheck import (CASE2_CORRECTED_DIFFERENCE,
-                               CASE2_EXPECTED_DIFFERENCE, MismatchReport,
-                               VARS_SUB, a2_box_violations, a2_decomposed_lhs,
-                               a2_factored_rhs, a2_sides_poly,
-                               c2_box_violations, c2_case2_sides_ints,
+from coxhull.poly import MultiPoly, check_nonneg_coeffs
+from coxhull.propcheck import (MismatchReport, VARS_SUB, a2_box_violations,
+                               a2_decomposed_lhs, a2_factored_rhs,
+                               a2_sides_poly, c2_box_violations,
+                               c2_case2_sides_ints,
                                c2_corrected_difference_poly,
-                               c2_difference_poly, verify_a2_identities,
+                               c2_difference_poly, case2_corrected_difference,
+                               case2_expected_difference, verify_a2_identities,
                                verify_c2_corrected_expansion,
                                verify_c2_expansion)
 
@@ -61,9 +61,10 @@ def test_expansion_agrees_with_integer_route():
 
 
 def test_corrected_expansion_exceeds_paper_by_size_uv():
-    corrected = poly_parse(CASE2_CORRECTED_DIFFERENCE, VARS_SUB)
-    paper = poly_parse(CASE2_EXPECTED_DIFFERENCE, VARS_SUB)
-    assert corrected - paper == poly_parse("4*k*n + 4*k + 8*n + 4", VARS_SUB)
+    k, n, p, q = (MultiPoly.var(VARS_SUB, v) for v in VARS_SUB)
+    corrected = case2_corrected_difference(k, n, p, q)
+    paper = case2_expected_difference(k, n, p, q)
+    assert corrected - paper == 4 * k * n + 4 * k + 8 * n + 4
 
 
 def test_corrected_expansion_shape():
@@ -86,8 +87,8 @@ def test_corrected_expansion_agrees_with_counts():
 
 
 def test_mismatch_reporting_lists_terms():
-    expected = poly_parse(CASE2_EXPECTED_DIFFERENCE, VARS_SUB)
-    tampered = expected + poly_parse("k*q", VARS_SUB)
+    k, n, p, q = (MultiPoly.var(VARS_SUB, v) for v in VARS_SUB)
+    tampered = case2_expected_difference(k, n, p, q) + k * q
     with pytest.raises(MismatchReport) as exc:
         if c2_difference_poly() != tampered:
             raise MismatchReport("tampered", tampered, c2_difference_poly())
