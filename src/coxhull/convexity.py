@@ -50,7 +50,7 @@ class ChamberSet:
 
     Chambers are interned by their context, so the members are held in a
     plain frozenset and size, membership and comparison use identity.
-    Iteration and `chambers` follow `Chamber.sort_key`, sorted on each
+    Iteration and `chambers` follow the exact barycenter, sorted on each
     read rather than on construction: a sweep reads only the size."""
 
     __slots__ = ("_members",)
@@ -60,7 +60,7 @@ class ChamberSet:
 
     @property
     def chambers(self) -> tuple:
-        return tuple(sorted(self._members, key=lambda c: c.sort_key))
+        return tuple(sorted(self._members, key=lambda c: c.barycenter))
 
     @property
     def size(self) -> int:

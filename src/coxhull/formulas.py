@@ -1,9 +1,11 @@
 """Closed-form hull cardinalities in chamber coordinates.
 
-The triangular complex gets a half-step Cartesian addressing: a chamber
-``(x, y)`` sits ``y`` rows above the origin chamber and ``x`` half-steps to
-the right, and its orientation alternates with each step.  With an
-upward origin chamber the pair-hull count for x+y even is
+The triangular complex gets a half-step addressing: a chamber ``(x, y)``
+sits ``y`` rows above the origin chamber and ``x`` half-steps to the right,
+and its orientation alternates with each step; point location turns the
+address into a rational point of the lattice frame, as the square-grid and
+line-model points already are.  With an upward origin chamber the pair-hull
+count for x+y even is
 
     xy + x - y^2 + y + 1,
 
@@ -36,9 +38,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .coxeter import TypeTag
-from .ring import HALF, SQRT3, RingScalar
 from .tessellation import Chamber, GroupContext
 
 
@@ -183,15 +185,12 @@ def dihedral_pair_count(dist: int) -> int:
 
 # -- coordinate-to-chamber views ------------------------------------------
 
-_SIXTH = RingScalar.rational(1, 6)
-_THIRD = RingScalar.rational(1, 3)
-
-
-def _a2_barycenter(col_halfsteps: RingScalar, row: int, up: bool):
-    """Barycenter of the triangle in the given row whose barycenter sits at
-    the given horizontal position; rows have height sqrt3/2."""
-    height = SQRT3 * (_SIXTH if up else _THIRD)
-    return (col_halfsteps, SQRT3 * HALF * RingScalar(row) + height)
+def _a2_barycenter(col_halfsteps: Fraction, row: int, up: bool):
+    """Frame point (a, b) of the barycenter of the triangle in the given
+    row whose barycenter sits at the given horizontal position: rows are
+    the strips row < b < row + 1, and the horizontal position is a + b/2."""
+    b = row + Fraction(1 if up else 2, 3)
+    return (col_halfsteps - b / 2, b)
 
 
 def a2_chamber_pair(ctx: GroupContext, coord: A2Coord) -> tuple[Chamber, Chamber]:
@@ -199,14 +198,14 @@ def a2_chamber_pair(ctx: GroupContext, coord: A2Coord) -> tuple[Chamber, Chamber
     if ctx.tag is not TypeTag.A2Tilde:
         raise ConstraintViolation("A2 coordinates address the triangular complex")
     if coord.base_orientation is Orientation.Up:
-        base_col = HALF
+        base_col = Fraction(1, 2)
         u = ctx.base_chamber
         v_up = (coord.x + coord.y) % 2 == 0
     else:
-        base_col = RingScalar(1)
+        base_col = Fraction(1)
         u = ctx.chamber_containing(_a2_barycenter(base_col, 0, up=False))
         v_up = (coord.x + coord.y) % 2 == 1
-    col = base_col + RingScalar.rational(coord.x, 2)
+    col = base_col + Fraction(coord.x, 2)
     v = ctx.chamber_containing(_a2_barycenter(col, coord.y, up=v_up))
     return u, v
 
@@ -225,10 +224,10 @@ def a2_reduced_triple(ctx: GroupContext, x: int, y: int, a: int, b: int):
 # Square-grid triangle species: a unit square is cut by one diagonal, and
 # the in-square barycenter offset identifies the triangle.
 _C2_SPECIES = {
-    "UL": (RingScalar.rational(1, 3), RingScalar.rational(2, 3)),
-    "LR": (RingScalar.rational(2, 3), RingScalar.rational(1, 3)),
-    "SW": (RingScalar.rational(1, 3), RingScalar.rational(1, 3)),
-    "NE": (RingScalar.rational(2, 3), RingScalar.rational(2, 3)),
+    "UL": (Fraction(1, 3), Fraction(2, 3)),
+    "LR": (Fraction(2, 3), Fraction(1, 3)),
+    "SW": (Fraction(1, 3), Fraction(1, 3)),
+    "NE": (Fraction(2, 3), Fraction(2, 3)),
 }
 
 
@@ -237,7 +236,7 @@ def c2_triangle(ctx: GroupContext, i: int, j: int, species: str) -> Chamber:
     if ctx.tag is not TypeTag.C2Tilde:
         raise ConstraintViolation("square-grid triangles live in the c2t complex")
     dx, dy = _C2_SPECIES[species]
-    return ctx.chamber_containing((RingScalar(i) + dx, RingScalar(j) + dy))
+    return ctx.chamber_containing((i + dx, j + dy))
 
 
 def c2_case2_chambers(ctx: GroupContext, p: C2CaseParams) -> tuple[Chamber, Chamber, Chamber]:
@@ -254,4 +253,4 @@ def i2_cell(ctx: GroupContext, n: int) -> Chamber:
     """The n-th unit cell of the line model."""
     if ctx.tag is not TypeTag.I2Infinity:
         raise ConstraintViolation("cells are addressed on the line model only")
-    return ctx.chamber_containing((RingScalar(n) + HALF, HALF))
+    return ctx.chamber_containing((n + Fraction(1, 2), Fraction(1, 2)))

@@ -1,18 +1,23 @@
-"""Exact planar affine isometries over Q(sqrt 3).
+"""Integer affine maps of a lattice frame.
 
-A group element acts on the plane as p -> A p + t with A orthogonal
-(det +-1) and both A and t exact.  Reflections across exact lines are
-built here; composition and equality are O(1) and exact, which is what
-makes chamber identity and wall-side tests decidable.
+Points and lines are written in a frame of the type's lattice: the basis
+(1, 0), (1/2, sqrt3/2) for the hexagonal types and the standard basis
+otherwise.  The frame's metric enters only through its inverse Gram
+matrix, which turns a line's normal covector into a direction.  In such a
+frame every reflection of a crystallographic group is an integer affine
+map p -> A p + t, so composition and equality are integer arithmetic and
+exact, which is what makes chamber identity and wall-side tests
+decidable.  Points and line coefficients are `Fraction`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .ring import ONE, ZERO, RingScalar
+Vec = tuple[Fraction, Fraction]
 
-Vec = tuple[RingScalar, RingScalar]
+_ORDER_CAP = 64
 
 
 class MixedContext(ValueError):
@@ -20,52 +25,49 @@ class MixedContext(ValueError):
 
 
 def vec(x, y) -> Vec:
-    return (RingScalar.of(x), RingScalar.of(y))
+    return (Fraction(x), Fraction(y))
 
 
 @dataclass(frozen=True)
 class Line:
-    """The line {p : n1*x + n2*y = c}; (n1, n2) need not be a unit vector."""
+    """The line {p : n1*x + n2*y = c} in frame coordinates."""
 
-    n1: RingScalar
-    n2: RingScalar
-    c: RingScalar
+    n1: Fraction
+    n2: Fraction
+    c: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("n1", "n2", "c"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     def canonical(self) -> "Line":
         """Scale so the first nonzero normal component is exactly 1."""
-        if not self.n1.is_zero():
-            s = self.n1
-        elif not self.n2.is_zero():
-            s = self.n2
-        else:
+        s = self.n1 or self.n2
+        if not s:
             raise ValueError("degenerate line")
         return Line(self.n1 / s, self.n2 / s, self.c / s)
 
     def key(self):
-        return (self.n1.key(), self.n2.key(), self.c.key())
+        return (self.n1, self.n2, self.c)
 
     def direction_key(self):
-        return (self.n1.key(), self.n2.key())
+        return (self.n1, self.n2)
 
 
 class GroupElement:
-    """Affine isometry p -> A p + t, tagged by the group it belongs to."""
+    """Integer affine map p -> A p + t, tagged by the group it belongs to."""
 
     __slots__ = ("tag", "a", "b", "c", "d", "tx", "ty", "_key")
 
-    def __init__(self, tag: str, linear, translation: Vec) -> None:
+    def __init__(self, tag: str, linear, translation) -> None:
         self.tag = tag
         self.a, self.b, self.c, self.d = linear
         self.tx, self.ty = translation
-        self._key = (
-            tag,
-            self.a.key(), self.b.key(), self.c.key(), self.d.key(),
-            self.tx.key(), self.ty.key(),
-        )
+        self._key = (tag, self.a, self.b, self.c, self.d, self.tx, self.ty)
 
     @classmethod
     def identity(cls, tag: str) -> "GroupElement":
-        return cls(tag, (ONE, ZERO, ZERO, ONE), (ZERO, ZERO))
+        return cls(tag, (1, 0, 0, 1), (0, 0))
 
     def key(self):
         return self._key
@@ -88,9 +90,11 @@ class GroupElement:
                 self.c * x + self.d * y + self.ty)
 
     def apply_line(self, line: Line) -> Line:
-        # Orthogonal A maps {n.p = c} to {(A n).q = c + (A n).t}.
-        m1 = self.a * line.n1 + self.b * line.n2
-        m2 = self.c * line.n1 + self.d * line.n2
+        # {n.p = c} maps to {m.q = c + m.t} with m = n A^-1; det A = +-1,
+        # so A^-1 = det A * adj A.
+        det = self.a * self.d - self.b * self.c
+        m1 = det * (line.n1 * self.d - line.n2 * self.c)
+        m2 = det * (line.n2 * self.a - line.n1 * self.b)
         return Line(m1, m2, line.c + m1 * self.tx + m2 * self.ty)
 
     def compose(self, other: "GroupElement") -> "GroupElement":
@@ -109,25 +113,29 @@ class GroupElement:
         return self == GroupElement.identity(self.tag)
 
 
-def reflection_across(tag: str, line: Line) -> GroupElement:
-    """The isometric reflection fixing the given line."""
+def reflection_across(tag: str, line: Line, gram_inv) -> GroupElement:
+    """The reflection fixing the given line, for the frame whose inverse
+    Gram matrix is `gram_inv` = (g11, g12, g22):
+    p -> p - 2(n.p - c)/(n.G^-1 n) * G^-1 n.  Raises RuntimeError unless
+    every entry of the map is an integer: the frame is not a lattice frame
+    of the group."""
+    g11, g12, g22 = gram_inv
     n1, n2, c = line.n1, line.n2, line.c
-    nn = n1 * n1 + n2 * n2
-    two = RingScalar(2)
-    f = two / nn
-    linear = (
-        ONE - f * n1 * n1, -(f * n1 * n2),
-        -(f * n1 * n2), ONE - f * n2 * n2,
-    )
-    translation = (f * c * n1, f * c * n2)
-    return GroupElement(tag, linear, translation)
+    u1, u2 = g11 * n1 + g12 * n2, g12 * n1 + g22 * n2
+    f = 2 / (n1 * u1 + n2 * u2)
+    entries = (1 - f * u1 * n1, -f * u1 * n2, -f * u2 * n1, 1 - f * u2 * n2,
+               f * c * u1, f * c * u2)
+    if any(e.denominator != 1 for e in entries):
+        raise RuntimeError(f"{tag} reflection is not an integer map in its frame")
+    ints = [int(e) for e in entries]
+    return GroupElement(tag, ints[:4], ints[4:])
 
 
-def element_order(g: GroupElement, cap: int = 64) -> int:
-    """Order of g by iterated composition; raises if it exceeds cap."""
+def element_order(g: GroupElement) -> int:
+    """Order of g by iterated composition; raises past a fixed cap."""
     acc = g
-    for n in range(1, cap + 1):
+    for n in range(1, _ORDER_CAP + 1):
         if acc.is_identity():
             return n
         acc = acc.compose(g)
-    raise ValueError(f"order exceeds {cap}")
+    raise ValueError(f"order exceeds {_ORDER_CAP}")

@@ -1,7 +1,10 @@
 """SVG rendering of tessellations and shaded hulls.
 
-Chamber polygons keep exact coordinates until serialization; only the
-final attribute strings are decimal.  Each drawn polygon carries exactly
+Chambers and walls are exact in their type's lattice frame; they become
+float Cartesian coordinates only here, when a scene is built for
+serialization.  A hexagonal frame point (a, b) is drawn at
+(a + b/2, b*sqrt3/2), and a frame line n1*a + n2*b = c is the Cartesian
+line n1*X + (2*n2 - n1)/sqrt3 * Y = c.  Each drawn polygon carries exactly
 one class: hull-uv, hull-vw, hull-uvw (membership precedence in that
 order) or plain for the surrounding belt.  Walls are clipped line
 segments, one per family offset crossing the viewport.
@@ -13,7 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 from .convexity import ChamberSet
+from .coxeter import TypeTag
 from .tessellation import Chamber, GroupContext
+
+_MARGIN = 0.05
+_ROOT3 = math.sqrt(3.0)
 
 
 @dataclass
@@ -79,11 +86,22 @@ def _clip_line_to_box(n1, n2, c, box):
     return uniq[0], uniq[1]
 
 
+def _plane_maps(ctx: GroupContext):
+    """Float Cartesian image of a frame point, and the Cartesian normal of
+    a frame line's normal covector, for the context's frame."""
+    if ctx.tag in (TypeTag.A2Tilde, TypeTag.G2Tilde):
+        return (lambda p: (float(p[0] + p[1] / 2), float(p[1]) * _ROOT3 / 2),
+                lambda n: (float(n[0]), float(2 * n[1] - n[0]) / _ROOT3))
+    return (lambda p: (float(p[0]), float(p[1])),
+            lambda n: (float(n[0]), float(n[1])))
+
+
 def hull_scene(ctx: GroupContext,
                u: Chamber, v: Chamber, w: Chamber,
-               hull_uv: ChamberSet, hull_vw: ChamberSet, hull_uvw: ChamberSet,
-               margin: float = 0.05) -> SvgScene:
+               hull_uv: ChamberSet, hull_vw: ChamberSet,
+               hull_uvw: ChamberSet) -> SvgScene:
     """Scene with the triple hull shaded and its pair hulls emphasized."""
+    point, normal = _plane_maps(ctx)
     drawn = {}
     for c in hull_uvw:
         if c in hull_uv:
@@ -102,21 +120,21 @@ def hull_scene(ctx: GroupContext,
     polygons = []
     xs, ys = [], []
     for c, cls in list(drawn.items()) + list(belt.items()):
-        verts = [(float(p[0]), float(p[1])) for p in c.vertices()]
+        verts = [point(p) for p in c.vertices()]
         xs.extend(x for x, _ in verts)
         ys.extend(y for _, y in verts)
         polygons.append((verts, cls))
 
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
-    pad = margin * max(max_x - min_x, max_y - min_y, 1.0)
+    pad = _MARGIN * max(max_x - min_x, max_y - min_y, 1.0)
     box = (min_x - pad, min_y - pad, max_x + pad, max_y + pad)
     viewbox = (box[0], box[1], box[2] - box[0], box[3] - box[1])
 
     lines = []
     corners = [(box[0], box[1]), (box[0], box[3]), (box[2], box[1]), (box[2], box[3])]
     for fam in ctx.families:
-        n1, n2 = float(fam.normal[0]), float(fam.normal[1])
+        n1, n2 = normal(fam.normal)
         ref, spacing = float(fam.ref), float(fam.spacing)
         values = [(n1 * x + n2 * y - ref) / spacing for x, y in corners]
         for k in range(math.ceil(min(values)), math.floor(max(values)) + 1):
@@ -126,7 +144,7 @@ def hull_scene(ctx: GroupContext,
 
     labels = []
     for text, ch in (("u", u), ("v", v), ("w", w)):
-        labels.append((text, (float(ch.barycenter[0]), float(ch.barycenter[1]))))
+        labels.append((text, point(ch.barycenter)))
 
     scene = SvgScene(viewbox=viewbox)
     scene.polygons = polygons

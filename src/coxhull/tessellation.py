@@ -7,6 +7,11 @@ family of parallel lines with a fixed spacing, so a wall is a pair
 (family index, integer offset) and the side of a chamber with respect
 to a wall is an integer comparison against precomputed floor values.
 
+Each type is written in a frame of its lattice: the basis (1, 0),
+(1/2, sqrt3/2) for the hexagonal types and the standard basis for the
+others.  In that frame every generator is an integer affine map, and
+points, barycenters and wall lines are rational (`Fraction`).
+
 Wall families are not hard coded.  The three (or two) walls of the base
 chamber are closed under the action of the group generators; grouping
 the resulting lines by direction and measuring the minimal gap between
@@ -17,14 +22,15 @@ distance), not by trusting the construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
 from .coxeter import CoxeterMatrix, TypeTag, matrix_for
 from .group import (GroupElement, Line, MixedContext, Vec, element_order,
                     reflection_across, vec)
-from .ring import HALF, ONE, ZERO, RingScalar, SQRT3
 
 
 class UnsupportedType(ValueError):
@@ -42,11 +48,11 @@ class Wall:
 @dataclass(frozen=True)
 class WallFamily:
     index: int
-    normal: tuple[RingScalar, RingScalar]  # canonical: first nonzero component is 1
-    ref: RingScalar                        # canonical-scale offset of wall 0
-    spacing: RingScalar                    # positive gap between adjacent walls
+    normal: tuple[Fraction, Fraction]  # canonical: first nonzero component is 1
+    ref: Fraction                      # canonical-scale offset of wall 0
+    spacing: Fraction                  # positive gap between adjacent walls
 
-    def projection(self, point: Vec) -> RingScalar:
+    def projection(self, point: Vec) -> Fraction:
         """Walls of this family sit exactly at the integers of this coordinate."""
         raw = self.normal[0] * point[0] + self.normal[1] * point[1] - self.ref
         return raw / self.spacing
@@ -62,19 +68,18 @@ class Chamber:
     and it returns one object per element of its context.  Identity is
     therefore equality, so chambers keep the default identity `__eq__`
     and `__hash__`; chambers of two separately built contexts are never
-    equal.  `sort_key` (the exact barycenter) gives a deterministic order
-    where one is needed."""
+    equal.  The exact frame barycenter gives a deterministic order where
+    one is needed."""
 
-    __slots__ = ("ctx", "element", "barycenter", "floors", "sort_key",
+    __slots__ = ("ctx", "element", "barycenter", "floors",
                  "_neighbors", "_panel_walls")
 
     def __init__(self, ctx: "GroupContext", element: GroupElement) -> None:
         self.ctx = ctx
         self.element = element
         self.barycenter = element.apply(ctx.base_barycenter)
-        self.floors = tuple(f.projection(self.barycenter).floor()
+        self.floors = tuple(math.floor(f.projection(self.barycenter))
                             for f in ctx.families)
-        self.sort_key = (self.barycenter[0].key(), self.barycenter[1].key())
         self._neighbors = None
         self._panel_walls = None
 
@@ -126,41 +131,50 @@ class Gallery:
         return walls
 
 
+# Inverse Gram matrices (g11, g12, g22) of the two frames.
+_HEXAGONAL = (Fraction(4, 3), Fraction(-2, 3), Fraction(4, 3))
+_SQUARE = (1, 0, 1)
+
+_MAX_ROUNDS = 12
+
+
 def _base_data(tag: TypeTag):
-    """Base chamber vertices and the wall line of each generator's panel."""
+    """Base chamber vertices, the wall line of each generator's panel and
+    the frame's inverse Gram matrix.  A hexagonal frame point (a, b) is the
+    Cartesian point (a + b/2, b*sqrt3/2)."""
     if tag is TypeTag.A2Tilde:
-        verts = [vec(0, 0), vec(1, 0), (HALF, SQRT3 * HALF)]
+        verts = [vec(0, 0), vec(1, 0), vec(0, 1)]
         walls = [
-            Line(ZERO, ONE, ZERO),            # y = 0
-            Line(SQRT3, -ONE, ZERO),          # edge from (0,0) at 60 degrees
-            Line(SQRT3, ONE, SQRT3),          # edge from (1,0) at 120 degrees
+            Line(0, 1, 0),                    # b = 0
+            Line(1, 0, 0),                    # a = 0: edge from (0,0) at 60 degrees
+            Line(1, 1, 1),                    # a + b = 1: edge from (1,0) at 120 degrees
         ]
     elif tag is TypeTag.C2Tilde:
         verts = [vec(0, 0), vec(1, 0), vec(1, 1)]
         walls = [
-            Line(ZERO, ONE, ZERO),            # y = 0
-            Line(ONE, ZERO, ONE),             # x = 1
-            Line(ONE, -ONE, ZERO),            # y = x
+            Line(0, 1, 0),                    # y = 0
+            Line(1, 0, 1),                    # x = 1
+            Line(1, -1, 0),                   # y = x
         ]
     elif tag is TypeTag.G2Tilde:
-        verts = [vec(0, 0), vec(1, 0),
-                 (RingScalar.rational(3, 4), SQRT3 * RingScalar.rational(1, 4))]
+        verts = [vec(0, 0), vec(1, 0), (Fraction(1, 2), Fraction(1, 2))]
         walls = [
-            Line(ZERO, ONE, ZERO),            # y = 0
-            Line(ONE, -SQRT3, ZERO),          # edge from (0,0) at 30 degrees
-            Line(SQRT3, ONE, SQRT3),          # edge from (1,0) at 120 degrees
+            Line(0, 1, 0),                    # b = 0
+            Line(1, -1, 0),                   # a = b: edge from (0,0) at 30 degrees
+            Line(1, 1, 1),                    # a + b = 1: edge from (1,0) at 120 degrees
         ]
     elif tag is TypeTag.I2Infinity:
         # One-dimensional model embedded in the plane; cells are unit strips.
         verts = [vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)]
         walls = [
-            Line(ONE, ZERO, ZERO),            # x = 0
-            Line(ONE, ZERO, ONE),             # x = 1
+            Line(1, 0, 0),                    # x = 0
+            Line(1, 0, 1),                    # x = 1
         ]
-    return verts, walls
+    hexagonal = tag in (TypeTag.A2Tilde, TypeTag.G2Tilde)
+    return verts, walls, _HEXAGONAL if hexagonal else _SQUARE
 
 
-def _derive_families(gens, base_walls, max_rounds: int = 12):
+def _derive_families(gens, base_walls):
     """Close the base walls under the generators, then group parallel lines
     and extract each family's spacing.  Runs until every direction has seen
     at least two parallel walls, plus two confirmation rounds."""
@@ -170,7 +184,7 @@ def _derive_families(gens, base_walls, max_rounds: int = 12):
         seen[cw.key()] = cw
     frontier = list(seen.values())
     confirm = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         new = []
         for g in gens:
             for ln in frontier:
@@ -196,17 +210,17 @@ def _derive_families(gens, base_walls, max_rounds: int = 12):
         gaps = sorted(b - a for a, b in zip(offsets, offsets[1:]))
         spacing = gaps[0]
         for c in offsets:
-            step = (c - offsets[0]) / spacing
-            if step != RingScalar(step.floor()):
+            if ((c - offsets[0]) / spacing).denominator != 1:
                 raise RuntimeError("parallel walls are not evenly spaced")
-        ref = offsets[0] - spacing * RingScalar((offsets[0] / spacing).floor())
+        ref = offsets[0] - spacing * math.floor(offsets[0] / spacing)
         normal = (lines[0].n1, lines[0].n2)
         families.append((normal, ref, spacing))
     return [WallFamily(i, n, r, s) for i, (n, r, s) in enumerate(families)]
 
 
 class GroupContext:
-    """Generators, base chamber and wall-family table for one supported type.
+    """Generators, base chamber, lattice frame and wall-family table for one
+    supported type.
 
     Immutable after construction apart from internal memo tables;
     `build_group` memoizes one per type.
@@ -215,22 +229,18 @@ class GroupContext:
     def __init__(self, tag: TypeTag) -> None:
         self.tag = tag
         self.matrix: CoxeterMatrix = matrix_for(tag)
-        verts, walls = _base_data(tag)
+        verts, walls, self.gram_inv = _base_data(tag)
         self.base_vertices = verts
         self.base_walls = walls
         self.rank = len(walls)
-        self.gens = [reflection_across(tag.code, w) for w in walls]
+        self.gens = [reflection_across(tag.code, w, self.gram_inv) for w in walls]
         n = len(verts)
-        self.base_barycenter = (
-            sum((v[0] for v in verts), ZERO) / RingScalar(n),
-            sum((v[1] for v in verts), ZERO) / RingScalar(n),
-        )
+        self.base_barycenter = (sum(v[0] for v in verts) / n,
+                                sum(v[1] for v in verts) / n)
         if not self.generator_orders_ok():
             raise RuntimeError(f"{tag.code} generators do not realize the Coxeter matrix")
         self.families = _derive_families(self.gens, walls)
-        self._family_by_dir = {
-            (f.normal[0].key(), f.normal[1].key()): f for f in self.families
-        }
+        self._family_by_dir = {f.normal: f for f in self.families}
         self._chambers: dict = {}
         self._balls: dict = {}
         self.base_chamber = self.chamber_of(GroupElement.identity(tag.code))
@@ -267,8 +277,8 @@ class GroupContext:
         if fam is None:
             raise ValueError("line direction matches no wall family")
         step = (canon.c - fam.ref) / fam.spacing
-        k = step.floor()
-        if step != RingScalar(k):
+        k = math.floor(step)
+        if step != k:
             raise ValueError("line offset is not on the family's wall lattice")
         return Wall(fam.index, k)
 
@@ -306,13 +316,14 @@ class GroupContext:
                 raise RuntimeError("no neighbour one step nearer on a geodesic walk")
 
     def chamber_containing(self, point: Vec) -> Chamber:
-        """Chamber whose interior holds `point`; a point on a wall raises
-        ValueError.  The walk from the base chamber is exact."""
+        """Chamber whose interior holds `point`, given in frame coordinates;
+        a point on a wall raises ValueError.  The walk from the base chamber
+        is exact."""
         target = []
         for f in self.families:
             proj = f.projection(point)
-            k = proj.floor()
-            if proj == RingScalar(k):
+            k = math.floor(proj)
+            if proj == k:
                 raise ValueError("point lies on a wall")
             target.append(k)
         c = self.base_chamber
@@ -346,7 +357,7 @@ class GroupContext:
                     if nb not in seen:
                         seen.add(nb)
                         nxt.append(nb)
-            nxt.sort(key=lambda ch: ch.sort_key)
+            nxt.sort(key=lambda ch: ch.barycenter)
             layers.append(nxt)
         out = [c for layer in layers for c in layer]
         self._balls[radius] = out
@@ -363,8 +374,7 @@ class GroupContext:
         if self._companion is None:
             comp = build_group(TypeTag.A2Tilde)
             for fam in comp.families:
-                key = (fam.normal[0].key(), fam.normal[1].key())
-                mine = self._family_by_dir.get(key)
+                mine = self._family_by_dir.get(fam.normal)
                 if mine is None or mine.ref != fam.ref or mine.spacing != fam.spacing:
                     raise RuntimeError("companion wall families do not align")
             self._companion = comp

@@ -208,7 +208,7 @@ def test_chamber_set_determinism(a2):
     s1 = ChamberSet(ball)
     s2 = ChamberSet(reversed(ball))
     assert s1 == s2
-    assert [c.sort_key for c in s1] == [c.sort_key for c in s2]
+    assert [c.barycenter for c in s1] == [c.barycenter for c in s2]
 
 
 def test_sweep_small_all_types():
@@ -348,11 +348,12 @@ def test_g2_diagnostic_examples(g2):
 
 
 def test_g2_diagnostic_hand_built_instance(g2):
-    # A spread-out triple: u1 lower left, v above the middle, w1 far right.
-    from coxhull.ring import RingScalar as R
-    u1 = g2.chamber_containing((R(-23, 0, 10), R(3, 0, 7)))
-    v = g2.chamber_containing((R(2, 0, 5), R(31, 0, 8)))
-    w1 = g2.chamber_containing((R(41, 0, 7), R(5, 0, 9)))
+    # A spread-out triple: u1 lower left, v above the middle, w1 far right,
+    # the chambers holding the Cartesian points (-23/10, 3/7), (2/5, 31/8)
+    # and (41/7, 5/9).
+    u1, v, w1 = (g2.chamber_from_word(int(d) - 1 for d in word)
+                 for word in ("21212312123", "2131212131212", "31212312123121231"))
     d = g2_diagnostic(u1, v, w1)
     assert d.fine_size > 1
     assert d.holds
+    assert (d.coarse_doubled, d.fine_size) == (148, 128)

@@ -1,10 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from coxhull.coxeter import INF, TypeTag
 from coxhull.group import GroupElement, MixedContext, element_order, vec
-from coxhull.ring import RingScalar
 from coxhull.tessellation import build_group
 
 
@@ -64,11 +65,13 @@ def test_mixed_context_rejected(a2, c2):
 
 
 def test_linear_part_is_orthogonal(ctx):
-    one, zero = RingScalar(1), RingScalar(0)
+    # Orthogonal for the frame's metric, which in the frame reads
+    # A G^-1 A^T = G^-1.
+    g11, g12, g22 = map(Fraction, ctx.gram_inv)
     for s in ctx.gens:
         a, b, c, d = s.a, s.b, s.c, s.d
-        assert a * a + c * c == one
-        assert b * b + d * d == one
-        assert a * b + c * d == zero
+        assert a * a * g11 + 2 * a * b * g12 + b * b * g22 == g11
+        assert c * c * g11 + 2 * c * d * g12 + d * d * g22 == g22
+        assert a * c * g11 + (a * d + b * c) * g12 + b * d * g22 == g12
         det = a * d - b * c
-        assert det == one or det == -one
+        assert det == 1 or det == -1

@@ -2,7 +2,8 @@
 
 Invariants are checks that raise, never `assert` statements: `python -O`
 strips those, and the check goes with them.  Sweeps run in one process,
-so no cold start pays for importing the process-pool modules.
+so no cold start pays for importing the process-pool modules.  Numbers
+are exact: floats appear only where the SVG writer serializes a scene.
 """
 
 import ast
@@ -22,6 +23,49 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# The one float allowed outside svg.py is the float("inf") order sentinel,
+# at module level in coxeter.py and in tessellation.generator_orders_ok.
+_INF_SITES = {("coxeter.py", None), ("tessellation.py", "generator_orders_ok")}
+
+
+def _float_uses(name, source):
+    """`name:line` of each float literal and `float(...)` call in the
+    source, apart from the allowed sentinels."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if isinstance(child, ast.Constant) and type(child.value) is float:
+                yield f"{name}:{child.lineno}"
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "float"):
+                sentinel = (not child.keywords and len(child.args) == 1
+                            and isinstance(child.args[0], ast.Constant)
+                            and child.args[0].value == "inf")
+                if not (sentinel and (name, scope) in _INF_SITES):
+                    yield f"{name}:{child.lineno}"
+            yield from walk(child, scope)
+
+    return list(walk(ast.parse(source), None))
+
+
+def test_floats_only_in_svg():
+    found = [use for path in sorted(SRC.glob("*.py")) if path.name != "svg.py"
+             for use in _float_uses(path.name, path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_float_rule_catches_floats():
+    source = ('INF = float("inf")\n'
+              'def generator_orders_ok():\n    return float("inf")\n'
+              'def f(x):\n    return float(x) + 0.5, float("inf")\n')
+    assert _float_uses("coxeter.py", source) == ["coxeter.py:3", "coxeter.py:5",
+                                                  "coxeter.py:5", "coxeter.py:5"]
+    assert _float_uses("tessellation.py", source) == ["tessellation.py:1", "tessellation.py:5",
+                                                      "tessellation.py:5", "tessellation.py:5"]
 
 
 def test_cold_import_loads_no_process_pool():

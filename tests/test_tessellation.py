@@ -1,11 +1,12 @@
 import collections
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from coxhull.coxeter import TypeTag
 from coxhull.group import Line, reflection_across
-from coxhull.ring import HALF, RingScalar
 from coxhull.tessellation import GroupContext
 
 
@@ -27,7 +28,7 @@ def bfs_distances(start, depth):
 def line_of_wall(ctx, wall):
     """The line of a wall, rebuilt from its family's table entry."""
     fam = ctx.families[wall.family]
-    return Line(fam.normal[0], fam.normal[1], fam.ref + fam.spacing * RingScalar(wall.offset))
+    return Line(fam.normal[0], fam.normal[1], fam.ref + fam.spacing * wall.offset)
 
 
 EXPECTED_FAMILY_COUNT = {"a2t": 3, "c2t": 4, "g2t": 6, "i2inf": 1}
@@ -36,7 +37,7 @@ EXPECTED_FAMILY_COUNT = {"a2t": 3, "c2t": 4, "g2t": 6, "i2inf": 1}
 def test_family_counts(ctx):
     assert len(ctx.families) == EXPECTED_FAMILY_COUNT[ctx.tag.code]
     for fam in ctx.families:
-        assert fam.spacing.sign() > 0
+        assert fam.spacing > 0
 
 
 def test_base_walls_in_table(ctx):
@@ -50,9 +51,9 @@ def test_barycenters_never_on_walls(ctx):
     for c in ctx.ball(4):
         for fam in ctx.families:
             proj = fam.projection(c.barycenter)
-            k = proj.floor()
-            assert (proj - RingScalar(k)).sign() > 0
-            assert (RingScalar(k + 1) - proj).sign() > 0
+            k = math.floor(proj)
+            assert proj - k > 0
+            assert k + 1 - proj > 0
 
 
 def test_neighbors_rank_many_distinct_symmetric(ctx):
@@ -146,7 +147,7 @@ def test_wall_table_complete_for_short_conjugates(ctx):
 def test_chamber_element_bijection(ctx):
     ball = ctx.ball(5)
     assert len({c.element for c in ball}) == len(ball)
-    assert len({c.sort_key for c in ball}) == len(ball)
+    assert len({c.barycenter for c in ball}) == len(ball)
 
 
 def test_identity_chamber_and_products(ctx):
@@ -163,6 +164,42 @@ def test_wrong_generator_orders_rejected_at_construction(monkeypatch):
     monkeypatch.setattr(tessellation, "element_order", lambda g: 5)
     with pytest.raises(RuntimeError, match="Coxeter matrix"):
         GroupContext(TypeTag.A2Tilde)
+
+
+def test_off_lattice_frame_rejected_at_construction(monkeypatch):
+    # Moving a2t's third wall to a + b = 1/2 gives its reflection the
+    # translation (1/2, 1/2): not an integer map, so the frame is refused.
+    import coxhull.tessellation as tessellation
+    base_data = tessellation._base_data
+
+    def off_lattice(tag):
+        verts, walls, gram_inv = base_data(tag)
+        return verts, [*walls[:2], Line(1, 1, Fraction(1, 2))], gram_inv
+
+    monkeypatch.setattr(tessellation, "_base_data", off_lattice)
+    with pytest.raises(RuntimeError, match="not an integer map"):
+        GroupContext(TypeTag.A2Tilde)
+
+
+def test_exact_data_only(ctx):
+    # Points and wall data are Fractions, never floats (an int/int division
+    # anywhere would leak one); maps are ints.
+    def exact(*values):
+        return all(type(x) is Fraction for x in values)
+
+    def integral(*values):
+        return all(type(x) is int for x in values)
+
+    for fam in ctx.families:
+        assert exact(*fam.normal, fam.ref, fam.spacing)
+    for v in ctx.base_vertices:
+        assert exact(*v)
+    for g in ctx.gens:
+        assert integral(g.a, g.b, g.c, g.d, g.tx, g.ty)
+    for c in ctx.ball(4):
+        assert exact(*c.barycenter)
+        e = c.element
+        assert integral(e.a, e.b, e.c, e.d, e.tx, e.ty)
 
 
 def test_chambers_are_interned(ctx):
@@ -202,15 +239,15 @@ def test_barycenter_locates_own_chamber(ctx):
 
 
 @pytest.mark.parametrize("code,point", [
-    ("a2t", (HALF, 0)),
+    ("a2t", (Fraction(1, 2), 0)),
     ("a2t", (0, 0)),
-    ("c2t", (1, HALF)),
-    ("i2inf", (3, HALF)),
+    ("c2t", (1, Fraction(1, 2))),
+    ("i2inf", (3, Fraction(1, 2))),
 ])
 def test_point_on_wall_rejected(code, point):
     ctx = GroupContext(TypeTag.from_code(code))
     with pytest.raises(ValueError, match="on a wall"):
-        ctx.chamber_containing(tuple(map(RingScalar.of, point)))
+        ctx.chamber_containing(tuple(map(Fraction, point)))
 
 
 def test_vertices_map_with_element(ctx):
@@ -236,8 +273,8 @@ def test_coarse_preimage_count_is_two(g2):
 def test_coarsen_commutes_with_shared_reflections(g2):
     a2 = g2.companion
     for line in a2.base_walls:
-        rg = reflection_across("g2t", line)
-        ra = reflection_across("a2t", line)
+        rg = reflection_across("g2t", line, g2.gram_inv)
+        ra = reflection_across("a2t", line, a2.gram_inv)
         for c in g2.ball(4):
             lhs = g2.coarsen(g2.chamber_of(rg.compose(c.element)))
             rhs = a2.chamber_of(ra.compose(g2.coarsen(c).element))
@@ -257,9 +294,8 @@ def test_unsupported_type_rejected():
 
 def test_companion_families_align(g2):
     a2 = g2.companion
-    g2_dirs = {(f.normal[0].key(), f.normal[1].key()): f for f in g2.families}
+    g2_dirs = {f.normal: f for f in g2.families}
     for fam in a2.families:
-        key = (fam.normal[0].key(), fam.normal[1].key())
-        assert key in g2_dirs
-        assert g2_dirs[key].spacing == fam.spacing
-        assert g2_dirs[key].ref == fam.ref
+        assert fam.normal in g2_dirs
+        assert g2_dirs[fam.normal].spacing == fam.spacing
+        assert g2_dirs[fam.normal].ref == fam.ref
