@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from operator import and_, getitem, or_, sub
+from operator import and_, attrgetter, getitem, or_, sub
 
 from .coxeter import TypeTag
 from .group import MixedContext
@@ -50,8 +50,9 @@ class ChamberSet:
 
     Chambers are interned by their context, so the members are held in a
     plain frozenset and size, membership and comparison use identity.
-    Iteration and `chambers` follow the exact barycenter, sorted on each
-    read rather than on construction: a sweep reads only the size."""
+    Iteration and `chambers` follow the exact barycenter, by the integer
+    `Chamber.order_key`, sorted on each read rather than on construction:
+    a sweep reads only the size."""
 
     __slots__ = ("_members",)
 
@@ -60,7 +61,7 @@ class ChamberSet:
 
     @property
     def chambers(self) -> tuple:
-        return tuple(sorted(self._members, key=lambda c: c.barycenter))
+        return tuple(sorted(self._members, key=attrgetter("order_key")))
 
     @property
     def size(self) -> int:

@@ -7,7 +7,9 @@ matrix, which turns a line's normal covector into a direction.  In such a
 frame every reflection of a crystallographic group is an integer affine
 map p -> A p + t, so composition and equality are integer arithmetic and
 exact, which is what makes chamber identity and wall-side tests
-decidable.  Points and line coefficients are `Fraction`s.
+decidable.  Points and `Line` coefficients are `Fraction`s; the line map
+`GroupElement.line_image` keeps the number type of its input, so integer
+lines map to integer lines.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ class Line:
         if not s:
             raise ValueError("degenerate line")
         return Line(self.n1 / s, self.n2 / s, self.c / s)
-
-    def key(self):
-        return (self.n1, self.n2, self.c)
 
     def direction_key(self):
         return (self.n1, self.n2)
@@ -90,12 +89,17 @@ class GroupElement:
                 self.c * x + self.d * y + self.ty)
 
     def apply_line(self, line: Line) -> Line:
+        return Line(*self.line_image(line.n1, line.n2, line.c))
+
+    def line_image(self, n1, n2, c):
+        """Coefficients of the image of the line n1*x + n2*y = c, in the
+        number type of the input: integer lines map to integer lines."""
         # {n.p = c} maps to {m.q = c + m.t} with m = n A^-1; det A = +-1,
         # so A^-1 = det A * adj A.
         det = self.a * self.d - self.b * self.c
-        m1 = det * (line.n1 * self.d - line.n2 * self.c)
-        m2 = det * (line.n2 * self.a - line.n1 * self.b)
-        return Line(m1, m2, line.c + m1 * self.tx + m2 * self.ty)
+        m1 = det * (n1 * self.d - n2 * self.c)
+        m2 = det * (n2 * self.a - n1 * self.b)
+        return m1, m2, c + m1 * self.tx + m2 * self.ty
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """self after other: (self*other)(p) = self(other(p))."""

@@ -13,11 +13,17 @@ others.  In that frame every generator is an integer affine map, and
 points, barycenters and wall lines are rational (`Fraction`).
 
 Wall families are not hard coded.  The three (or two) walls of the base
-chamber are closed under the action of the group generators; grouping
-the resulting lines by direction and measuring the minimal gap between
-parallel ones yields the family table.  Correctness of the table is
-pinned by the metric tests (wall-separation count equals graph
+chamber, as primitive integer triples, are closed under the generators'
+integer line maps; grouping the resulting lines by direction and
+measuring the minimal gap between parallel ones yields one integer form
+per family, and from it the `Fraction` family table.  Correctness of the
+table is pinned by the metric tests (wall-separation count equals graph
 distance), not by trusting the construction.
+
+Chambers are built on ints: the barycenter scaled by a positive integer
+is the chamber's order key, and each floor is an integer form evaluated
+on it with floor division.  Rational arithmetic is needed to derive the
+complex and to draw it, not to walk it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
+from operator import attrgetter, sub
 
 from .coxeter import CoxeterMatrix, TypeTag, matrix_for
 from .group import (GroupElement, Line, MixedContext, Vec, element_order,
@@ -64,24 +70,38 @@ class Chamber:
     the barycenter's family coordinate; all metric predicates reduce to
     integer arithmetic on these vectors.
 
+    Construction is int arithmetic only.  `order_key` is the barycenter
+    scaled by the context's positive integer `scale`, built from the
+    element's integer entries; the floors are the context's integer floor
+    forms evaluated on it.  Sorting by `order_key` is sorting by the exact
+    barycenter, and the `Fraction` barycenter is computed only on demand.
+
     Chambers are interned: only `GroupContext.chamber_of` creates them,
     and it returns one object per element of its context.  Identity is
     therefore equality, so chambers keep the default identity `__eq__`
     and `__hash__`; chambers of two separately built contexts are never
-    equal.  The exact frame barycenter gives a deterministic order where
-    one is needed."""
+    equal."""
 
-    __slots__ = ("ctx", "element", "barycenter", "floors",
+    __slots__ = ("ctx", "element", "order_key", "floors",
                  "_neighbors", "_panel_walls")
 
     def __init__(self, ctx: "GroupContext", element: GroupElement) -> None:
         self.ctx = ctx
         self.element = element
-        self.barycenter = element.apply(ctx.base_barycenter)
-        self.floors = tuple(math.floor(f.projection(self.barycenter))
-                            for f in ctx.families)
+        bx, by = ctx.base_key
+        q1 = element.a * bx + element.b * by + ctx.scale * element.tx
+        q2 = element.c * bx + element.d * by + ctx.scale * element.ty
+        self.order_key = (q1, q2)
+        self.floors = tuple([(n1 * q1 + n2 * q2 - r) // s
+                             for n1, n2, r, s in ctx.floor_forms])
         self._neighbors = None
         self._panel_walls = None
+
+    @property
+    def barycenter(self) -> Vec:
+        """The exact barycenter in frame coordinates."""
+        q1, q2 = self.order_key
+        return (Fraction(q1, self.ctx.scale), Fraction(q2, self.ctx.scale))
 
     def __repr__(self) -> str:
         bx, by = self.barycenter
@@ -174,28 +194,62 @@ def _base_data(tag: TypeTag):
     return verts, walls, _HEXAGONAL if hexagonal else _SQUARE
 
 
+def _primitive(n1: int, n2: int, c: int):
+    """The integer line n1*x + n2*y = c with coprime entries and its first
+    nonzero normal component positive: one triple per line."""
+    if not (n1 or n2):
+        raise ValueError("degenerate line")
+    g = math.gcd(n1, n2, c)
+    if n1 < 0 or (n1 == 0 and n2 < 0):
+        g = -g
+    return n1 // g, n2 // g, c // g
+
+
+def _integer_line(line: Line):
+    """The primitive integer triple of a line with rational coefficients."""
+    m = math.lcm(line.n1.denominator, line.n2.denominator, line.c.denominator)
+    return _primitive(*(x.numerator * (m // x.denominator)
+                        for x in (line.n1, line.n2, line.c)))
+
+
+def _canonical_normal(form):
+    """A form's normal scaled so its first nonzero component is 1."""
+    s = form[0] or form[1]
+    return (Fraction(form[0], s), Fraction(form[1], s))
+
+
 def _derive_families(gens, base_walls):
     """Close the base walls under the generators, then group parallel lines
     and extract each family's spacing.  Runs until every direction has seen
-    at least two parallel walls, plus two confirmation rounds."""
-    seen = {}
-    for w in base_walls:
-        cw = w.canonical()
-        seen[cw.key()] = cw
-    frontier = list(seen.values())
+    at least two parallel walls, plus two confirmation rounds.
+
+    Lines are primitive integer triples, mapped by the generators' integer
+    line maps.  Returns one integer form (n1, n2, r, gap) per family, in
+    the order of the canonical normals: the family coordinate of a point p
+    is (n1*p_x + n2*p_y - r) / gap, with gap > 0, so its walls sit at the
+    integers."""
+    seen = {_integer_line(w) for w in base_walls}
+    groups = {}
+
+    def add(line):
+        n1, n2, c = line
+        h = math.gcd(n1, n2)
+        groups.setdefault((n1 // h, n2 // h), []).append((h, c))
+
+    for line in seen:
+        add(line)
+    frontier = list(seen)
     confirm = 0
     for _ in range(_MAX_ROUNDS):
         new = []
         for g in gens:
-            for ln in frontier:
-                img = g.apply_line(ln).canonical()
-                if img.key() not in seen:
-                    seen[img.key()] = img
+            for line in frontier:
+                img = _primitive(*g.line_image(*line))
+                if img not in seen:
+                    seen.add(img)
+                    add(img)
                     new.append(img)
         frontier = new
-        groups = {}
-        for ln in seen.values():
-            groups.setdefault(ln.direction_key(), []).append(ln)
         if all(len(g) >= 2 for g in groups.values()):
             confirm += 1
             if confirm >= 2:
@@ -203,24 +257,32 @@ def _derive_families(gens, base_walls):
     else:
         raise RuntimeError("wall family derivation did not stabilize")
 
-    families = []
-    for dir_key in sorted(groups):
-        lines = groups[dir_key]
-        offsets = sorted(ln.c for ln in lines)
-        gaps = sorted(b - a for a, b in zip(offsets, offsets[1:]))
-        spacing = gaps[0]
-        for c in offsets:
-            if ((c - offsets[0]) / spacing).denominator != 1:
-                raise RuntimeError("parallel walls are not evenly spaced")
-        ref = offsets[0] - spacing * math.floor(offsets[0] / spacing)
-        normal = (lines[0].n1, lines[0].n2)
-        families.append((normal, ref, spacing))
-    return [WallFamily(i, n, r, s) for i, (n, r, s) in enumerate(families)]
+    forms = []
+    for (p1, p2), lines in groups.items():
+        # Line (h*p) . x = c is (l*p) . x = c*l/h: integer offsets on one scale.
+        l = math.lcm(*(h for h, _ in lines))
+        offsets = sorted(c * (l // h) for h, c in lines)
+        gap = min(b - a for a, b in zip(offsets, offsets[1:]))
+        if any((o - offsets[0]) % gap for o in offsets):
+            raise RuntimeError("parallel walls are not evenly spaced")
+        forms.append((l * p1, l * p2, offsets[0] % gap, gap))
+    forms.sort(key=_canonical_normal)
+    return forms
+
+
+def _wall_family(index: int, form) -> WallFamily:
+    """The canonical-scale family of an integer form: first normal
+    component 1."""
+    n1, n2, r, gap = form
+    s = n1 or n2
+    return WallFamily(index, _canonical_normal(form), Fraction(r, s), Fraction(gap, s))
 
 
 class GroupContext:
     """Generators, base chamber, lattice frame and wall-family table for one
-    supported type.
+    supported type.  `scale` and `base_key` scale the base barycenter to an
+    integer point, and `floor_forms` holds one integer form (n1, n2, R, S),
+    S > 0, per family: what `Chamber` is built from.
 
     Immutable after construction apart from internal memo tables;
     `build_group` memoizes one per type.
@@ -235,16 +297,37 @@ class GroupContext:
         self.rank = len(walls)
         self.gens = [reflection_across(tag.code, w, self.gram_inv) for w in walls]
         n = len(verts)
-        self.base_barycenter = (sum(v[0] for v in verts) / n,
-                                sum(v[1] for v in verts) / n)
+        bx, by = sum(v[0] for v in verts) / n, sum(v[1] for v in verts) / n
+        # Barycenters scaled by `scale` are integer points: chamber order keys.
+        self.scale = math.lcm(bx.denominator, by.denominator)
+        self.base_key = (bx.numerator * (self.scale // bx.denominator),
+                         by.numerator * (self.scale // by.denominator))
         if not self.generator_orders_ok():
             raise RuntimeError(f"{tag.code} generators do not realize the Coxeter matrix")
-        self.families = _derive_families(self.gens, walls)
+        forms = _derive_families(self.gens, walls)
+        self.families = [_wall_family(i, form) for i, form in enumerate(forms)]
+        # Per family (n1, n2, R, S): a chamber's floor is
+        # (n1*q1 + n2*q2 - R) // S on its order key q.
+        self.floor_forms = [(n1, n2, self.scale * r, self.scale * gap)
+                            for n1, n2, r, gap in forms]
+        if any(s <= 0 for *_, s in self.floor_forms):
+            raise RuntimeError(f"{tag.code} floor form with a non-positive divisor")
         self._family_by_dir = {f.normal: f for f in self.families}
         self._chambers: dict = {}
         self._balls: dict = {}
         self.base_chamber = self.chamber_of(GroupElement.identity(tag.code))
+        self._check_floor_forms()
         self._companion = None
+
+    def _check_floor_forms(self) -> None:
+        """Raise unless the integer floor forms give the exact floors of the
+        base chamber and its neighbours."""
+        base = self.base_chamber
+        for c in [base, *(nb for _, nb in base.neighbors())]:
+            exact = tuple(math.floor(f.projection(c.barycenter)) for f in self.families)
+            if c.floors != exact:
+                raise RuntimeError(
+                    f"{self.tag.code} integer floors {c.floors} differ from the exact {exact}")
 
     def __repr__(self) -> str:
         return f"GroupContext({self.tag.code}, rank={self.rank}, families={len(self.families)})"
@@ -357,7 +440,7 @@ class GroupContext:
                     if nb not in seen:
                         seen.add(nb)
                         nxt.append(nb)
-            nxt.sort(key=lambda ch: ch.barycenter)
+            nxt.sort(key=attrgetter("order_key"))
             layers.append(nxt)
         out = [c for layer in layers for c in layer]
         self._balls[radius] = out

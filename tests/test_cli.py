@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -259,3 +260,52 @@ def test_failed_report_write_leaves_no_temp_and_old_report(tmp_path, monkeypatch
     assert "disk full" in capsys.readouterr().err
     assert report.read_text() == "previous report\n"
     assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+# -- golden outputs -------------------------------------------------------------
+# sha256 digests of outputs that depend on chamber order; they are unchanged
+# since integer order keys replaced the Fraction barycenter as sort key.
+
+HULL_GOLDEN = {
+    "a2t": (("", "121", "2313"),
+            "f27fd8a3b7bb801ff8399e16f67173320232865133abf823f8ef551f5b9a0a55",
+            "c7e3ac48fc3d52e1bcbd8a48175fc2d011678448c271420493fd363012be1d48"),
+    "c2t": (("3", "1212", "2323"),
+            "e7d237e7bcb6c2a1a1d466ee3d29071fcb3d4971de90f1532d2c09b9eb762d2c",
+            "edc542c6fbc8e99339e2a12043369e88f4a2d5f29993c889ff0809955675fdbc"),
+    "g2t": (("2", "121312", "3213"),
+            "13b78dfb394e49badd5b54b4c1074e36f7719ea48f517b711b2164ded041f0ab",
+            "24b0c94aa5a14ce60a3e6a2d33beea7079d9c98c6c3e8afc00ddf1b8d6ac2e03"),
+}
+
+CHECK_GOLDEN = {
+    "a2t": "8e7af54a1320d3a6eea04d9dfc7149893d7603c09b5c4b3eb89e65c720d8a53b",
+    "c2t": "23c043a106128c71d1bd20a2ba28f9794479647b7394320bc6745243188c8128",
+    "g2t": "ba86481176951b9eb10b3868f7e36bd6c7996a5ac06b686c99196211012efbc4",
+    "i2inf": "9298b1569c7a5b5d5d222333691510313858ce68e7137ae2cec64b2c42484658",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("code", sorted(HULL_GOLDEN))
+def test_hull_outputs_golden(code, tmp_path, capsys):
+    (u, v, w), stdout_digest, svg_digest = HULL_GOLDEN[code]
+    words = ["--type", code, "--u", u, "--v", v, "--w", w]
+    assert main(["hull", *words]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == stdout_digest
+    svg = tmp_path / "hull.svg"
+    assert main(["hull", *words, "--svg", str(svg)]) == 0
+    assert _sha256(svg.read_bytes()) == svg_digest
+
+
+@pytest.mark.parametrize("code", sorted(CHECK_GOLDEN))
+def test_check_report_golden(code, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["check", "--type", code, "--radius", "8", "--report", str(path)]) == 0
+    report = json.loads(path.read_text())
+    del report["wall_clock_ms"]
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert _sha256(text.encode()) == CHECK_GOLDEN[code]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxhull.convexity import halfspace_hull
 from coxhull.coxeter import TypeTag
 from coxhull.group import Line, reflection_across
 from coxhull.tessellation import GroupContext
@@ -40,11 +41,101 @@ def test_family_counts(ctx):
         assert fam.spacing > 0
 
 
+# (normal, ref, spacing) of each family, in table order.
+FAMILY_TABLES = {
+    "a2t": [((0, 1), 0, 1), ((1, 0), 0, 1), ((1, 1), 0, 1)],
+    "c2t": [((0, 1), 0, 1), ((1, -1), 0, 2), ((1, 0), 0, 1), ((1, 1), 0, 2)],
+    "g2t": [((0, 1), 0, 1), ((1, -1), 0, 3), ((1, 0), 0, 1),
+            ((1, Fraction(1, 2)), 0, Fraction(3, 2)), ((1, 1), 0, 1),
+            ((1, 2), 0, 3)],
+    "i2inf": [((1, 0), 0, 1)],
+}
+
+
+def test_family_tables_pinned(ctx):
+    assert [f.index for f in ctx.families] == list(range(len(ctx.families)))
+    table = [(f.normal, f.ref, f.spacing) for f in ctx.families]
+    assert table == FAMILY_TABLES[ctx.tag.code]
+
+
+def test_integer_floors_and_order_match_exact_barycenters(ctx):
+    # Floors come from integer forms and ball layers are ordered by integer
+    # keys; both must agree with the exact Fraction barycenter.
+    layers = collections.defaultdict(list)
+    for c in ctx.ball(16):
+        exact = tuple(math.floor(f.projection(c.barycenter)) for f in ctx.families)
+        assert c.floors == exact
+        layers[ctx.wall_distance(ctx.base_chamber, c)].append(c)
+    assert list(layers) == list(range(17))
+    for layer in layers.values():
+        barycenters = [c.barycenter for c in layer]
+        assert barycenters == sorted(set(barycenters))
+
+
+def test_no_fractions_after_construction(ctx, monkeypatch):
+    fresh = GroupContext(ctx.tag)
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if "_from_coprime_ints" in vars(Fraction):
+        # Since Python 3.12, Fraction arithmetic builds results here
+        # without calling __new__.
+        coprime = vars(Fraction)["_from_coprime_ints"].__func__
+
+        def counted_coprime(cls, n, d):
+            made.append((n, d))
+            return coprime(cls, n, d)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    ball = fresh.ball(8)
+    hull = halfspace_hull([ball[0], ball[len(ball) // 2], ball[-1]])
+    hull.chambers
+    fresh.chamber_from_word([i % fresh.rank for i in range(16)])
+    monkeypatch.undo()
+    assert made == []
+    assert len(hull) > 1
+
+
+def test_floor_forms_checked_at_construction(monkeypatch):
+    # A family table one spacing off the integer forms moves every exact
+    # floor by one, and the context refuses to build.
+    import coxhull.tessellation as tessellation
+    family = tessellation._wall_family
+
+    def shifted(index, form):
+        fam = family(index, form)
+        return tessellation.WallFamily(index, fam.normal, fam.ref + fam.spacing, fam.spacing)
+
+    monkeypatch.setattr(tessellation, "_wall_family", shifted)
+    with pytest.raises(RuntimeError, match="integer floors"):
+        GroupContext(TypeTag.A2Tilde)
+
+
+def test_floor_form_divisor_must_be_positive(monkeypatch):
+    # A form negated throughout gives the same family coordinate and the
+    # same table, but a negative divisor.
+    import coxhull.tessellation as tessellation
+    derive = tessellation._derive_families
+
+    def negated(gens, walls):
+        first, *rest = derive(gens, walls)
+        return [tuple(-x for x in first), *rest]
+
+    monkeypatch.setattr(tessellation, "_derive_families", negated)
+    with pytest.raises(RuntimeError, match="non-positive divisor"):
+        GroupContext(TypeTag.A2Tilde)
+
+
 def test_base_walls_in_table(ctx):
     for line in ctx.base_walls:
         wall = ctx.wall_of_line(line)
         rebuilt = line_of_wall(ctx, wall).canonical()
-        assert rebuilt.key() == line.canonical().key()
+        assert rebuilt == line.canonical()
 
 
 def test_barycenters_never_on_walls(ctx):
@@ -141,7 +232,7 @@ def test_wall_table_complete_for_short_conjugates(ctx):
             image = w.apply_line(line)
             wall = ctx.wall_of_line(image)  # raises if not on the lattice
             rebuilt = line_of_wall(ctx, wall)
-            assert rebuilt.canonical().key() == image.canonical().key()
+            assert rebuilt.canonical() == image.canonical()
 
 
 def test_chamber_element_bijection(ctx):
