@@ -3,7 +3,8 @@
 The package realizes the three planar triangle groups (orders {3,3,3},
 {2,4,4}, {2,3,6}) and the infinite dihedral line model with exact
 arithmetic, computes convex hulls in their Cayley graphs by two
-independent algorithms, and checks the strong hull inequality
+geometric algorithms, counts them in the weak order from the Coxeter
+matrix alone, and checks the strong hull inequality
 
     |Conv(u,v)| * |Conv(v,w)| >= |Conv(u,v,w)|
 

@@ -1,6 +1,6 @@
 """Cayley-graph metric structure: distances, intervals, convex hulls.
 
-Two hull algorithms are kept deliberately independent:
+Three hull routes are kept:
 
 * ``halfspace_hull`` is the production definition.  A chamber belongs to
   the hull of a point set iff, for every wall with all the points strictly
@@ -12,13 +12,20 @@ Two hull algorithms are kept deliberately independent:
   list of the masks of Conv(v, w) and Conv(u, v, w) over w's offsets, so
   each pair's two sizes take one lookup per family and one AND.
 
-* ``closure_hull`` is the oracle.  It iterates geodesic intervals (the
+* ``closure_hull`` is an oracle.  It iterates geodesic intervals (the
   sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint, never looking
-  at wall sides directly.
+  at wall sides directly.  Its distances are floor distances, so it reads
+  the same wall-family table as the first route.
 
-Their equality on pairs and on random triples is part of the acceptance
-suite; a disagreement aborts with a structured report since it would mean
-an implementation bug, not new mathematics.
+* The weak order (``roots.RootSystem``) is the oracle that shares nothing
+  with the geometry: it counts a hull as a lower set of inversion sets,
+  from the Cartan matrix alone.  It sees a chamber only through the word
+  that ``word_of`` spells for it.
+
+The first two agree on pairs and on random triples in the acceptance
+suite.  A sweep checks its sizes against the weak order, and a few of
+them against the closure; a disagreement aborts with a structured report
+since it would mean an implementation bug, not new mathematics.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ from functools import reduce
 from itertools import accumulate
 from operator import and_, attrgetter, getitem, or_, sub
 
-from .coxeter import TypeTag
+from .coxeter import TypeTag, matrix_for
 from .group import MixedContext
+from .roots import RootSystem
 from .tessellation import Chamber, Gallery, GroupContext, build_group
 
 
@@ -212,6 +220,18 @@ class HullDisagreement(RuntimeError):
         self.closure_only = only_c
 
 
+class WeakOrderDisagreement(RuntimeError):
+    """A sweep used a hull size other than the weak order's."""
+
+    def __init__(self, tag, words, size_used, size_weak):
+        super().__init__(
+            f"weak-order hull size disagrees on {tag.code} points {words}: "
+            f"sweep used size {size_used}, weak order gives {size_weak}")
+        self.points = words
+        self.size_used = size_used
+        self.size_weak = size_weak
+
+
 def checked_hull(points) -> ChamberSet:
     """halfspace_hull cross-checked against closure_hull; aborts on mismatch."""
     points = list(points)
@@ -343,6 +363,44 @@ def _row_sizes(table: _HullTable, offsets, i: int) -> list:
             for w in offsets[i:]]
 
 
+class _WeakOrder:
+    """The sweep's weak-order route: hull sizes of ball points from the
+    words `word_of` spells for them.  A word read along a gallery spells
+    the chamber the gallery ends in, whatever floors chose its steps, and
+    this route reads no floor itself."""
+
+    def __init__(self, ctx: GroupContext, ball) -> None:
+        self.tag = ctx.tag
+        self.roots = RootSystem(matrix_for(ctx.tag))
+        self.words = [ctx.word_of(c) for c in ball]
+
+    def _letters(self, k: int) -> list:
+        return [int(d) - 1 for d in self.words[k]]
+
+    def inversions(self, k: int) -> frozenset:
+        """N(ball[k])."""
+        return self.roots.inversions(self._letters(k))
+
+    def between(self, i: int, j: int) -> frozenset:
+        """N(v^-1 w) for v = ball[i] and w = ball[j]."""
+        x = self.roots.element(self._letters(i)[::-1] + self._letters(j))
+        return self.roots.inversions(self.roots.reduced(x))
+
+    def check(self, points, roots, *sizes_used) -> None:
+        """Raise unless each size used is the weak-order size of `roots`,
+        the hull of the ball points numbered `points`."""
+        size = self.roots.hull_size(roots)
+        for used in sizes_used:
+            if used != size:
+                raise WeakOrderDisagreement(
+                    self.tag, [self.words[k] for k in points], used, size)
+
+
+# The closure costs far more per triple than the weak order, so it checks
+# one sampled pair in this many.
+_CLOSURE_STRIDE = 8
+
+
 def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
                   seed: int = 0, oracle_samples: int = 32) -> CheckReport:
     """Check the strong hull inequality for u = identity and all ordered
@@ -350,10 +408,17 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
 
     One pass over v = ball[i]: each row of sizes for w = ball[j], j >= i,
     is checked, sampled and reduced as it arrives, so one row is alive at
-    a time.  One mask table serves the rows and the oracle.  A seeded
-    sample of the pairs i <= j, numbered in that order, is recomputed
-    through the interval-closure oracle and compared with the table's hull
-    and with the size the sweep used; a disagreement aborts the sweep.
+    a time.  One mask table serves the rows and the closure.
+
+    With `oracle_samples` > 0 the sizes are checked by the other two
+    routes, and a disagreement aborts the sweep:
+
+    * the weak order checks every |Conv(u, w)| of row 0, and, on a seeded
+      sample of the pairs i <= j (numbered in that order), |Conv(v, w)|
+      and |Conv(u, v, w)|;
+    * on every eighth sampled pair, in ascending order from the first,
+      the interval closure recomputes Conv(u, v, w), before the weak
+      order, and is compared with the table's hull and the size used.
 
     `jobs` must be 1; any other value raises ValueError.  The slot stays
     only because `bench/worker.py` passes 1 there by position, before the
@@ -371,6 +436,8 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     # Sampled pair numbers, popped from the end in ascending order.
     sampled = sorted({rng.randrange(n * (n + 1) // 2)
                       for _ in range(oracle_samples)}, reverse=True)
+    weak = _WeakOrder(ctx, ball) if oracle_samples > 0 else None
+    checked = 0  # sampled pairs checked so far
     counterexamples = []
     # The largest ratio uvw / product so far, as the int pair (uvw, product).
     top_uvw, top_product = 0, 1
@@ -385,12 +452,20 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
             usize = [vw for vw, _ in row]
         while sampled and sampled[-1] < first + n - i:
             j = i + sampled.pop() - first
-            uvw = row[j - i][1]
-            points = [ctx.base_chamber, ball[i], ball[j]]
-            via_table = table.hull(points)
-            via_closure = closure_hull(points)
-            if via_table != via_closure or uvw != via_closure.size:
-                raise HullDisagreement(ctx, points, via_table, via_closure, uvw)
+            vw, uvw = row[j - i]
+            if checked % _CLOSURE_STRIDE == 0:
+                points = [ctx.base_chamber, ball[i], ball[j]]
+                via_table = table.hull(points)
+                via_closure = closure_hull(points)
+                if via_table != via_closure or uvw != via_closure.size:
+                    raise HullDisagreement(ctx, points, via_table, via_closure, uvw)
+            checked += 1
+            weak.check([i, j], weak.between(i, j), vw)
+            weak.check([0, i, j], weak.inversions(i) | weak.inversions(j), uvw)
+        if i == 0 and weak is not None:
+            # Both sizes of row 0 are |Conv(u, w)|, as v = u.
+            for j, (vw, uvw) in enumerate(row):
+                weak.check([0, j], weak.inversions(j), vw, uvw)
         first += n - i
         for j, (vw, uvw) in enumerate(row, i):
             # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes.

@@ -6,7 +6,7 @@ import pytest
 
 from coxhull import convexity
 from coxhull.convexity import (ChamberSet, HullDisagreement, HullVerdict,
-                               _HullTable, checked_hull,
+                               WeakOrderDisagreement, _HullTable, checked_hull,
                                closure_hull, distance, g2_diagnostic,
                                halfspace_hull, interval, minimal_gallery,
                                strong_hull_check, sweep_triples)
@@ -297,6 +297,53 @@ def test_sweep_oracle_catches_wrong_swept_size(monkeypatch):
         (vw, uvw + 1) for vw, uvw in row_sizes(*args)])
     with pytest.raises(HullDisagreement, match="sweep used size"):
         sweep_triples(TypeTag.A2Tilde, 3)
+
+
+def _sampled_pairs(n, seed, samples):
+    """The pairs (i, j), i <= j, that a sweep over n ball chambers samples:
+    pair numbers drawn as in `sweep_triples`, counted row by row."""
+    rng = random.Random(seed)
+    numbers = {rng.randrange(n * (n + 1) // 2) for _ in range(samples)}
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return [pairs[k] for k in sorted(numbers)]
+
+
+def test_sweep_weak_order_checks_every_u_pair(monkeypatch):
+    # Inflate |Conv(u, ball[j])| for a j that no sampled pair touches: the
+    # closure never sees it, and the inflated size only raises products.
+    n = len(build_group(TypeTag.A2Tilde).ball(3))
+    touched = {k for pair in _sampled_pairs(n, 0, 32) for k in pair}
+    j = max(set(range(1, n)) - touched)
+    row_sizes = convexity._row_sizes
+
+    def inflated(table, offsets, i):
+        row = row_sizes(table, offsets, i)
+        if i == 0:
+            row[j] = (row[j][0] + 1, row[j][1])
+        return row
+
+    monkeypatch.setattr(convexity, "_row_sizes", inflated)
+    with pytest.raises(WeakOrderDisagreement, match="sweep used size") as err:
+        sweep_triples(TypeTag.A2Tilde, 3)
+    assert err.value.size_used == err.value.size_weak + 1
+    assert err.value.points[0] == ""
+
+
+@pytest.mark.parametrize("code", ["a2t", "c2t", "g2t", "i2inf"])
+def test_sweep_weak_order_catches_corrupted_family_table(monkeypatch, code):
+    # Double one family's spacing after the ball is built.  The ball's
+    # chambers keep their exact floors, so `word_of` still walks them, and
+    # the chambers first met past the ball, on the rim of the table's
+    # cover, take wrong floors that change the table's hull sizes.  The
+    # weak order counts from the words alone, and it aborts the sweep.
+    tag = TypeTag.from_code(code)
+    ctx = GroupContext(tag)
+    ctx.ball(4)
+    n1, n2, r, s = ctx.floor_forms[0]
+    ctx.floor_forms = [(n1, n2, r, 2 * s), *ctx.floor_forms[1:]]
+    monkeypatch.setattr(convexity, "build_group", lambda _: ctx)
+    with pytest.raises(WeakOrderDisagreement, match=f"on {code} points"):
+        sweep_triples(tag, 4)
 
 
 def test_sweep_reports_counterexamples(monkeypatch):

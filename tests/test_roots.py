@@ -1,0 +1,78 @@
+"""The weak-order route against the complexes: Cartan entries, ball sizes,
+and pair and u-triple hull sizes against the halfspace hull."""
+
+import random
+
+import pytest
+
+from coxhull.convexity import halfspace_hull
+from coxhull.coxeter import TypeTag, matrix_for, validate_matrix
+from coxhull.roots import RootSystem, cartan
+
+
+def _roots(tag):
+    return RootSystem(matrix_for(tag))
+
+
+def _letters(ctx, chamber):
+    return [int(d) - 1 for d in ctx.word_of(chamber)]
+
+
+def _weak_ball(roots, radius):
+    """Elements of length <= radius, by breadth-first search on w -> w s."""
+    seen = {roots.identity}
+    layer = seen
+    for _ in range(radius):
+        layer = {roots.times(x, s) for x in layer for s in range(len(x))} - seen
+        seen |= layer
+    return seen
+
+
+@pytest.mark.parametrize("m, pair", [(2, (0, 0)), (3, (-1, -1)), (4, (-1, -2)),
+                                     (6, (-1, -3)), ("inf", (-2, -2))])
+def test_cartan_entries(m, pair):
+    assert cartan(validate_matrix([[1, m], [m, 1]])) == ((2, pair[0]), (pair[1], 2))
+
+
+def test_cartan_rejects_order_five():
+    with pytest.raises(ValueError, match="m_01 = 5"):
+        cartan(validate_matrix([[1, 5], [5, 1]]))
+
+
+def test_weak_order_ball_matches_complex(ctx):
+    assert len(_weak_ball(_roots(ctx.tag), 6)) == len(ctx.ball(6))
+
+
+@pytest.mark.parametrize("code, size", [("a2t", 109), ("c2t", 97), ("g2t", 88)])
+def test_weak_order_ball_bott_sizes(code, size):
+    # Bott's formula W0(t) / prod (1 - t^e) at radius 8.
+    assert len(_weak_ball(_roots(TypeTag.from_code(code)), 8)) == size
+
+
+def test_pair_and_u_triple_sizes_equal_halfspace_hull(ctx):
+    roots = _roots(ctx.tag)
+    ball = ctx.ball(8)
+    rng = random.Random(15)
+    for _ in range(200):
+        v, w = rng.choice(ball), rng.choice(ball)
+        lv, lw = _letters(ctx, v), _letters(ctx, w)
+        between = roots.inversions(roots.reduced(roots.element(lv[::-1] + lw)))
+        assert roots.hull_size(between) == halfspace_hull([v, w]).size
+        assert (roots.hull_size(roots.inversions(lv) | roots.inversions(lw))
+                == halfspace_hull([ctx.base_chamber, v, w]).size)
+
+
+def test_reduced_word_spells_the_element(ctx):
+    roots = _roots(ctx.tag)
+    for c in ctx.ball(5):
+        x = roots.element(_letters(ctx, c))
+        word = roots.reduced(x)
+        assert len(word) == len(ctx.word_of(c))
+        assert roots.element(word) == x
+
+
+@pytest.mark.parametrize("code, word", [("a2t", [0, 0]), ("a2t", [0, 1, 0, 1]),
+                                        ("c2t", [0, 1, 0]), ("i2inf", [0, 1, 1])])
+def test_non_reduced_word_raises(code, word):
+    with pytest.raises(RuntimeError, match="not reduced"):
+        _roots(TypeTag.from_code(code)).inversions(word)

@@ -4,6 +4,7 @@ Invariants are checks that raise, never `assert` statements: `python -O`
 strips those, and the check goes with them.  Sweeps run in one process,
 so no cold start pays for importing the process-pool modules.  Numbers
 are exact: floats appear only where the SVG writer serializes a scene.
+The weak-order module imports nothing of the geometry it checks.
 """
 
 import ast
@@ -66,6 +67,34 @@ def test_float_rule_catches_floats():
                                                   "coxeter.py:5", "coxeter.py:5"]
     assert _float_uses("tessellation.py", source) == ["tessellation.py:1", "tessellation.py:5",
                                                       "tessellation.py:5", "tessellation.py:5"]
+
+
+def _imported_modules(source):
+    """Each module the source imports, relative ones with their dots."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." * node.level + (node.module or ""))
+    return found
+
+
+def test_roots_imports_only_coxeter():
+    source = (SRC / "roots.py").read_text(encoding="utf-8")
+    assert set(_imported_modules(source)) <= {"__future__", ".coxeter"}
+
+
+def test_import_rule_catches_geometry_imports():
+    source = ("from __future__ import annotations\n"
+              "from .coxeter import INF\n"
+              "from . import group\n"
+              "import coxhull.tessellation\n"
+              "def f():\n    from .convexity import halfspace_hull\n"
+              "    from bench import reference\n")
+    assert _imported_modules(source) == ["__future__", ".coxeter", ".",
+                                         "coxhull.tessellation", ".convexity",
+                                         "bench"]
 
 
 def test_cold_import_loads_no_process_pool():
