@@ -206,9 +206,17 @@ class HullDisagreement(RuntimeError):
     a size (`size_used`) other than the closure hull's."""
 
     def __init__(self, ctx, points, via_halfspace, via_closure, size_used=None):
-        words = [ctx.word_of(p) for p in points]
-        only_h = [ctx.word_of(c) for c in via_halfspace if c not in via_closure]
-        only_c = [ctx.word_of(c) for c in via_closure if c not in via_halfspace]
+        def name(c):
+            # A wrong floor table can leave a chamber that the floor walk
+            # of `word_of` cannot reach; its integer order key names it.
+            try:
+                return ctx.word_of(c)
+            except RuntimeError:
+                return f"key{c.order_key}"
+
+        words = [name(p) for p in points]
+        only_h = [name(c) for c in via_halfspace if c not in via_closure]
+        only_c = [name(c) for c in via_closure if c not in via_halfspace]
         used = "" if size_used is None else (
             f", sweep used size {size_used} for closure size {via_closure.size}")
         super().__init__(

@@ -7,14 +7,13 @@ matrix, which turns a line's normal covector into a direction.  In such a
 frame every reflection of a crystallographic group is an integer affine
 map p -> A p + t, so composition and equality are integer arithmetic and
 exact, which is what makes chamber identity and wall-side tests
-decidable.  Points and `Line` coefficients are `Fraction`s; the line map
-`GroupElement.line_image` keeps the number type of its input, so integer
-lines map to integer lines.
+decidable.  Points are `Fraction`s.  A line {n1*x + n2*y = c} is the
+triple (n1, n2, c); the line map `GroupElement.line_image` keeps the
+number type of its input, so integer lines map to integer lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Vec = tuple[Fraction, Fraction]
@@ -28,29 +27,6 @@ class MixedContext(ValueError):
 
 def vec(x, y) -> Vec:
     return (Fraction(x), Fraction(y))
-
-
-@dataclass(frozen=True)
-class Line:
-    """The line {p : n1*x + n2*y = c} in frame coordinates."""
-
-    n1: Fraction
-    n2: Fraction
-    c: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("n1", "n2", "c"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    def canonical(self) -> "Line":
-        """Scale so the first nonzero normal component is exactly 1."""
-        s = self.n1 or self.n2
-        if not s:
-            raise ValueError("degenerate line")
-        return Line(self.n1 / s, self.n2 / s, self.c / s)
-
-    def direction_key(self):
-        return (self.n1, self.n2)
 
 
 class GroupElement:
@@ -88,9 +64,6 @@ class GroupElement:
         return (self.a * x + self.b * y + self.tx,
                 self.c * x + self.d * y + self.ty)
 
-    def apply_line(self, line: Line) -> Line:
-        return Line(*self.line_image(line.n1, line.n2, line.c))
-
     def line_image(self, n1, n2, c):
         """Coefficients of the image of the line n1*x + n2*y = c, in the
         number type of the input: integer lines map to integer lines."""
@@ -117,16 +90,16 @@ class GroupElement:
         return self == GroupElement.identity(self.tag)
 
 
-def reflection_across(tag: str, line: Line, gram_inv) -> GroupElement:
-    """The reflection fixing the given line, for the frame whose inverse
+def reflection_across(tag: str, line, gram_inv) -> GroupElement:
+    """The reflection fixing the line (n1, n2, c), for the frame whose inverse
     Gram matrix is `gram_inv` = (g11, g12, g22):
     p -> p - 2(n.p - c)/(n.G^-1 n) * G^-1 n.  Raises RuntimeError unless
     every entry of the map is an integer: the frame is not a lattice frame
     of the group."""
     g11, g12, g22 = gram_inv
-    n1, n2, c = line.n1, line.n2, line.c
+    n1, n2, c = line
     u1, u2 = g11 * n1 + g12 * n2, g12 * n1 + g22 * n2
-    f = 2 / (n1 * u1 + n2 * u2)
+    f = Fraction(2) / (n1 * u1 + n2 * u2)
     entries = (1 - f * u1 * n1, -f * u1 * n2, -f * u2 * n1, 1 - f * u2 * n2,
                f * c * u1, f * c * u2)
     if any(e.denominator != 1 for e in entries):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .convexity import ChamberSet
 from .coxeter import TypeTag
-from .tessellation import Chamber, GroupContext
+from .tessellation import Chamber, GroupContext, canonical_family
 
 _MARGIN = 0.05
 _ROOT3 = math.sqrt(3.0)
@@ -133,9 +133,10 @@ def hull_scene(ctx: GroupContext,
 
     lines = []
     corners = [(box[0], box[1]), (box[0], box[3]), (box[2], box[1]), (box[2], box[3])]
-    for fam in ctx.families:
-        n1, n2 = normal(fam.normal)
-        ref, spacing = float(fam.ref), float(fam.spacing)
+    for form in ctx.families:
+        fam_normal, ref, spacing = canonical_family(form)
+        n1, n2 = normal(fam_normal)
+        ref, spacing = float(ref), float(spacing)
         values = [(n1 * x + n2 * y - ref) / spacing for x, y in corners]
         for k in range(math.ceil(min(values)), math.floor(max(values)) + 1):
             seg = _clip_line_to_box(n1, n2, ref + k * spacing, box)

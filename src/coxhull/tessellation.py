@@ -9,20 +9,22 @@ to a wall is an integer comparison against precomputed floor values.
 
 Each type is written in a frame of its lattice: the basis (1, 0),
 (1/2, sqrt3/2) for the hexagonal types and the standard basis for the
-others.  In that frame every generator is an integer affine map, and
-points, barycenters and wall lines are rational (`Fraction`).
+others.  In that frame every generator is an integer affine map, wall
+lines are integer triples (n1, n2, c), and points and barycenters are
+rational (`Fraction`).
 
 Wall families are not hard coded.  The three (or two) walls of the base
 chamber, as primitive integer triples, are closed under the generators'
 integer line maps; grouping the resulting lines by direction and
 measuring the minimal gap between parallel ones yields one integer form
-per family, and from it the `Fraction` family table.  Correctness of the
-table is pinned by the metric tests (wall-separation count equals graph
-distance), not by trusting the construction.
+(n1, n2, r, gap) per family, which is the family table.  Correctness of
+the table is pinned by the metric tests (wall-separation count equals
+graph distance), not by trusting the construction.
 
 Chambers are built on ints: the barycenter scaled by a positive integer
 is the chamber's order key, and each floor is an integer form evaluated
-on it with floor division.  Rational arithmetic is needed to derive the
+on it with floor division.  Point location scales the point to integers
+once and does the same.  Rational arithmetic is needed to derive the
 complex and to draw it, not to walk it.
 """
 
@@ -34,8 +36,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter, sub
 
-from .coxeter import CoxeterMatrix, TypeTag, matrix_for
-from .group import (GroupElement, Line, MixedContext, Vec, element_order,
+from .coxeter import INF, CoxeterMatrix, TypeTag, matrix_for
+from .group import (GroupElement, MixedContext, Vec, element_order,
                     reflection_across, vec)
 
 
@@ -49,19 +51,6 @@ class Wall:
 
     family: int
     offset: int
-
-
-@dataclass(frozen=True)
-class WallFamily:
-    index: int
-    normal: tuple[Fraction, Fraction]  # canonical: first nonzero component is 1
-    ref: Fraction                      # canonical-scale offset of wall 0
-    spacing: Fraction                  # positive gap between adjacent walls
-
-    def projection(self, point: Vec) -> Fraction:
-        """Walls of this family sit exactly at the integers of this coordinate."""
-        raw = self.normal[0] * point[0] + self.normal[1] * point[1] - self.ref
-        return raw / self.spacing
 
 
 class Chamber:
@@ -120,7 +109,7 @@ class Chamber:
         """Wall containing the i-th panel, for each generator index i."""
         if self._panel_walls is None:
             self._panel_walls = tuple(
-                self.ctx.wall_of_line(self.element.apply_line(w))
+                self.ctx.wall_of_line(self.element.line_image(*w))
                 for w in self.ctx.base_walls
             )
         return self._panel_walls
@@ -165,30 +154,30 @@ def _base_data(tag: TypeTag):
     if tag is TypeTag.A2Tilde:
         verts = [vec(0, 0), vec(1, 0), vec(0, 1)]
         walls = [
-            Line(0, 1, 0),                    # b = 0
-            Line(1, 0, 0),                    # a = 0: edge from (0,0) at 60 degrees
-            Line(1, 1, 1),                    # a + b = 1: edge from (1,0) at 120 degrees
+            (0, 1, 0),                        # b = 0
+            (1, 0, 0),                        # a = 0: edge from (0,0) at 60 degrees
+            (1, 1, 1),                        # a + b = 1: edge from (1,0) at 120 degrees
         ]
     elif tag is TypeTag.C2Tilde:
         verts = [vec(0, 0), vec(1, 0), vec(1, 1)]
         walls = [
-            Line(0, 1, 0),                    # y = 0
-            Line(1, 0, 1),                    # x = 1
-            Line(1, -1, 0),                   # y = x
+            (0, 1, 0),                        # y = 0
+            (1, 0, 1),                        # x = 1
+            (1, -1, 0),                       # y = x
         ]
     elif tag is TypeTag.G2Tilde:
         verts = [vec(0, 0), vec(1, 0), (Fraction(1, 2), Fraction(1, 2))]
         walls = [
-            Line(0, 1, 0),                    # b = 0
-            Line(1, -1, 0),                   # a = b: edge from (0,0) at 30 degrees
-            Line(1, 1, 1),                    # a + b = 1: edge from (1,0) at 120 degrees
+            (0, 1, 0),                        # b = 0
+            (1, -1, 0),                       # a = b: edge from (0,0) at 30 degrees
+            (1, 1, 1),                        # a + b = 1: edge from (1,0) at 120 degrees
         ]
     elif tag is TypeTag.I2Infinity:
         # One-dimensional model embedded in the plane; cells are unit strips.
         verts = [vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)]
         walls = [
-            Line(1, 0, 0),                    # x = 0
-            Line(1, 0, 1),                    # x = 1
+            (1, 0, 0),                        # x = 0
+            (1, 0, 1),                        # x = 1
         ]
     hexagonal = tag in (TypeTag.A2Tilde, TypeTag.G2Tilde)
     return verts, walls, _HEXAGONAL if hexagonal else _SQUARE
@@ -205,17 +194,13 @@ def _primitive(n1: int, n2: int, c: int):
     return n1 // g, n2 // g, c // g
 
 
-def _integer_line(line: Line):
-    """The primitive integer triple of a line with rational coefficients."""
-    m = math.lcm(line.n1.denominator, line.n2.denominator, line.c.denominator)
-    return _primitive(*(x.numerator * (m // x.denominator)
-                        for x in (line.n1, line.n2, line.c)))
-
-
-def _canonical_normal(form):
-    """A form's normal scaled so its first nonzero component is 1."""
-    s = form[0] or form[1]
-    return (Fraction(form[0], s), Fraction(form[1], s))
+def canonical_family(form):
+    """(normal, ref, spacing) of the integer form (n1, n2, r, gap), scaled
+    so the normal's first nonzero component is 1: the family's walls are
+    the lines normal . p = ref + k*spacing."""
+    n1, n2, r, gap = form
+    s = n1 or n2
+    return (Fraction(n1, s), Fraction(n2, s)), Fraction(r, s), Fraction(gap, s)
 
 
 def _derive_families(gens, base_walls):
@@ -228,7 +213,7 @@ def _derive_families(gens, base_walls):
     the order of the canonical normals: the family coordinate of a point p
     is (n1*p_x + n2*p_y - r) / gap, with gap > 0, so its walls sit at the
     integers."""
-    seen = {_integer_line(w) for w in base_walls}
+    seen = {_primitive(*w) for w in base_walls}
     groups = {}
 
     def add(line):
@@ -266,16 +251,8 @@ def _derive_families(gens, base_walls):
         if any((o - offsets[0]) % gap for o in offsets):
             raise RuntimeError("parallel walls are not evenly spaced")
         forms.append((l * p1, l * p2, offsets[0] % gap, gap))
-    forms.sort(key=_canonical_normal)
+    forms.sort(key=canonical_family)
     return forms
-
-
-def _wall_family(index: int, form) -> WallFamily:
-    """The canonical-scale family of an integer form: first normal
-    component 1."""
-    n1, n2, r, gap = form
-    s = n1 or n2
-    return WallFamily(index, _canonical_normal(form), Fraction(r, s), Fraction(gap, s))
 
 
 class GroupContext:
@@ -304,15 +281,17 @@ class GroupContext:
                          by.numerator * (self.scale // by.denominator))
         if not self.generator_orders_ok():
             raise RuntimeError(f"{tag.code} generators do not realize the Coxeter matrix")
-        forms = _derive_families(self.gens, walls)
-        self.families = [_wall_family(i, form) for i, form in enumerate(forms)]
+        # Per family (n1, n2, r, gap): its walls are the lines
+        # n1*x + n2*y = r + k*gap, at the integers k of the family coordinate.
+        self.families = _derive_families(self.gens, walls)
         # Per family (n1, n2, R, S): a chamber's floor is
         # (n1*q1 + n2*q2 - R) // S on its order key q.
         self.floor_forms = [(n1, n2, self.scale * r, self.scale * gap)
-                            for n1, n2, r, gap in forms]
+                            for n1, n2, r, gap in self.families]
         if any(s <= 0 for *_, s in self.floor_forms):
             raise RuntimeError(f"{tag.code} floor form with a non-positive divisor")
-        self._family_by_dir = {f.normal: f for f in self.families}
+        self._family_by_dir = {_primitive(n1, n2, 0)[:2]: f
+                               for f, (n1, n2, _, _) in enumerate(self.families)}
         self._chambers: dict = {}
         self._balls: dict = {}
         self.base_chamber = self.chamber_of(GroupElement.identity(tag.code))
@@ -324,7 +303,7 @@ class GroupContext:
         base chamber and its neighbours."""
         base = self.base_chamber
         for c in [base, *(nb for _, nb in base.neighbors())]:
-            exact = tuple(math.floor(f.projection(c.barycenter)) for f in self.families)
+            exact = tuple(k for k, _ in self._locate(c.barycenter))
             if c.floors != exact:
                 raise RuntimeError(
                     f"{self.tag.code} integer floors {c.floors} differ from the exact {exact}")
@@ -354,16 +333,20 @@ class GroupContext:
 
     # -- walls ------------------------------------------------------------
 
-    def wall_of_line(self, line: Line) -> Wall:
-        canon = line.canonical()
-        fam = self._family_by_dir.get(canon.direction_key())
-        if fam is None:
+    def wall_of_line(self, line) -> Wall:
+        """The wall on the integer line (n1, n2, c); a line that is no wall
+        raises ValueError."""
+        q1, q2, c = _primitive(*line)
+        h = math.gcd(q1, q2)
+        f = self._family_by_dir.get((q1 // h, q2 // h))
+        if f is None:
             raise ValueError("line direction matches no wall family")
-        step = (canon.c - fam.ref) / fam.spacing
-        k = math.floor(step)
-        if step != k:
+        n1, n2, r, gap = self.families[f]
+        # The line is n.p = l*c/h for l = gcd(n1, n2): wall k iff that is r + k*gap.
+        k, rem = divmod(math.gcd(n1, n2) * c - h * r, h * gap)
+        if rem:
             raise ValueError("line offset is not on the family's wall lattice")
-        return Wall(fam.index, k)
+        return Wall(f, k)
 
     def separating_walls(self, c1: Chamber, c2: Chamber):
         """All walls with c1 and c2 strictly on opposite sides."""
@@ -398,19 +381,25 @@ class GroupContext:
             else:
                 raise RuntimeError("no neighbour one step nearer on a geodesic walk")
 
+    def _locate(self, point: Vec):
+        """Per family, (floor, remainder) of the point's family coordinate:
+        the point is scaled to an integer point once, and a zero remainder
+        puts it on one of the family's walls."""
+        x, y = point
+        m = math.lcm(x.denominator, y.denominator)
+        q1, q2 = x.numerator * (m // x.denominator), y.numerator * (m // y.denominator)
+        return [divmod(n1 * q1 + n2 * q2 - m * r, m * gap)
+                for n1, n2, r, gap in self.families]
+
     def chamber_containing(self, point: Vec) -> Chamber:
         """Chamber whose interior holds `point`, given in frame coordinates;
         a point on a wall raises ValueError.  The walk from the base chamber
         is exact."""
-        target = []
-        for f in self.families:
-            proj = f.projection(point)
-            k = math.floor(proj)
-            if proj == k:
-                raise ValueError("point lies on a wall")
-            target.append(k)
+        located = self._locate(point)
+        if any(rem == 0 for _, rem in located):
+            raise ValueError("point lies on a wall")
         c = self.base_chamber
-        for _, c in self._walk(c, tuple(target)):
+        for _, c in self._walk(c, tuple(k for k, _ in located)):
             pass
         return c
 
@@ -456,10 +445,9 @@ class GroupContext:
             raise UnsupportedType("coarsening companion exists only for g2t")
         if self._companion is None:
             comp = build_group(TypeTag.A2Tilde)
-            for fam in comp.families:
-                mine = self._family_by_dir.get(fam.normal)
-                if mine is None or mine.ref != fam.ref or mine.spacing != fam.spacing:
-                    raise RuntimeError("companion wall families do not align")
+            mine = set(map(canonical_family, self.families))
+            if not mine.issuperset(map(canonical_family, comp.families)):
+                raise RuntimeError("companion wall families do not align")
             self._companion = comp
         return self._companion
 
@@ -482,7 +470,7 @@ class GroupContext:
                 if i == j:
                     continue
                 m = self.matrix.order(i, j)
-                if m == float("inf"):
+                if m == INF:
                     continue
                 if element_order(self.gens[i].compose(self.gens[j])) != m:
                     return False

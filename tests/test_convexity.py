@@ -346,6 +346,26 @@ def test_sweep_weak_order_catches_corrupted_family_table(monkeypatch, code):
         sweep_triples(tag, 4)
 
 
+@pytest.mark.parametrize("code", ["a2t", "c2t", "g2t", "i2inf"])
+def test_disagreement_report_survives_corrupted_floor_table(code):
+    # With family 0's divisor doubled after the ball is built, some hulls
+    # reach chambers that the floor walk of `word_of` cannot; the
+    # disagreement still reports, naming those chambers by order key.
+    ctx = GroupContext(TypeTag.from_code(code))
+    ball = ctx.ball(4)
+    n1, n2, r, s = ctx.floor_forms[0]
+    ctx.floor_forms = [(n1, n2, r, 2 * s), *ctx.floor_forms[1:]]
+    rng = random.Random(0)
+    raised = 0
+    for _ in range(60):
+        try:
+            checked_hull([ctx.base_chamber, rng.choice(ball), rng.choice(ball)])
+        except HullDisagreement as exc:
+            assert f"disagree on {code} points" in str(exc)
+            raised += 1
+    assert raised > 0
+
+
 def test_sweep_reports_counterexamples(monkeypatch):
     # Inflate |Conv(u,v,w)| of the one pair v = ball[1] (distance 1) and
     # w = ball[-1] (distance 2), the last of row 1; both orders of (v, w)

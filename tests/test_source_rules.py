@@ -27,8 +27,8 @@ def test_package_has_no_assert_statements():
 
 
 # The one float allowed outside svg.py is the float("inf") order sentinel,
-# at module level in coxeter.py and in tessellation.generator_orders_ok.
-_INF_SITES = {("coxeter.py", None), ("tessellation.py", "generator_orders_ok")}
+# `coxeter.INF`, at module level in coxeter.py.
+_INF_SITES = {("coxeter.py", None)}
 
 
 def _float_uses(name, source):
@@ -65,8 +65,9 @@ def test_float_rule_catches_floats():
               'def f(x):\n    return float(x) + 0.5, float("inf")\n')
     assert _float_uses("coxeter.py", source) == ["coxeter.py:3", "coxeter.py:5",
                                                   "coxeter.py:5", "coxeter.py:5"]
-    assert _float_uses("tessellation.py", source) == ["tessellation.py:1", "tessellation.py:5",
-                                                      "tessellation.py:5", "tessellation.py:5"]
+    assert _float_uses("tessellation.py", source) == ["tessellation.py:1", "tessellation.py:3",
+                                                      "tessellation.py:5", "tessellation.py:5",
+                                                      "tessellation.py:5"]
 
 
 def _imported_modules(source):

@@ -7,7 +7,7 @@ import pytest
 
 from coxhull.convexity import halfspace_hull
 from coxhull.coxeter import TypeTag
-from coxhull.group import Line, reflection_across
+from coxhull.group import reflection_across
 from coxhull.tessellation import GroupContext
 
 
@@ -26,10 +26,25 @@ def bfs_distances(start, depth):
     return dist
 
 
+def canonical(n1, n2, c):
+    """The line n1*x + n2*y = c scaled so its first nonzero normal
+    component is 1: one triple per line."""
+    s = n1 or n2
+    return Fraction(n1, s), Fraction(n2, s), Fraction(c, s)
+
+
+def family_of(form):
+    """(normal, ref, spacing) of an integer family form, on the canonical
+    scale of its normal."""
+    n1, n2, r, gap = form
+    *normal, ref = canonical(n1, n2, r)
+    return tuple(normal), ref, canonical(n1, n2, gap)[2]
+
+
 def line_of_wall(ctx, wall):
-    """The line of a wall, rebuilt from its family's table entry."""
-    fam = ctx.families[wall.family]
-    return Line(fam.normal[0], fam.normal[1], fam.ref + fam.spacing * wall.offset)
+    """The canonical line of a wall, rebuilt from its family's form."""
+    n1, n2, r, gap = ctx.families[wall.family]
+    return canonical(n1, n2, r + gap * wall.offset)
 
 
 EXPECTED_FAMILY_COUNT = {"a2t": 3, "c2t": 4, "g2t": 6, "i2inf": 1}
@@ -37,8 +52,8 @@ EXPECTED_FAMILY_COUNT = {"a2t": 3, "c2t": 4, "g2t": 6, "i2inf": 1}
 
 def test_family_counts(ctx):
     assert len(ctx.families) == EXPECTED_FAMILY_COUNT[ctx.tag.code]
-    for fam in ctx.families:
-        assert fam.spacing > 0
+    for *_, gap in ctx.families:
+        assert gap > 0
 
 
 # (normal, ref, spacing) of each family, in table order.
@@ -52,9 +67,16 @@ FAMILY_TABLES = {
 }
 
 
+def family_coordinates(ctx, point):
+    """The exact family coordinates of a point, from the pinned table:
+    each family's walls sit at the integers of its coordinate."""
+    x, y = map(Fraction, point)
+    return [(a * x + b * y - ref) / spacing
+            for (a, b), ref, spacing in FAMILY_TABLES[ctx.tag.code]]
+
+
 def test_family_tables_pinned(ctx):
-    assert [f.index for f in ctx.families] == list(range(len(ctx.families)))
-    table = [(f.normal, f.ref, f.spacing) for f in ctx.families]
+    table = [family_of(form) for form in ctx.families]
     assert table == FAMILY_TABLES[ctx.tag.code]
 
 
@@ -63,7 +85,7 @@ def test_integer_floors_and_order_match_exact_barycenters(ctx):
     # keys; both must agree with the exact Fraction barycenter.
     layers = collections.defaultdict(list)
     for c in ctx.ball(16):
-        exact = tuple(math.floor(f.projection(c.barycenter)) for f in ctx.families)
+        exact = tuple(map(math.floor, family_coordinates(ctx, c.barycenter)))
         assert c.floors == exact
         layers[ctx.wall_distance(ctx.base_chamber, c)].append(c)
     assert list(layers) == list(range(17))
@@ -74,6 +96,7 @@ def test_integer_floors_and_order_match_exact_barycenters(ctx):
 
 def test_no_fractions_after_construction(ctx, monkeypatch):
     fresh = GroupContext(ctx.tag)
+    points = [fresh.chamber_from_word(w).barycenter for w in ([0, 1], [1, 0, 1, 0])]
     made = []
     new = Fraction.__new__
 
@@ -96,22 +119,25 @@ def test_no_fractions_after_construction(ctx, monkeypatch):
     hull = halfspace_hull([ball[0], ball[len(ball) // 2], ball[-1]])
     hull.chambers
     fresh.chamber_from_word([i % fresh.rank for i in range(16)])
+    for c in fresh.ball(4):
+        c.panel_walls()
+    located = [fresh.chamber_containing(p) for p in points]
     monkeypatch.undo()
     assert made == []
     assert len(hull) > 1
+    assert located == [fresh.chamber_from_word(w) for w in ([0, 1], [1, 0, 1, 0])]
 
 
 def test_floor_forms_checked_at_construction(monkeypatch):
     # A family table one spacing off the integer forms moves every exact
     # floor by one, and the context refuses to build.
-    import coxhull.tessellation as tessellation
-    family = tessellation._wall_family
+    check = GroupContext._check_floor_forms
 
-    def shifted(index, form):
-        fam = family(index, form)
-        return tessellation.WallFamily(index, fam.normal, fam.ref + fam.spacing, fam.spacing)
+    def shifted(self):
+        self.families = [(n1, n2, r + gap, gap) for n1, n2, r, gap in self.families]
+        check(self)
 
-    monkeypatch.setattr(tessellation, "_wall_family", shifted)
+    monkeypatch.setattr(GroupContext, "_check_floor_forms", shifted)
     with pytest.raises(RuntimeError, match="integer floors"):
         GroupContext(TypeTag.A2Tilde)
 
@@ -134,14 +160,12 @@ def test_floor_form_divisor_must_be_positive(monkeypatch):
 def test_base_walls_in_table(ctx):
     for line in ctx.base_walls:
         wall = ctx.wall_of_line(line)
-        rebuilt = line_of_wall(ctx, wall).canonical()
-        assert rebuilt == line.canonical()
+        assert line_of_wall(ctx, wall) == canonical(*line)
 
 
 def test_barycenters_never_on_walls(ctx):
     for c in ctx.ball(4):
-        for fam in ctx.families:
-            proj = fam.projection(c.barycenter)
+        for proj in family_coordinates(ctx, c.barycenter):
             k = math.floor(proj)
             assert proj - k > 0
             assert k + 1 - proj > 0
@@ -229,10 +253,20 @@ def test_wall_table_complete_for_short_conjugates(ctx):
     for chamber in ctx.ball(6):
         w = chamber.element
         for line in ctx.base_walls:
-            image = w.apply_line(line)
+            image = w.line_image(*line)
             wall = ctx.wall_of_line(image)  # raises if not on the lattice
-            rebuilt = line_of_wall(ctx, wall)
-            assert rebuilt.canonical() == image.canonical()
+            assert line_of_wall(ctx, wall) == canonical(*image)
+
+
+@pytest.mark.parametrize("code,line,message", [
+    ("a2t", (1, -1, 0), "matches no wall family"),
+    ("a2t", (2, 0, 1), "not on the family's wall lattice"),   # a = 1/2
+    ("c2t", (0, 2, 1), "not on the family's wall lattice"),   # y = 1/2
+    ("c2t", (1, 2, 0), "matches no wall family"),
+])
+def test_wall_of_line_refuses_non_walls(code, line, message):
+    with pytest.raises(ValueError, match=message):
+        GroupContext(TypeTag.from_code(code)).wall_of_line(line)
 
 
 def test_chamber_element_bijection(ctx):
@@ -265,7 +299,7 @@ def test_off_lattice_frame_rejected_at_construction(monkeypatch):
 
     def off_lattice(tag):
         verts, walls, gram_inv = base_data(tag)
-        return verts, [*walls[:2], Line(1, 1, Fraction(1, 2))], gram_inv
+        return verts, [*walls[:2], (1, 1, Fraction(1, 2))], gram_inv
 
     monkeypatch.setattr(tessellation, "_base_data", off_lattice)
     with pytest.raises(RuntimeError, match="not an integer map"):
@@ -273,16 +307,16 @@ def test_off_lattice_frame_rejected_at_construction(monkeypatch):
 
 
 def test_exact_data_only(ctx):
-    # Points and wall data are Fractions, never floats (an int/int division
-    # anywhere would leak one); maps are ints.
+    # Points are Fractions, never floats (an int/int division anywhere would
+    # leak one); maps and family forms are ints.
     def exact(*values):
         return all(type(x) is Fraction for x in values)
 
     def integral(*values):
         return all(type(x) is int for x in values)
 
-    for fam in ctx.families:
-        assert exact(*fam.normal, fam.ref, fam.spacing)
+    for form in ctx.families:
+        assert integral(*form)
     for v in ctx.base_vertices:
         assert exact(*v)
     for g in ctx.gens:
@@ -327,6 +361,25 @@ def test_separating_wall_count_spec_words(a2):
 def test_barycenter_locates_own_chamber(ctx):
     for c in ctx.ball(4):
         assert ctx.chamber_containing(c.barycenter) is c
+
+
+def test_point_location_matches_exact_reference(ctx):
+    # Rational points with denominators up to 12: refused exactly on a
+    # wall, else located in the chamber with the reference floors.
+    rng = random.Random(2026)
+    refused = located = 0
+    for _ in range(300):
+        point = tuple(Fraction(rng.randint(-48, 48), rng.randint(1, 12)) for _ in "xy")
+        coords = family_coordinates(ctx, point)
+        if any(x.denominator == 1 for x in coords):
+            with pytest.raises(ValueError, match="on a wall"):
+                ctx.chamber_containing(point)
+            refused += 1
+        else:
+            c = ctx.chamber_containing(point)
+            assert c.floors == tuple(map(math.floor, coords))
+            located += 1
+    assert refused > 10 and located > 100
 
 
 @pytest.mark.parametrize("code,point", [
@@ -385,8 +438,8 @@ def test_unsupported_type_rejected():
 
 def test_companion_families_align(g2):
     a2 = g2.companion
-    g2_dirs = {f.normal: f for f in g2.families}
-    for fam in a2.families:
-        assert fam.normal in g2_dirs
-        assert g2_dirs[fam.normal].spacing == fam.spacing
-        assert g2_dirs[fam.normal].ref == fam.ref
+    g2_dirs = {normal: (ref, spacing) for normal, ref, spacing in map(family_of, g2.families)}
+    for normal, ref, spacing in map(family_of, a2.families):
+        assert normal in g2_dirs
+        assert g2_dirs[normal][1] == spacing
+        assert g2_dirs[normal][0] == ref
