@@ -13,14 +13,15 @@ Three hull routes are kept:
   each pair's two sizes take one lookup per family and one AND.
 
 * ``closure_hull`` is an oracle.  It iterates geodesic intervals (the
-  sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint, never looking
-  at wall sides directly.  Its distances are floor distances, so it reads
-  the same wall-family table as the first route.
+  sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint.  An interval
+  grows from one end across the panels that face the other, found by
+  reflecting the other end's barycenter in base walls, so this route
+  reads no floor and does not share the first route's family table.
 
 * The weak order (``roots.RootSystem``) is the oracle that shares nothing
   with the geometry: it counts a hull as a lower set of inversion sets,
   from the Cartan matrix alone.  It sees a chamber only through the word
-  that ``word_of`` spells for it.
+  that ``word_of`` folds for it, which reads no floor either.
 
 The first two agree on pairs and on random triples in the acceptance
 suite.  A sweep checks its sizes against the weak order, and a few of
@@ -42,7 +43,7 @@ from operator import and_, attrgetter, getitem, or_, sub
 from .coxeter import TypeTag, matrix_for
 from .group import MixedContext
 from .roots import RootSystem
-from .tessellation import Chamber, Gallery, GroupContext, build_group
+from .tessellation import Chamber, GroupContext, build_group
 
 
 def _shared_ctx(*chambers: Chamber) -> GroupContext:
@@ -114,32 +115,25 @@ class HullVerdict:
         return self.product >= self.size_uvw
 
 
-def distance(u: Chamber, v: Chamber) -> int:
-    return _shared_ctx(u, v).wall_distance(u, v)
-
-
-def minimal_gallery(u: Chamber, v: Chamber) -> Gallery:
-    return _shared_ctx(u, v).geodesic(u, v)
-
-
 def interval(u: Chamber, v: Chamber) -> ChamberSet:
     """All chambers on some minimal gallery from u to v.
 
     A chamber is on one iff it is reached from u by steps that each lower
-    the distance to v by exactly 1, so the search outward from u needs
-    only distances to v."""
+    the distance to v by exactly 1.  The step from c across panel i does
+    so iff base wall i separates c^-1(v) from the base chamber, so the
+    search outward from u carries c^-1 of v's scaled barycenter, reflected
+    by generator i with each step."""
     ctx = _shared_ctx(u, v)
-    fv = v.floors
+    m = ctx.scale
+    steps = list(zip(ctx.base_walls, ctx.gens))
     seen = {u}
-    frontier = [u]
-    for dv in range(ctx.wall_distance(u, v) - 1, -1, -1):
-        nxt = []
-        for c in frontier:
-            for _, nb in c.neighbors():
-                if nb not in seen and sum(map(abs, map(sub, nb.floors, fv))) == dv:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
+    stack = [(u, u.element.preimage_scaled(*v.order_key, m))]
+    while stack:
+        c, (p1, p2) = stack.pop()
+        for ((n1, n2, k), g), (_, nb) in zip(steps, c.neighbors()):
+            if n1 * p1 + n2 * p2 < k * m and nb not in seen:
+                seen.add(nb)
+                stack.append((nb, g.apply_scaled(p1, p2, m)))
     return ChamberSet(seen)
 
 
@@ -206,17 +200,9 @@ class HullDisagreement(RuntimeError):
     a size (`size_used`) other than the closure hull's."""
 
     def __init__(self, ctx, points, via_halfspace, via_closure, size_used=None):
-        def name(c):
-            # A wrong floor table can leave a chamber that the floor walk
-            # of `word_of` cannot reach; its integer order key names it.
-            try:
-                return ctx.word_of(c)
-            except RuntimeError:
-                return f"key{c.order_key}"
-
-        words = [name(p) for p in points]
-        only_h = [name(c) for c in via_halfspace if c not in via_closure]
-        only_c = [name(c) for c in via_closure if c not in via_halfspace]
+        words = [ctx.word_of(p) for p in points]
+        only_h = [ctx.word_of(c) for c in via_halfspace if c not in via_closure]
+        only_c = [ctx.word_of(c) for c in via_closure if c not in via_halfspace]
         used = "" if size_used is None else (
             f", sweep used size {size_used} for closure size {via_closure.size}")
         super().__init__(
@@ -373,25 +359,22 @@ def _row_sizes(table: _HullTable, offsets, i: int) -> list:
 
 class _WeakOrder:
     """The sweep's weak-order route: hull sizes of ball points from the
-    words `word_of` spells for them.  A word read along a gallery spells
-    the chamber the gallery ends in, whatever floors chose its steps, and
-    this route reads no floor itself."""
+    letters of their canonical words.  The words are folds of the
+    chambers' barycenters in base walls, so neither they nor this route
+    read a floor."""
 
     def __init__(self, ctx: GroupContext, ball) -> None:
-        self.tag = ctx.tag
+        self.ctx, self.ball = ctx, ball
         self.roots = RootSystem(matrix_for(ctx.tag))
-        self.words = [ctx.word_of(c) for c in ball]
-
-    def _letters(self, k: int) -> list:
-        return [int(d) - 1 for d in self.words[k]]
+        self.letters = [ctx.letters_of(c) for c in ball]
 
     def inversions(self, k: int) -> frozenset:
         """N(ball[k])."""
-        return self.roots.inversions(self._letters(k))
+        return self.roots.inversions(self.letters[k])
 
     def between(self, i: int, j: int) -> frozenset:
         """N(v^-1 w) for v = ball[i] and w = ball[j]."""
-        x = self.roots.element(self._letters(i)[::-1] + self._letters(j))
+        x = self.roots.element(self.letters[i][::-1] + self.letters[j])
         return self.roots.inversions(self.roots.reduced(x))
 
     def check(self, points, roots, *sizes_used) -> None:
@@ -401,7 +384,8 @@ class _WeakOrder:
         for used in sizes_used:
             if used != size:
                 raise WeakOrderDisagreement(
-                    self.tag, [self.words[k] for k in points], used, size)
+                    self.ctx.tag, [self.ctx.word_of(self.ball[k]) for k in points],
+                    used, size)
 
 
 # The closure costs far more per triple than the weak order, so it checks

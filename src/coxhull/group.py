@@ -64,6 +64,19 @@ class GroupElement:
         return (self.a * x + self.b * y + self.tx,
                 self.c * x + self.d * y + self.ty)
 
+    def apply_scaled(self, p1, p2, m):
+        """The image of the point (p1/m, p2/m), scaled by m: integer points
+        map to integer points."""
+        return (self.a * p1 + self.b * p2 + m * self.tx,
+                self.c * p1 + self.d * p2 + m * self.ty)
+
+    def preimage_scaled(self, p1, p2, m):
+        """The point that maps to (p1/m, p2/m), scaled by m: A^-1 is
+        det A * adj A, as det A = +-1."""
+        det = self.a * self.d - self.b * self.c
+        x, y = p1 - m * self.tx, p2 - m * self.ty
+        return det * (self.d * x - self.b * y), det * (self.a * y - self.c * x)
+
     def line_image(self, n1, n2, c):
         """Coefficients of the image of the line n1*x + n2*y = c, in the
         number type of the input: integer lines map to integer lines."""

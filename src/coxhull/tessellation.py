@@ -23,9 +23,10 @@ graph distance), not by trusting the construction.
 
 Chambers are built on ints: the barycenter scaled by a positive integer
 is the chamber's order key, and each floor is an integer form evaluated
-on it with floor division.  Point location scales the point to integers
-once and does the same.  Rational arithmetic is needed to derive the
-complex and to draw it, not to walk it.
+on it with floor division.  Words, geodesics and point location read no
+floor: they fold an integer point into the base chamber by reflections
+in base walls.  Rational arithmetic is needed to derive the complex and
+to draw it, not to walk it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter, sub
+from itertools import accumulate
+from operator import attrgetter
 
 from .coxeter import INF, CoxeterMatrix, TypeTag, matrix_for
 from .group import (GroupElement, MixedContext, Vec, element_order,
@@ -71,20 +73,15 @@ class Chamber:
     and `__hash__`; chambers of two separately built contexts are never
     equal."""
 
-    __slots__ = ("ctx", "element", "order_key", "floors",
-                 "_neighbors", "_panel_walls")
+    __slots__ = ("ctx", "element", "order_key", "floors", "_neighbors")
 
     def __init__(self, ctx: "GroupContext", element: GroupElement) -> None:
         self.ctx = ctx
         self.element = element
-        bx, by = ctx.base_key
-        q1 = element.a * bx + element.b * by + ctx.scale * element.tx
-        q2 = element.c * bx + element.d * by + ctx.scale * element.ty
-        self.order_key = (q1, q2)
+        self.order_key = q1, q2 = element.apply_scaled(*ctx.base_key, ctx.scale)
         self.floors = tuple([(n1 * q1 + n2 * q2 - r) // s
                              for n1, n2, r, s in ctx.floor_forms])
         self._neighbors = None
-        self._panel_walls = None
 
     @property
     def barycenter(self) -> Vec:
@@ -107,12 +104,8 @@ class Chamber:
 
     def panel_walls(self):
         """Wall containing the i-th panel, for each generator index i."""
-        if self._panel_walls is None:
-            self._panel_walls = tuple(
-                self.ctx.wall_of_line(self.element.line_image(*w))
-                for w in self.ctx.base_walls
-            )
-        return self._panel_walls
+        return tuple(self.ctx.wall_of_line(self.element.line_image(*w))
+                     for w in self.ctx.base_walls)
 
     def vertices(self):
         return [self.element.apply(v) for v in self.ctx.base_vertices]
@@ -194,6 +187,14 @@ def _primitive(n1: int, n2: int, c: int):
     return n1 // g, n2 // g, c // g
 
 
+def _scaled(point):
+    """(q1, q2, m): the rational point as the integer point q over the
+    least common denominator m of its coordinates."""
+    x, y = point
+    m = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (m // x.denominator), y.numerator * (m // y.denominator), m
+
+
 def canonical_family(form):
     """(normal, ref, spacing) of the integer form (n1, n2, r, gap), scaled
     so the normal's first nonzero component is 1: the family's walls are
@@ -270,15 +271,17 @@ class GroupContext:
         self.matrix: CoxeterMatrix = matrix_for(tag)
         verts, walls, self.gram_inv = _base_data(tag)
         self.base_vertices = verts
-        self.base_walls = walls
         self.rank = len(walls)
         self.gens = [reflection_across(tag.code, w, self.gram_inv) for w in walls]
         n = len(verts)
-        bx, by = sum(v[0] for v in verts) / n, sum(v[1] for v in verts) / n
         # Barycenters scaled by `scale` are integer points: chamber order keys.
-        self.scale = math.lcm(bx.denominator, by.denominator)
-        self.base_key = (bx.numerator * (self.scale // bx.denominator),
-                         by.numerator * (self.scale // by.denominator))
+        q1, q2, self.scale = _scaled((sum(v[0] for v in verts) / n,
+                                      sum(v[1] for v in verts) / n))
+        self.base_key = (q1, q2)
+        # Base walls (n1, n2, c) signed to hold the base chamber on their
+        # positive side, n1*x + n2*y > c.
+        self.base_walls = [w if w[0] * q1 + w[1] * q2 > w[2] * self.scale
+                           else tuple(-x for x in w) for w in walls]
         if not self.generator_orders_ok():
             raise RuntimeError(f"{tag.code} generators do not realize the Coxeter matrix")
         # Per family (n1, n2, r, gap): its walls are the lines
@@ -288,7 +291,7 @@ class GroupContext:
         # (n1*q1 + n2*q2 - R) // S on its order key q.
         self.floor_forms = [(n1, n2, self.scale * r, self.scale * gap)
                             for n1, n2, r, gap in self.families]
-        if any(s <= 0 for *_, s in self.floor_forms):
+        if any(gap <= 0 for *_, gap in self.families):
             raise RuntimeError(f"{tag.code} floor form with a non-positive divisor")
         self._family_by_dir = {_primitive(n1, n2, 0)[:2]: f
                                for f, (n1, n2, _, _) in enumerate(self.families)}
@@ -303,7 +306,9 @@ class GroupContext:
         base chamber and its neighbours."""
         base = self.base_chamber
         for c in [base, *(nb for _, nb in base.neighbors())]:
-            exact = tuple(k for k, _ in self._locate(c.barycenter))
+            q1, q2, m = _scaled(c.barycenter)
+            exact = tuple((n1 * q1 + n2 * q2 - m * r) // (m * gap)
+                          for n1, n2, r, gap in self.families)
             if c.floors != exact:
                 raise RuntimeError(
                     f"{self.tag.code} integer floors {c.floors} differ from the exact {exact}")
@@ -363,55 +368,49 @@ class GroupContext:
         self._check(c1, c2)
         return sum(abs(a - b) for a, b in zip(c1.floors, c2.floors))
 
-    # -- walks -------------------------------------------------------------
+    # -- folds -------------------------------------------------------------
 
-    def _walk(self, start: Chamber, target):
-        """Steps (generator index, chamber) from `start` to the chamber
-        with floor vector `target`, each to the lowest-index neighbour one
-        nearer the target in floor L1 distance.  Adjacent chambers differ
-        by one in exactly one family's floor, so every step crosses one
-        separating wall and the walk is a minimal gallery."""
-        c = start
-        for d in range(sum(map(abs, map(sub, c.floors, target))) - 1, -1, -1):
-            for i, nb in c.neighbors():
-                if sum(map(abs, map(sub, nb.floors, target))) == d:
-                    c = nb
-                    yield i, c
+    def _fold(self, p1, p2, m) -> list:
+        """Indices i1, i2, ... of the base walls that fold the point
+        (p1/m, p2/m) into the base chamber, each the lowest-index one with
+        the point on its negative side: the lowest-index left descent, so
+        i1 i2 ... is the canonical word of the point's chamber.  A point
+        that ends on a base wall lies on a wall: ValueError."""
+        letters = []
+        while True:
+            for i, (n1, n2, c) in enumerate(self.base_walls):
+                if n1 * p1 + n2 * p2 < c * m:
+                    p1, p2 = self.gens[i].apply_scaled(p1, p2, m)
+                    letters.append(i)
                     break
             else:
-                raise RuntimeError("no neighbour one step nearer on a geodesic walk")
-
-    def _locate(self, point: Vec):
-        """Per family, (floor, remainder) of the point's family coordinate:
-        the point is scaled to an integer point once, and a zero remainder
-        puts it on one of the family's walls."""
-        x, y = point
-        m = math.lcm(x.denominator, y.denominator)
-        q1, q2 = x.numerator * (m // x.denominator), y.numerator * (m // y.denominator)
-        return [divmod(n1 * q1 + n2 * q2 - m * r, m * gap)
-                for n1, n2, r, gap in self.families]
+                break
+        if any(n1 * p1 + n2 * p2 == c * m for n1, n2, c in self.base_walls):
+            raise ValueError("point lies on a wall")
+        return letters
 
     def chamber_containing(self, point: Vec) -> Chamber:
         """Chamber whose interior holds `point`, given in frame coordinates;
-        a point on a wall raises ValueError.  The walk from the base chamber
-        is exact."""
-        located = self._locate(point)
-        if any(rem == 0 for _, rem in located):
-            raise ValueError("point lies on a wall")
-        c = self.base_chamber
-        for _, c in self._walk(c, tuple(k for k, _ in located)):
-            pass
-        return c
+        a point on a wall raises ValueError.  The fold is exact."""
+        return self.chamber_from_word(self._fold(*_scaled(point)))
 
     def geodesic(self, u: Chamber, v: Chamber) -> Gallery:
-        """Minimal gallery from u to v, lowest generator index first."""
+        """Minimal gallery from u to v, lowest generator index first: the
+        fold of u^-1(v) spells it from u."""
         self._check(u, v)
-        return Gallery((u, *(c for _, c in self._walk(u, v.floors))))
+        letters = self._fold(*u.element.preimage_scaled(*v.order_key, self.scale),
+                             self.scale)
+        return Gallery(tuple(accumulate(letters, lambda c, i: c.neighbors()[i][1],
+                                        initial=u)))
+
+    def letters_of(self, c: Chamber) -> list:
+        """Canonical geodesic word from the base, 0-based: c's fold."""
+        self._check(c)
+        return self._fold(*c.order_key, self.scale)
 
     def word_of(self, c: Chamber) -> str:
         """Canonical geodesic word from the base, 1-based generator digits."""
-        self._check(c)
-        return "".join(str(i + 1) for i, _ in self._walk(self.base_chamber, c.floors))
+        return "".join(str(i + 1) for i in self.letters_of(c))
 
     # -- balls -------------------------------------------------------------
 

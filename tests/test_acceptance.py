@@ -15,8 +15,7 @@ exceeds by the positive |Conv(u,v)|.
 import random
 
 from coxhull.convexity import (closure_hull, halfspace_hull, interval,
-                               minimal_gallery, strong_hull_check,
-                               sweep_triples)
+                               strong_hull_check, sweep_triples)
 from coxhull.coxeter import TypeTag
 from coxhull.formulas import (A2Coord, C2CaseParams, a2_chamber_pair,
                               a2_pair_count, c2_case2_chambers,
@@ -220,7 +219,7 @@ def test_criterion_10_invariance_suite():
                 failures["monotonicity"] += 1
 
             x, y = rng.choice(ball), rng.choice(ball)
-            gal = minimal_gallery(x, y)
+            gal = ctx.geodesic(x, y)
             walls = gal.crossed_walls()
             if len(set(walls)) != len(walls) or set(walls) != ctx.separating_walls(x, y):
                 failures["gallery"] += 1

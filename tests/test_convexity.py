@@ -7,9 +7,8 @@ import pytest
 from coxhull import convexity
 from coxhull.convexity import (ChamberSet, HullDisagreement, HullVerdict,
                                WeakOrderDisagreement, _HullTable, checked_hull,
-                               closure_hull, distance, g2_diagnostic,
-                               halfspace_hull, interval, minimal_gallery,
-                               strong_hull_check, sweep_triples)
+                               closure_hull, g2_diagnostic, halfspace_hull,
+                               interval, strong_hull_check, sweep_triples)
 from coxhull.coxeter import TypeTag
 from coxhull.formulas import C2CaseParams, c2_case2_chambers, i2_cell
 from coxhull.group import MixedContext
@@ -18,10 +17,10 @@ from coxhull.tessellation import GroupContext, build_group
 
 def test_distance_examples(a2, i2):
     base = a2.base_chamber
-    assert distance(base, base) == 0
-    assert distance(base, base.neighbors()[0][1]) == 1
+    assert a2.wall_distance(base, base) == 0
+    assert a2.wall_distance(base, base.neighbors()[0][1]) == 1
     for a in range(7):
-        assert distance(i2_cell(i2, -a), i2_cell(i2, 0)) == a
+        assert i2.wall_distance(i2_cell(i2, -a), i2_cell(i2, 0)) == a
 
 
 def test_interval_examples(a2, i2):
@@ -40,7 +39,7 @@ def test_interval_contains_endpoints_and_meets_lower_bound(planar_ctx):
         u, v = rng.choice(ball), rng.choice(ball)
         iv = interval(u, v)
         assert u in iv and v in iv
-        assert iv.size >= distance(u, v) + 1
+        assert iv.size >= planar_ctx.wall_distance(u, v) + 1
 
 
 def test_interval_equals_brute_force(planar_ctx):
@@ -48,6 +47,7 @@ def test_interval_equals_brute_force(planar_ctx):
     # distance 10 of the base, so ball(10) holds the whole interval.
     around = planar_ctx.ball(10)
     ball = planar_ctx.ball(5)
+    distance = planar_ctx.wall_distance
     rng = random.Random(21)
     for _ in range(40):
         u, v = rng.choice(ball), rng.choice(ball)
@@ -146,10 +146,10 @@ def test_gallery_is_minimal_and_deterministic(planar_ctx):
     rng = random.Random(2)
     for _ in range(40):
         u, v = rng.choice(ball), rng.choice(ball)
-        gal = minimal_gallery(u, v)
-        assert len(gal) == distance(u, v)
+        gal = ctx.geodesic(u, v)
+        assert len(gal) == ctx.wall_distance(u, v)
         assert gal.chambers[0] == u and gal.chambers[-1] == v
-        again = minimal_gallery(u, v)
+        again = ctx.geodesic(u, v)
         assert gal.chambers == again.chambers
         crossed = gal.crossed_walls()
         assert len(set(crossed)) == len(crossed)
@@ -158,9 +158,9 @@ def test_gallery_is_minimal_and_deterministic(planar_ctx):
 
 def test_gallery_trivial_cases(a2):
     base = a2.base_chamber
-    assert minimal_gallery(base, base).chambers == (base,)
+    assert a2.geodesic(base, base).chambers == (base,)
     nb = base.neighbors()[2][1]
-    assert minimal_gallery(base, nb).chambers == (base, nb)
+    assert a2.geodesic(base, nb).chambers == (base, nb)
 
 
 def test_strong_hull_trivial_and_line(a2, i2):
@@ -185,7 +185,7 @@ def test_strong_hull_square_grid_case(c2):
 
 def test_mixed_context_rejected(a2, c2):
     with pytest.raises(MixedContext):
-        distance(a2.base_chamber, c2.base_chamber)
+        a2.wall_distance(a2.base_chamber, c2.base_chamber)
     with pytest.raises(MixedContext):
         halfspace_hull([a2.base_chamber, c2.base_chamber])
 
@@ -329,32 +329,43 @@ def test_sweep_weak_order_checks_every_u_pair(monkeypatch):
     assert err.value.points[0] == ""
 
 
-@pytest.mark.parametrize("code", ["a2t", "c2t", "g2t", "i2inf"])
-def test_sweep_weak_order_catches_corrupted_family_table(monkeypatch, code):
-    # Double one family's spacing after the ball is built.  The ball's
-    # chambers keep their exact floors, so `word_of` still walks them, and
-    # the chambers first met past the ball, on the rim of the table's
-    # cover, take wrong floors that change the table's hull sizes.  The
-    # weak order counts from the words alone, and it aborts the sweep.
+_CODES = ["a2t", "c2t", "g2t", "i2inf"]
+
+
+@pytest.mark.parametrize("code,before_ball", [
+    *(pytest.param(code, False, id=code) for code in _CODES),
+    *(pytest.param(code, True, id=f"{code}-before-ball") for code in _CODES)])
+def test_sweep_weak_order_catches_corrupted_family_table(monkeypatch, code, before_ball):
+    # Double one family's spacing, after or before the ball is built.
+    # After: the ball's chambers keep their exact floors, and the chambers
+    # first met past the ball, on the rim of the table's cover, take wrong
+    # floors that change the table's hull sizes; the weak order aborts the
+    # sweep.  Before: every chamber past the base's neighbours takes wrong
+    # floors.  Words are folds that read no floor, so the sweep reaches
+    # its oracles, and one of them aborts it.
     tag = TypeTag.from_code(code)
     ctx = GroupContext(tag)
-    ctx.ball(4)
+    if not before_ball:
+        ctx.ball(4)
     n1, n2, r, s = ctx.floor_forms[0]
     ctx.floor_forms = [(n1, n2, r, 2 * s), *ctx.floor_forms[1:]]
     monkeypatch.setattr(convexity, "build_group", lambda _: ctx)
-    with pytest.raises(WeakOrderDisagreement, match=f"on {code} points"):
+    expected = ((WeakOrderDisagreement, HullDisagreement) if before_ball
+                else WeakOrderDisagreement)
+    with pytest.raises(expected, match=f"on {code} points"):
         sweep_triples(tag, 4)
 
 
-@pytest.mark.parametrize("code", ["a2t", "c2t", "g2t", "i2inf"])
+@pytest.mark.parametrize("code", _CODES)
 def test_disagreement_report_survives_corrupted_floor_table(code):
     # With family 0's divisor doubled after the ball is built, some hulls
-    # reach chambers that the floor walk of `word_of` cannot; the
-    # disagreement still reports, naming those chambers by order key.
+    # reach chambers with wrong floors; the disagreement still reports,
+    # and it names every chamber by its word, which reads no floor.
     ctx = GroupContext(TypeTag.from_code(code))
     ball = ctx.ball(4)
     n1, n2, r, s = ctx.floor_forms[0]
     ctx.floor_forms = [(n1, n2, r, 2 * s), *ctx.floor_forms[1:]]
+    digits = set("123"[:ctx.rank])
     rng = random.Random(0)
     raised = 0
     for _ in range(60):
@@ -362,6 +373,8 @@ def test_disagreement_report_survives_corrupted_floor_table(code):
             checked_hull([ctx.base_chamber, rng.choice(ball), rng.choice(ball)])
         except HullDisagreement as exc:
             assert f"disagree on {code} points" in str(exc)
+            names = exc.points + exc.halfspace_only + exc.closure_only
+            assert all(set(name) <= digits for name in names), names
             raised += 1
     assert raised > 0
 

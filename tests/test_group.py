@@ -75,3 +75,15 @@ def test_linear_part_is_orthogonal(ctx):
         assert a * c * g11 + (a * d + b * c) * g12 + b * d * g22 == g12
         det = a * d - b * c
         assert det == 1 or det == -1
+
+
+def test_scaled_maps_match_exact_apply(ctx):
+    # On a point scaled by m, apply_scaled is apply scaled by m, and
+    # preimage_scaled undoes it.
+    p, m = (7, -5), 6
+    exact = vec(Fraction(7, 6), Fraction(-5, 6))
+    for c in ctx.ball(4):
+        e = c.element
+        q = e.apply_scaled(*p, m)
+        assert tuple(Fraction(x, m) for x in q) == e.apply(exact)
+        assert e.preimage_scaled(*q, m) == p

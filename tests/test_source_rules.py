@@ -4,7 +4,9 @@ Invariants are checks that raise, never `assert` statements: `python -O`
 strips those, and the check goes with them.  Sweeps run in one process,
 so no cold start pays for importing the process-pool modules.  Numbers
 are exact: floats appear only where the SVG writer serializes a scene.
-The weak-order module imports nothing of the geometry it checks.
+The weak-order module imports nothing of the geometry it checks, and the
+floor table is read only where chambers are built, where the table is
+checked and by the halfspace route, so the other routes do not share it.
 """
 
 import ast
@@ -68,6 +70,65 @@ def test_float_rule_catches_floats():
     assert _float_uses("tessellation.py", source) == ["tessellation.py:1", "tessellation.py:3",
                                                       "tessellation.py:5", "tessellation.py:5",
                                                       "tessellation.py:5"]
+
+
+# The only readers of the floor table: building a chamber, checking the
+# forms, and the halfspace route.  Words, geodesics, point location,
+# intervals, the closure and the weak order fold points instead.
+_FLOOR_READERS = {
+    ("tessellation.py", "Chamber.__init__"),
+    ("tessellation.py", "GroupContext._check_floor_forms"),
+    ("tessellation.py", "GroupContext.separating_walls"),
+    ("tessellation.py", "GroupContext.wall_distance"),
+    ("convexity.py", "_window"),
+    ("convexity.py", "halfspace_hull"),
+    ("convexity.py", "_HullTable"),
+}
+
+
+def _floor_reads(name, source):
+    """`name:line` of each read of `.floors` or `.floor_forms` outside the
+    allowed readers, named by the qualified name of the enclosing class or
+    function (a class allows all its methods)."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, (*scope, child.name))
+                continue
+            if (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+                    and child.attr in ("floors", "floor_forms")
+                    and not any((name, ".".join(scope[:k])) in _FLOOR_READERS
+                                for k in range(1, len(scope) + 1))):
+                yield f"{name}:{child.lineno}"
+            yield from walk(child, scope)
+
+    return list(walk(ast.parse(source), ()))
+
+
+def test_floor_table_read_only_by_its_readers():
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in _floor_reads(path.name, path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_floor_rule_catches_planted_reads():
+    source = ("class Chamber:\n"
+              "    def __init__(self, ctx):\n"
+              "        self.floors = ctx.floor_forms\n"
+              "def interval(u, v):\n"
+              "    return v.floors\n"
+              "class _HullTable:\n"
+              "    def offsets(self, c):\n"
+              "        return c.floors\n"
+              "def _window(points):\n"
+              "    return [p.floors for p in points]\n"
+              "floors = GroupContext.floor_forms\n")
+    assert _floor_reads("convexity.py", source) == ["convexity.py:3", "convexity.py:5",
+                                                    "convexity.py:11"]
+    assert _floor_reads("tessellation.py", source) == ["tessellation.py:5",
+                                                       "tessellation.py:8",
+                                                       "tessellation.py:10",
+                                                       "tessellation.py:11"]
 
 
 def _imported_modules(source):
