@@ -36,9 +36,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate
-from operator import and_, attrgetter, getitem, or_, sub
+from functools import partial, reduce
+from itertools import accumulate, repeat
+from operator import and_, attrgetter, or_, sub
 
 from .coxeter import TypeTag, matrix_for
 from .group import MixedContext
@@ -341,20 +341,25 @@ class _HullTable:
         return ChamberSet(c for c, bit in self._bit.items() if mask & bit)
 
 
+def _row(ge, le, lo, hi) -> list:
+    """[ge[min(lo, t)] & le[max(hi, t)] for each offset t], for lo <= hi."""
+    return [*map(and_, ge[:lo], repeat(le[hi])), *repeat(ge[lo] & le[hi], hi - lo),
+            *map(and_, repeat(ge[lo]), le[hi:])]
+
+
 def _row_sizes(table: _HullTable, offsets, i: int) -> list:
     """Sizes (|Conv(v, w)|, |Conv(u, v, w)|) for v = ball[i] and each
     w = ball[j], j >= i, in order; `offsets` are the ball's table offsets
     and u = ball[0].  Per family the masks of both hulls are listed by w's
-    floor offset, so a pair's sizes are bit counts of one AND per hull."""
+    floor offset and mapped over that family's column of `offsets[i:]`;
+    the families are ANDed and bit-counted by `map`, with no frame per pair."""
     v, u = offsets[i], offsets[0]
-    pair_row, triple_row = [], []
-    for ge, le, a, b in zip(table.ge, table.le, v, u):
-        pair_row.append([ge[min(a, t)] & le[max(a, t)] for t in range(len(ge))])
-        triple_row.append([ge[min(a, b, t)] & le[max(a, b, t)]
-                           for t in range(len(ge))])
-    return [(reduce(and_, map(getitem, pair_row, w)).bit_count(),
-             reduce(and_, map(getitem, triple_row, w)).bit_count())
-            for w in offsets[i:]]
+    pair_cols, triple_cols = [], []
+    for ge, le, a, b, col in zip(table.ge, table.le, v, u, zip(*offsets[i:])):
+        pair_cols.append(map(_row(ge, le, a, a).__getitem__, col))
+        triple_cols.append(map(_row(ge, le, min(a, b), max(a, b)).__getitem__, col))
+    return list(zip(map(int.bit_count, reduce(partial(map, and_), pair_cols)),
+                    map(int.bit_count, reduce(partial(map, and_), triple_cols))))
 
 
 class _WeakOrder:
@@ -367,20 +372,18 @@ class _WeakOrder:
         self.ctx, self.ball = ctx, ball
         self.roots = RootSystem(matrix_for(ctx.tag))
         self.letters = [ctx.letters_of(c) for c in ball]
+        # N(ball[k]) as a mask.
+        self.masks = [self.roots.inversions(word) for word in self.letters]
 
-    def inversions(self, k: int) -> frozenset:
-        """N(ball[k])."""
-        return self.roots.inversions(self.letters[k])
-
-    def between(self, i: int, j: int) -> frozenset:
-        """N(v^-1 w) for v = ball[i] and w = ball[j]."""
+    def between(self, i: int, j: int) -> int:
+        """N(v^-1 w) as a mask, for v = ball[i] and w = ball[j]."""
         x = self.roots.element(self.letters[i][::-1] + self.letters[j])
         return self.roots.inversions(self.roots.reduced(x))
 
-    def check(self, points, roots, *sizes_used) -> None:
-        """Raise unless each size used is the weak-order size of `roots`,
-        the hull of the ball points numbered `points`."""
-        size = self.roots.hull_size(roots)
+    def check(self, points, mask, *sizes_used) -> None:
+        """Raise unless each size used is the weak-order size of `mask`, the
+        inversions of the hull of the ball points numbered `points`."""
+        size = self.roots.hull_size(mask)
         for used in sizes_used:
             if used != size:
                 raise WeakOrderDisagreement(
@@ -453,11 +456,11 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
                     raise HullDisagreement(ctx, points, via_table, via_closure, uvw)
             checked += 1
             weak.check([i, j], weak.between(i, j), vw)
-            weak.check([0, i, j], weak.inversions(i) | weak.inversions(j), uvw)
+            weak.check([0, i, j], weak.masks[i] | weak.masks[j], uvw)
         if i == 0 and weak is not None:
             # Both sizes of row 0 are |Conv(u, w)|, as v = u.
             for j, (vw, uvw) in enumerate(row):
-                weak.check([0, j], weak.inversions(j), vw, uvw)
+                weak.check([0, j], weak.masks[j], vw, uvw)
         first += n - i
         for j, (vw, uvw) in enumerate(row, i):
             # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes.

@@ -11,11 +11,14 @@ and by left translation |Conv(v, w)| = |Conv(e, v^-1 w)|.  So hull sizes
 follow from an integer Cartan matrix, with no geometry: this module reads
 nothing but the Coxeter matrix.
 
-An element w is the tuple of its images w(a_1), ..., w(a_n) of the simple
-roots, each a tuple of integer coefficients over the simple roots.  A
-root is positive iff its coefficients are >= 0, and each real root is
-either positive or negative.  Words are sequences of 0-based generator
-indices.
+An element w is realized as the tuple of its images w(a_1), ..., w(a_n)
+of the simple roots, each a tuple of integer coefficients over the simple
+roots; a root is positive iff its coefficients are >= 0.  A `RootSystem`
+gives each element it meets an int id (the identity is 0) and each
+positive root one bit, and keeps per id the ascent bits (the bit of
+w(a_s), or 0 where s is a descent) and the right neighbours w s, so an
+inversion set is an int mask and each step w -> w s is computed at most
+once per instance.  Words are sequences of 0-based generator indices.
 
 Refs: Abramenko-Brown, Buildings, ch. 3 (Tits' theorem); Bjorner-Brenti,
 Combinatorics of Coxeter Groups, ch. 3-4; Kac, Infinite Dimensional Lie
@@ -53,6 +56,9 @@ class RootSystem:
         self.cartan = cartan(matrix)
         n = matrix.rank
         self.identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        self._ids, self._elements, self._next = {self.identity: 0}, [self.identity], [[None] * n]
+        self._bits = {a: 1 << j for j, a in enumerate(self.identity)}
+        self._ascents = [list(self._bits.values())]
 
     def times(self, w, s: int):
         """The element w s_s: (w s)(a_j) = w(a_j) - a_sj w(a_s)."""
@@ -60,45 +66,62 @@ class RootSystem:
         return tuple(wj if a == 0 else tuple([x - a * y for x, y in zip(wj, ws)])
                      for wj, a in zip(w, self.cartan[s]))
 
-    def element(self, word):
-        """The element the word spells, reduced or not."""
-        w = self.identity
-        for s in word:
-            w = self.times(w, s)
-        return w
+    def _step(self, k: int, s: int) -> int:
+        """The id of x s for the element x of id k, interned on first use."""
+        ks = self._next[k][s]
+        if ks is None:
+            w = self.times(self._elements[k], s)
+            ks = self._next[k][s] = self._ids.setdefault(w, len(self._elements))
+            if ks == len(self._elements):
+                self._elements.append(w)
+                self._next.append([None] * len(w))
+                self._ascents.append([0 if min(root) < 0 else
+                                      self._bits.setdefault(root, 1 << len(self._bits))
+                                      for root in w])
+            self._next[ks][s] = k
+        return ks
 
-    def inversions(self, word) -> frozenset:
-        """N(x) for the element x of a reduced word.  The step from w to
-        w s adds the root w(a_s), which is positive iff the step is an
-        ascent; a negative one means the word is not reduced, and raises
-        RuntimeError."""
-        w, found = self.identity, set()
+    def element(self, word) -> int:
+        """The id of the element the word spells, reduced or not."""
+        k = 0
         for s in word:
-            root = w[s]
-            if min(root) < 0:
+            k = self._step(k, s)
+        return k
+
+    def inversions(self, word) -> int:
+        """N(x) as a mask, for the element x of a reduced word.  Each step
+        w -> w s adds the root w(a_s), positive iff the step is an ascent;
+        a descent means the word is not reduced, and raises RuntimeError."""
+        k = mask = 0
+        for s in word:
+            bit = self._ascents[k][s]
+            if not bit:
                 raise RuntimeError(f"word {list(word)} is not reduced")
-            found.add(root)
-            w = self.times(w, s)
-        return frozenset(found)
+            mask |= bit
+            k = self._step(k, s)
+        return mask
 
-    def reduced(self, w) -> list:
-        """A reduced word for w.  w(a_s) < 0 iff w s is shorter than w, so
-        peeling such right descents reaches e in length-of-w steps."""
+    def reduced(self, k: int) -> list:
+        """A reduced word for the element of id k, by peeling right descents
+        (w(a_s) < 0 iff w s is shorter than w).  An element other than e
+        without one raises RuntimeError: the realization would be wrong."""
         letters = []
-        while w != self.identity:
-            s = next(s for s, root in enumerate(w) if min(root) < 0)
+        while k:
+            if 0 not in self._ascents[k]:
+                raise RuntimeError(f"element {self._elements[k]} has no descent")
+            s = self._ascents[k].index(0)
             letters.append(s)
-            w = self.times(w, s)
+            k = self._step(k, s)
         return letters[::-1]
 
-    def hull_size(self, roots) -> int:
-        """|{x : N(x) is a subset of roots}| for a set of positive roots.
-        The set is a lower set of the weak order, so it is enumerated by
-        right ascents from e, one length at a time: x s with x(a_s) in
-        roots.  Such a root is positive, so the step is an ascent."""
-        level, count = {self.identity}, 0
+    def hull_size(self, mask: int) -> int:
+        """|{x : N(x) is a subset of the mask's roots}|.  The set is a
+        lower set of the weak order, so it is enumerated by right ascents
+        from e, one length at a time: x s with x(a_s) in the mask.  Such a
+        root is positive, so the step is an ascent, and x s is not e."""
+        level, count, ascents, nxt = {0}, 0, self._ascents, self._next
         while level:
             count += len(level)
-            level = {self.times(x, s) for x in level
-                     for s, root in enumerate(x) if root in roots}
+            level = {nxt[x][s] or self._step(x, s) for x in level
+                     for s, bit in enumerate(ascents[x]) if bit & mask}
         return count

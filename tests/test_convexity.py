@@ -247,6 +247,20 @@ def test_sweep_memory_does_not_grow_with_pairs():
     assert peak < 1 << 20
 
 
+def test_sweep_memory_with_the_oracle_stays_small():
+    # With the default oracle the weak order's memo holds only the
+    # elements of the hulls it counts, and the closure runs on 4 triples.
+    build_group(TypeTag.A2Tilde).ball(12)
+    tracemalloc.start()
+    try:
+        report = sweep_triples(TypeTag.A2Tilde, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 1 << 20
+
+
 def test_hull_table_equals_halfspace_hull(planar_ctx):
     ball = planar_ctx.ball(6)
     table = _HullTable(ball)

@@ -62,6 +62,66 @@ def test_pair_and_u_triple_sizes_equal_halfspace_hull(ctx):
                 == halfspace_hull([ctx.base_chamber, v, w]).size)
 
 
+def _reference_sizes(roots, lv, lw):
+    """|Conv(v, w)| and |Conv(u, v, w)| with no memo: elements as tuples
+    from `times`, inversion sets as frozensets of root tuples."""
+    def spell(word):
+        w = roots.identity
+        for s in word:
+            w = roots.times(w, s)
+        return w
+
+    def inversions(word):
+        w, found = roots.identity, set()
+        for s in word:
+            assert min(w[s]) >= 0, "not reduced"
+            found.add(w[s])
+            w = roots.times(w, s)
+        return frozenset(found)
+
+    def hull_size(found):
+        level, count = {roots.identity}, 0
+        while level:
+            count += len(level)
+            level = {roots.times(x, s) for x in level
+                     for s, root in enumerate(x) if root in found}
+        return count
+
+    x, between = spell(lv[::-1] + lw), []
+    while x != roots.identity:
+        s = next(s for s, root in enumerate(x) if min(root) < 0)
+        between.append(s)
+        x = roots.times(x, s)
+    return (hull_size(inversions(between[::-1])),
+            hull_size(inversions(lv) | inversions(lw)))
+
+
+def test_interned_weak_order_equals_memo_free_reference(ctx):
+    # One shared instance, whose memo grows query by query, and a fresh
+    # instance per query give the reference's sizes, so call order
+    # cannot change an answer.
+    shared = _roots(ctx.tag)
+    ball = ctx.ball(8)
+    rng = random.Random(18)
+    for _ in range(200):
+        lv, lw = _letters(ctx, rng.choice(ball)), _letters(ctx, rng.choice(ball))
+        want = _reference_sizes(shared, lv, lw)
+        for roots in (shared, _roots(ctx.tag)):
+            x = roots.element(lv[::-1] + lw)
+            assert (roots.hull_size(roots.inversions(roots.reduced(x))),
+                    roots.hull_size(roots.inversions(lv) | roots.inversions(lw))) == want
+
+
+def test_element_without_descent_raises():
+    # In a Coxeter group every element but e has a right descent; one
+    # without means the realization is wrong.
+    roots = _roots(TypeTag.A2Tilde)
+    k = roots.element([0, 1])
+    roots._ascents[k] = [1, 2, 4]
+    with pytest.raises(RuntimeError, match="no descent"):
+        roots.reduced(k)
+
+
 def test_reduced_word_spells_the_element(ctx):
     roots = _roots(ctx.tag)
     for c in ctx.ball(5):
