@@ -415,6 +415,10 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
       the interval closure recomputes Conv(u, v, w), before the weak
       order, and is compared with the table's hull and the size used.
 
+    `max_ratio` is the largest |Conv(u, v, w)| / (|Conv(u, v)|·|Conv(v, w)|).
+    The pairs with v = u all give exactly 1, and a ratio above 1 is a
+    counterexample, so it is read off the counterexamples, not tracked.
+
     `jobs` must be 1; any other value raises ValueError.  The slot stays
     only because `bench/worker.py` passes 1 there by position, before the
     seed; it goes once the benchmark stops passing it.
@@ -434,8 +438,6 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     weak = _WeakOrder(ctx, ball) if oracle_samples > 0 else None
     checked = 0  # sampled pairs checked so far
     counterexamples = []
-    # The largest ratio uvw / product so far, as the int pair (uvw, product).
-    top_uvw, top_product = 0, 1
     first = 0  # the number of the pair (i, i)
     for i in range(n):
         row = _row_sizes(table, offsets, i)
@@ -465,10 +467,7 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
         for j, (vw, uvw) in enumerate(row, i):
             # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes.
             for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
-                product = usize[a] * vw
-                if uvw * top_product > top_uvw * product:
-                    top_uvw, top_product = uvw, product
-                if product < uvw:
+                if usize[a] * vw < uvw:
                     counterexamples.append(dict(
                         v=ctx.word_of(ball[a]), w=ctx.word_of(ball[b]),
                         size_uv=usize[a], size_vw=vw, size_uvw=uvw))
@@ -478,6 +477,7 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
         radius=radius,
         triples_checked=n * n,
         counterexamples=counterexamples,
-        max_ratio=Fraction(top_uvw, top_product),
+        max_ratio=max((Fraction(c["size_uvw"], c["size_uv"] * c["size_vw"])
+                       for c in counterexamples), default=Fraction(1)),
         wall_clock_ms=elapsed_ms,
     )

@@ -13,13 +13,11 @@ others.  In that frame every generator is an integer affine map, wall
 lines are integer triples (n1, n2, c), and points and barycenters are
 rational (`Fraction`).
 
-Wall families are not hard coded.  The three (or two) walls of the base
-chamber, as primitive integer triples, are closed under the generators'
-integer line maps; grouping the resulting lines by direction and
-measuring the minimal gap between parallel ones yields one integer form
-(n1, n2, r, gap) per family, which is the family table.  Correctness of
-the table is pinned by the metric tests (wall-separation count equals
-graph distance), not by trusting the construction.
+Wall families are not hard coded.  The table is the least one that holds
+the walls of the base chamber and that every generator maps onto itself:
+one integer form (n1, n2, r, gap) per direction, derived as an exact
+fixed point.  Such a table holds every mirror, and every line it holds is
+one, so it is the wall set of the complex at every radius.
 
 Chambers are built on ints: the barycenter scaled by a positive integer
 is the chamber's order key, and each floor is an integer form evaluated
@@ -137,8 +135,6 @@ class Gallery:
 _HEXAGONAL = (Fraction(4, 3), Fraction(-2, 3), Fraction(4, 3))
 _SQUARE = (1, 0, 1)
 
-_MAX_ROUNDS = 12
-
 
 def _base_data(tag: TypeTag):
     """Base chamber vertices, the wall line of each generator's panel and
@@ -205,55 +201,38 @@ def canonical_family(form):
 
 
 def _derive_families(gens, base_walls):
-    """Close the base walls under the generators, then group parallel lines
-    and extract each family's spacing.  Runs until every direction has seen
-    at least two parallel walls, plus two confirmation rounds.
+    """The least wall table that holds the base walls and that every
+    generator maps onto itself: one integer form (n1, n2, r, gap) per
+    family, in the order of the canonical normals, whose walls are the
+    lines n1*x + n2*y = r + k*gap at the integers k, with gap > 0.
 
-    Lines are primitive integer triples, mapped by the generators' integer
-    line maps.  Returns one integer form (n1, n2, r, gap) per family, in
-    the order of the canonical normals: the family coordinate of a point p
-    is (n1*p_x + n2*p_y - r) / gap, with gap > 0, so its walls sit at the
-    integers."""
-    seen = {_primitive(*w) for w in base_walls}
-    groups = {}
-
-    def add(line):
-        n1, n2, c = line
-        h = math.gcd(n1, n2)
-        groups.setdefault((n1 // h, n2 // h), []).append((h, c))
-
-    for line in seen:
-        add(line)
-    frontier = list(seen)
-    confirm = 0
-    for _ in range(_MAX_ROUNDS):
-        new = []
-        for g in gens:
-            for line in frontier:
-                img = _primitive(*g.line_image(*line))
-                if img not in seen:
-                    seen.add(img)
-                    add(img)
-                    new.append(img)
-        frontier = new
-        if all(len(g) >= 2 for g in groups.values()):
-            confirm += 1
-            if confirm >= 2:
-                break
-    else:
-        raise RuntimeError("wall family derivation did not stabilize")
-
-    forms = []
-    for (p1, p2), lines in groups.items():
-        # Line (h*p) . x = c is (l*p) . x = c*l/h: integer offsets on one scale.
-        l = math.lcm(*(h for h, _ in lines))
-        offsets = sorted(c * (l // h) for h, c in lines)
-        gap = min(b - a for a, b in zip(offsets, offsets[1:]))
-        if any((o - offsets[0]) % gap for o in offsets):
-            raise RuntimeError("parallel walls are not evenly spaced")
-        forms.append((l * p1, l * p2, offsets[0] % gap, gap))
-    forms.sort(key=canonical_family)
-    return forms
+    The generators are unimodular, so line maps keep the gcd of a normal:
+    base walls with coprime normals give primitive images, with integer
+    offsets on one scale per direction.  Per direction the table keeps a
+    residue r and the gcd `gap` of the offset differences seen; each
+    change queues the images of walls r and r + gap, which fix those of
+    the whole family.  The normals form a finite orbit and gaps only
+    shrink, so the queue runs dry with the table invariant: it holds every
+    mirror.  Each of its walls is one, as reflecting in mirrors at offsets
+    a and b translates by 2(b - a) and the offsets seen cover both
+    residues mod 2*gap."""
+    queue = [_primitive(*w) for w in base_walls]
+    if any(math.gcd(n1, n2) != 1 for n1, n2, _ in queue):
+        raise RuntimeError("a base wall's normal is not primitive")
+    table = {}
+    while queue:
+        n1, n2, c = queue.pop()
+        r, gap = table.get((n1, n2), (c, 0))
+        g = math.gcd(gap, c - r)
+        if (n1, n2) in table and g == gap:
+            continue
+        r = r % g if g else r
+        table[n1, n2] = r, g
+        queue += [_primitive(*s.line_image(n1, n2, k)) for s in gens for k in (r, r + g)]
+    if any(gap == 0 for _, gap in table.values()):
+        raise RuntimeError("a wall family has a single wall")
+    return sorted(((n1, n2, r, gap) for (n1, n2), (r, gap) in table.items()),
+                  key=canonical_family)
 
 
 class GroupContext:
@@ -293,8 +272,7 @@ class GroupContext:
                             for n1, n2, r, gap in self.families]
         if any(gap <= 0 for *_, gap in self.families):
             raise RuntimeError(f"{tag.code} floor form with a non-positive divisor")
-        self._family_by_dir = {_primitive(n1, n2, 0)[:2]: f
-                               for f, (n1, n2, _, _) in enumerate(self.families)}
+        self._family_by_dir = {(n1, n2): f for f, (n1, n2, _, _) in enumerate(self.families)}
         self._chambers: dict = {}
         self._balls: dict = {}
         self.base_chamber = self.chamber_of(GroupElement.identity(tag.code))
@@ -346,9 +324,9 @@ class GroupContext:
         f = self._family_by_dir.get((q1 // h, q2 // h))
         if f is None:
             raise ValueError("line direction matches no wall family")
-        n1, n2, r, gap = self.families[f]
-        # The line is n.p = l*c/h for l = gcd(n1, n2): wall k iff that is r + k*gap.
-        k, rem = divmod(math.gcd(n1, n2) * c - h * r, h * gap)
+        _, _, r, gap = self.families[f]
+        # The line is n.p = c/h: wall k iff that is r + k*gap.
+        k, rem = divmod(c - h * r, h * gap)
         if rem:
             raise ValueError("line offset is not on the family's wall lattice")
         return Wall(f, k)
@@ -416,7 +394,9 @@ class GroupContext:
 
     def ball(self, radius: int):
         """Chambers at distance <= radius from the base, in a deterministic
-        order (by distance, then barycenter)."""
+        order (by distance, then barycenter); radius must be >= 0."""
+        if radius < 0:
+            raise ValueError(f"radius must be non-negative, got {radius}")
         if radius in self._balls:
             return self._balls[radius]
         layers = [[self.base_chamber]]

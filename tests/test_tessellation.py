@@ -1,14 +1,15 @@
 import collections
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from coxhull.convexity import halfspace_hull
+from coxhull.convexity import halfspace_hull, sweep_triples
 from coxhull.coxeter import TypeTag
 from coxhull.group import reflection_across
-from coxhull.tessellation import GroupContext
+from coxhull.tessellation import GroupContext, _base_data, _derive_families
 
 
 def bfs_distances(start, depth):
@@ -155,6 +156,86 @@ def test_floor_form_divisor_must_be_positive(monkeypatch):
     monkeypatch.setattr(tessellation, "_derive_families", negated)
     with pytest.raises(RuntimeError, match="non-positive divisor"):
         GroupContext(TypeTag.A2Tilde)
+
+
+def table_faults(ctx, span=20):
+    """(generator, family, fault) for each place where the family table is
+    not invariant: a generator must map walls k in [-span, span] of a
+    family to walls of one family at offsets eps*k + c, with eps = +-1."""
+    faults = []
+    for i, s in enumerate(ctx.gens):
+        for f, (n1, n2, r, gap) in enumerate(ctx.families):
+            try:
+                images = [ctx.wall_of_line(s.line_image(n1, n2, r + k * gap))
+                          for k in range(-span, span + 1)]
+            except ValueError as e:
+                faults.append((i, f, str(e)))
+                continue
+            if len({w.family for w in images}) != 1:
+                faults.append((i, f, "images span several families"))
+            elif {b.offset - a.offset for a, b in zip(images, images[1:])} not in ({1}, {-1}):
+                faults.append((i, f, "offsets are not eps*k + c"))
+    return faults
+
+
+def test_family_table_is_invariant(ctx):
+    assert table_faults(ctx) == []
+
+
+# i2inf is left out: its one family with the gap doubled is still invariant
+# (it misses the base wall x = 1, which test_base_walls_in_table sees), and
+# with it dropped there is nothing left to map.
+@pytest.mark.parametrize("code", ["a2t", "c2t", "g2t"])
+@pytest.mark.parametrize("mutate", [
+    lambda forms: [(n1, n2, r, 2 * gap) for n1, n2, r, gap in forms[:1]] + forms[1:],
+    lambda forms: forms[1:],
+], ids=["gap doubled", "family dropped"])
+def test_table_faults_flags_mutated_tables(monkeypatch, code, mutate):
+    import coxhull.tessellation as tessellation
+    derive = tessellation._derive_families
+    monkeypatch.setattr(tessellation, "_derive_families",
+                        lambda gens, walls: mutate(derive(gens, walls)))
+    assert table_faults(GroupContext(TypeTag.from_code(code))) != []
+
+
+def test_derivation_ignores_order_and_sign_of_base_walls(ctx):
+    _, walls, _ = _base_data(ctx.tag)
+    for perm in itertools.permutations(walls):
+        for signs in itertools.product([1, -1], repeat=len(walls)):
+            signed = [tuple(e * x for x in w) for e, w in zip(signs, perm)]
+            assert _derive_families(ctx.gens, signed) == ctx.families
+
+
+def test_non_primitive_base_normal_refused(monkeypatch):
+    # c2t with the wall x = 1 moved to 2x = 1: its reflection x -> 1 - x
+    # is still an integer map with the Coxeter matrix's orders, but the
+    # normal (2, 0) is not primitive.
+    import coxhull.tessellation as tessellation
+    base_data = tessellation._base_data
+
+    def halved(tag):
+        verts, walls, gram_inv = base_data(tag)
+        return verts, [walls[0], (2, 0, 1), walls[2]], gram_inv
+
+    monkeypatch.setattr(tessellation, "_base_data", halved)
+    with pytest.raises(RuntimeError, match="not primitive"):
+        GroupContext(TypeTag.C2Tilde)
+
+
+def test_finite_group_has_single_wall_families():
+    # The reflections in y = 0 and y = x generate a finite group: each of
+    # its four mirrors is alone in its direction.
+    walls = [(0, 1, 0), (1, -1, 0)]
+    gens = [reflection_across("c2t", w, (1, 0, 1)) for w in walls]
+    with pytest.raises(RuntimeError, match="single wall"):
+        _derive_families(gens, walls)
+
+
+def test_negative_radius_refused(a2):
+    with pytest.raises(ValueError, match="non-negative"):
+        a2.ball(-5)
+    with pytest.raises(ValueError, match="non-negative"):
+        sweep_triples(TypeTag.A2Tilde, -2)
 
 
 def test_base_walls_in_table(ctx):
