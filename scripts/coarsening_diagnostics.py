@@ -23,6 +23,9 @@ def main():
     parser.add_argument("--samples", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    for name in ("radius", "samples"):
+        if getattr(args, name) < 0:
+            parser.error(f"--{name} must be non-negative, got {getattr(args, name)}")
 
     ctx = build_group(TypeTag.G2Tilde)
     ball = ctx.ball(args.radius)

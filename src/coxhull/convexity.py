@@ -19,14 +19,14 @@ Three hull routes are kept:
   reads no floor and does not share the first route's family table.
 
 * The weak order (``roots.RootSystem``) is the oracle that shares nothing
-  with the geometry: it counts a hull as a lower set of inversion sets,
+  with the geometry: it finds a hull as a lower set of inversion sets,
   from the Cartan matrix alone.  It sees a chamber only through the word
   that ``word_of`` folds for it, which reads no floor either.
 
 The first two agree on pairs and on random triples in the acceptance
-suite.  A sweep checks its sizes against the weak order, and a few of
-them against the closure; a disagreement aborts with a structured report
-since it would mean an implementation bug, not new mathematics.
+suite.  A sweep checks its sizes, and the hull sets of its sampled
+pairs, against the weak order; a disagreement aborts with a structured
+report since it would mean an implementation bug, not new mathematics.
 """
 
 from __future__ import annotations
@@ -196,18 +196,15 @@ def closure_hull(points) -> ChamberSet:
 
 
 class HullDisagreement(RuntimeError):
-    """Dual-route hull algorithms returned different sets, or a sweep used
-    a size (`size_used`) other than the closure hull's."""
+    """Dual-route hull algorithms returned different sets."""
 
-    def __init__(self, ctx, points, via_halfspace, via_closure, size_used=None):
+    def __init__(self, ctx, points, via_halfspace, via_closure):
         words = [ctx.word_of(p) for p in points]
         only_h = [ctx.word_of(c) for c in via_halfspace if c not in via_closure]
         only_c = [ctx.word_of(c) for c in via_closure if c not in via_halfspace]
-        used = "" if size_used is None else (
-            f", sweep used size {size_used} for closure size {via_closure.size}")
         super().__init__(
             f"hull algorithms disagree on {ctx.tag.code} points {words}: "
-            f"halfspace-only={only_h}, closure-only={only_c}{used}"
+            f"halfspace-only={only_h}, closure-only={only_c}"
         )
         self.points = words
         self.halfspace_only = only_h
@@ -215,25 +212,28 @@ class HullDisagreement(RuntimeError):
 
 
 class WeakOrderDisagreement(RuntimeError):
-    """A sweep used a hull size other than the weak order's."""
+    """A sweep used a hull size, or a table hull, other than the weak
+    order's; `table_only` and `weak_only` name the chambers one side lacks."""
 
-    def __init__(self, tag, words, size_used, size_weak):
+    def __init__(self, tag, words, size_used, size_weak, table_only, weak_only):
         super().__init__(
-            f"weak-order hull size disagrees on {tag.code} points {words}: "
-            f"sweep used size {size_used}, weak order gives {size_weak}")
+            f"weak-order hull disagrees on {tag.code} points {words}: "
+            f"sweep used size {size_used}, weak order gives {size_weak}, "
+            f"table-only={table_only}, weak-only={weak_only}")
         self.points = words
         self.size_used = size_used
         self.size_weak = size_weak
+        self.table_only = table_only
+        self.weak_only = weak_only
 
 
 def checked_hull(points) -> ChamberSet:
     """halfspace_hull cross-checked against closure_hull; aborts on mismatch."""
     points = list(points)
-    ctx = _shared_ctx(*points)
     h = halfspace_hull(points)
     c = closure_hull(points)
     if h != c:
-        raise HullDisagreement(ctx, list(points), h, c)
+        raise HullDisagreement(points[0].ctx, points, h, c)
     return h
 
 
@@ -363,8 +363,8 @@ def _row_sizes(table: _HullTable, offsets, i: int) -> list:
 
 
 class _WeakOrder:
-    """The sweep's weak-order route: hull sizes of ball points from the
-    letters of their canonical words.  The words are folds of the
+    """The sweep's weak-order route: hulls of ball points, and their sizes,
+    from the letters of their canonical words.  The words are folds of the
     chambers' barycenters in base walls, so neither they nor this route
     read a floor."""
 
@@ -380,20 +380,22 @@ class _WeakOrder:
         x = self.roots.element(self.letters[i][::-1] + self.letters[j])
         return self.roots.inversions(self.roots.reduced(x))
 
-    def check(self, points, mask, *sizes_used) -> None:
-        """Raise unless each size used is the weak-order size of `mask`, the
-        inversions of the hull of the ball points numbered `points`."""
-        size = self.roots.hull_size(mask)
+    def check(self, points, mask, *sizes_used, hull=None) -> None:
+        """Raise unless each size used is the size of the weak-order hull of
+        `mask`, the inversions of the hull of the ball points numbered
+        `points`, and unless a table `hull` given holds its elements, each
+        chamber's by a fold that reads no floor."""
+        lower = self.roots.lower_set(mask)
+        held = {} if hull is None else {
+            self.roots.element(self.ctx.letters_of(c)): c for c in hull}
         for used in sizes_used:
-            if used != size:
+            if used != len(lower) or held and held.keys() != lower:
                 raise WeakOrderDisagreement(
                     self.ctx.tag, [self.ctx.word_of(self.ball[k]) for k in points],
-                    used, size)
-
-
-# The closure costs far more per triple than the weak order, so it checks
-# one sampled pair in this many.
-_CLOSURE_STRIDE = 8
+                    used, len(lower),
+                    [self.ctx.word_of(c) for k, c in held.items() if k not in lower],
+                    ["".join(str(s + 1) for s in self.roots.reduced(k))
+                     for k in sorted(lower - held.keys())] if held else [])
 
 
 def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
@@ -403,17 +405,12 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
 
     One pass over v = ball[i]: each row of sizes for w = ball[j], j >= i,
     is checked, sampled and reduced as it arrives, so one row is alive at
-    a time.  One mask table serves the rows and the closure.
+    a time.  One mask table serves the rows and the sampled hull sets.
 
-    With `oracle_samples` > 0 the sizes are checked by the other two
-    routes, and a disagreement aborts the sweep:
-
-    * the weak order checks every |Conv(u, w)| of row 0, and, on a seeded
-      sample of the pairs i <= j (numbered in that order), |Conv(v, w)|
-      and |Conv(u, v, w)|;
-    * on every eighth sampled pair, in ascending order from the first,
-      the interval closure recomputes Conv(u, v, w), before the weak
-      order, and is compared with the table's hull and the size used.
+    With `oracle_samples` > 0 the weak order checks the sweep, and a
+    disagreement aborts it.  It checks every |Conv(u, w)| of row 0, and,
+    on a seeded sample of the pairs i <= j (numbered in that order),
+    |Conv(v, w)| by size and Conv(u, v, w) as the table's set of chambers.
 
     `max_ratio` is the largest |Conv(u, v, w)| / (|Conv(u, v)|·|Conv(v, w)|).
     The pairs with v = u all give exactly 1, and a ratio above 1 is a
@@ -436,7 +433,6 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     sampled = sorted({rng.randrange(n * (n + 1) // 2)
                       for _ in range(oracle_samples)}, reverse=True)
     weak = _WeakOrder(ctx, ball) if oracle_samples > 0 else None
-    checked = 0  # sampled pairs checked so far
     counterexamples = []
     first = 0  # the number of the pair (i, i)
     for i in range(n):
@@ -450,15 +446,9 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
         while sampled and sampled[-1] < first + n - i:
             j = i + sampled.pop() - first
             vw, uvw = row[j - i]
-            if checked % _CLOSURE_STRIDE == 0:
-                points = [ctx.base_chamber, ball[i], ball[j]]
-                via_table = table.hull(points)
-                via_closure = closure_hull(points)
-                if via_table != via_closure or uvw != via_closure.size:
-                    raise HullDisagreement(ctx, points, via_table, via_closure, uvw)
-            checked += 1
             weak.check([i, j], weak.between(i, j), vw)
-            weak.check([0, i, j], weak.masks[i] | weak.masks[j], uvw)
+            weak.check([0, i, j], weak.masks[i] | weak.masks[j], uvw,
+                       hull=table.hull([ctx.base_chamber, ball[i], ball[j]]))
         if i == 0 and weak is not None:
             # Both sizes of row 0 are |Conv(u, w)|, as v = u.
             for j, (vw, uvw) in enumerate(row):

@@ -1,4 +1,4 @@
-"""Hull sizes in the weak order, from the Cartan matrix alone.
+"""Hulls in the weak order, from the Cartan matrix alone.
 
 By Tits' convexity theorem a set of chambers is convex iff it is an
 intersection of roots (half-apartments).  Write N(x) for the inversion
@@ -7,9 +7,9 @@ between e and x.  For a point set S that holds e,
 
     Conv(S) = {x : N(x) is a subset of the union of N(s), s in S},
 
-and by left translation |Conv(v, w)| = |Conv(e, v^-1 w)|.  So hull sizes
-follow from an integer Cartan matrix, with no geometry: this module reads
-nothing but the Coxeter matrix.
+and by left translation |Conv(v, w)| = |Conv(e, v^-1 w)|.  So hulls that
+hold e, and all hull sizes, follow from an integer Cartan matrix, with no
+geometry: this module reads nothing but the Coxeter matrix.
 
 An element w is realized as the tuple of its images w(a_1), ..., w(a_n)
 of the simple roots, each a tuple of integer coefficients over the simple
@@ -49,7 +49,7 @@ def cartan(matrix) -> tuple:
 
 
 class RootSystem:
-    """Elements, inversion sets and weak-order hull sizes of one Coxeter
+    """Elements, inversion sets and weak-order hulls of one Coxeter
     group, realized on its root lattice by s_i(a_j) = a_j - a_ij a_i."""
 
     def __init__(self, matrix) -> None:
@@ -114,14 +114,14 @@ class RootSystem:
             k = self._step(k, s)
         return letters[::-1]
 
-    def hull_size(self, mask: int) -> int:
-        """|{x : N(x) is a subset of the mask's roots}|.  The set is a
-        lower set of the weak order, so it is enumerated by right ascents
-        from e, one length at a time: x s with x(a_s) in the mask.  Such a
-        root is positive, so the step is an ascent, and x s is not e."""
-        level, count, ascents, nxt = {0}, 0, self._ascents, self._next
+    def lower_set(self, mask: int) -> set:
+        """The ids of {x : N(x) is a subset of the mask's roots}.  The set
+        is a lower set of the weak order, so it is enumerated by right
+        ascents from e, one length at a time: x s with x(a_s) in the mask.
+        Such a root is positive, so the step is an ascent, and x s is not e."""
+        level, found, ascents, nxt = {0}, set(), self._ascents, self._next
         while level:
-            count += len(level)
+            found |= level
             level = {nxt[x][s] or self._step(x, s) for x in level
                      for s, bit in enumerate(ascents[x]) if bit & mask}
-        return count
+        return found

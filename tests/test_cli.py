@@ -1,6 +1,9 @@
 import hashlib
 import json
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -64,7 +67,7 @@ def test_check_hull_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["check", "--type", "c2t", "--radius", "3",
                  "--report", str(report)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: hull algorithms disagree on c2t")
+    assert err.startswith("error: weak-order hull disagrees on c2t")
     assert err.count("\n") == 1
     assert not report.exists()
     assert list(tmp_path.glob("*.tmp.*")) == []
@@ -309,3 +312,14 @@ def test_check_report_golden(code, tmp_path, capsys):
     del report["wall_clock_ms"]
     text = json.dumps(report, indent=2, sort_keys=True)
     assert _sha256(text.encode()) == CHECK_GOLDEN[code]
+
+
+@pytest.mark.parametrize("flag", ["--radius", "--samples"])
+def test_coarsening_diagnostics_rejects_negative_counts(flag, monkeypatch, capsys):
+    script = Path(__file__).parents[1] / "scripts" / "coarsening_diagnostics.py"
+    main_of_script = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(sys, "argv", [script.name, flag, "-1"])
+    with pytest.raises(SystemExit) as exit_:
+        main_of_script()
+    assert exit_.value.code == 2
+    assert f"{flag} must be non-negative" in capsys.readouterr().err

@@ -9,9 +9,10 @@ from coxhull.convexity import (ChamberSet, HullDisagreement, HullVerdict,
                                WeakOrderDisagreement, _HullTable, checked_hull,
                                closure_hull, g2_diagnostic, halfspace_hull,
                                interval, strong_hull_check, sweep_triples)
-from coxhull.coxeter import TypeTag
+from coxhull.coxeter import TypeTag, matrix_for
 from coxhull.formulas import C2CaseParams, c2_case2_chambers, i2_cell
 from coxhull.group import MixedContext
+from coxhull.roots import RootSystem
 from coxhull.tessellation import GroupContext, build_group
 
 
@@ -94,6 +95,12 @@ def test_closure_equals_halfspace_on_random_triples(planar_ctx):
 def test_checked_hull_takes_an_iterator(a2):
     pts = a2.ball(3)[-3:]
     assert checked_hull(iter(pts)) == halfspace_hull(pts)
+
+
+@pytest.mark.parametrize("route", [halfspace_hull, closure_hull, checked_hull])
+def test_hull_of_no_points_raises_value_error(route):
+    with pytest.raises(ValueError, match="empty point list"):
+        route([])
 
 
 def test_convexity_idempotence(planar_ctx):
@@ -249,7 +256,7 @@ def test_sweep_memory_does_not_grow_with_pairs():
 
 def test_sweep_memory_with_the_oracle_stays_small():
     # With the default oracle the weak order's memo holds only the
-    # elements of the hulls it counts, and the closure runs on 4 triples.
+    # elements of the hulls it walks and of the sampled table hulls.
     build_group(TypeTag.A2Tilde).ball(12)
     tracemalloc.start()
     try:
@@ -301,16 +308,46 @@ def test_sweep_oracle_catches_wrong_table_hull(monkeypatch):
         return ChamberSet(hull(self, points).chambers[1:])
 
     monkeypatch.setattr(_HullTable, "hull", drop_one)
-    with pytest.raises(HullDisagreement, match="closure-only"):
+    with pytest.raises(WeakOrderDisagreement, match="weak-only") as err:
         sweep_triples(TypeTag.C2Tilde, 3)
+    assert err.value.table_only == [] and len(err.value.weak_only) == 1
+
+
+def test_sweep_oracle_catches_same_size_swap_in_table_hull(monkeypatch):
+    # Swap one member of each table hull for a chamber outside it: the
+    # size is unchanged, so only the set comparison catches it, and it
+    # names the word each side holds alone.
+    hull = _HullTable.hull
+    swaps = []
+
+    def swap_one(self, points):
+        members = hull(self, points).chambers
+        outside = next(nb for c in members for _, nb in c.neighbors()
+                       if nb not in members)
+        swaps.append((members[-1], outside))
+        return ChamberSet([*members[:-1], outside])
+
+    monkeypatch.setattr(_HullTable, "hull", swap_one)
+    ctx = build_group(TypeTag.G2Tilde)
+    with pytest.raises(WeakOrderDisagreement, match="table-only") as err:
+        sweep_triples(TypeTag.G2Tilde, 3)
+    dropped, outside = swaps[-1]
+    assert err.value.size_used == err.value.size_weak
+    assert err.value.table_only == [ctx.word_of(outside)]
+    # The weak order spells the dropped member by a reduced word of its own.
+    [weak_word] = err.value.weak_only
+    roots = RootSystem(matrix_for(TypeTag.G2Tilde))
+    assert (roots.element([int(d) - 1 for d in weak_word])
+            == roots.element(ctx.letters_of(dropped)))
 
 
 def test_sweep_oracle_catches_wrong_swept_size(monkeypatch):
     row_sizes = convexity._row_sizes
     monkeypatch.setattr(convexity, "_row_sizes", lambda *args: [
         (vw, uvw + 1) for vw, uvw in row_sizes(*args)])
-    with pytest.raises(HullDisagreement, match="sweep used size"):
+    with pytest.raises(WeakOrderDisagreement, match="sweep used size") as err:
         sweep_triples(TypeTag.A2Tilde, 3)
+    assert err.value.size_used == err.value.size_weak + 1
 
 
 def _sampled_pairs(n, seed, samples):
@@ -323,8 +360,8 @@ def _sampled_pairs(n, seed, samples):
 
 
 def test_sweep_weak_order_checks_every_u_pair(monkeypatch):
-    # Inflate |Conv(u, ball[j])| for a j that no sampled pair touches: the
-    # closure never sees it, and the inflated size only raises products.
+    # Inflate |Conv(u, ball[j])| for a j that no sampled pair touches: only
+    # the row-0 check sees it, and the inflated size only raises products.
     n = len(build_group(TypeTag.A2Tilde).ball(3))
     touched = {k for pair in _sampled_pairs(n, 0, 32) for k in pair}
     j = max(set(range(1, n)) - touched)
@@ -356,7 +393,7 @@ def test_sweep_weak_order_catches_corrupted_family_table(monkeypatch, code, befo
     # floors that change the table's hull sizes; the weak order aborts the
     # sweep.  Before: every chamber past the base's neighbours takes wrong
     # floors.  Words are folds that read no floor, so the sweep reaches
-    # its oracles, and one of them aborts it.
+    # the weak order, which aborts it.
     tag = TypeTag.from_code(code)
     ctx = GroupContext(tag)
     if not before_ball:
@@ -364,9 +401,7 @@ def test_sweep_weak_order_catches_corrupted_family_table(monkeypatch, code, befo
     n1, n2, r, s = ctx.floor_forms[0]
     ctx.floor_forms = [(n1, n2, r, 2 * s), *ctx.floor_forms[1:]]
     monkeypatch.setattr(convexity, "build_group", lambda _: ctx)
-    expected = ((WeakOrderDisagreement, HullDisagreement) if before_ball
-                else WeakOrderDisagreement)
-    with pytest.raises(expected, match=f"on {code} points"):
+    with pytest.raises(WeakOrderDisagreement, match=f"on {code} points"):
         sweep_triples(tag, 4)
 
 

@@ -1,5 +1,5 @@
 """The weak-order route against the complexes: Cartan entries, ball sizes,
-and pair and u-triple hull sizes against the halfspace hull."""
+pair hull sizes and u-triple hull sets against the halfspace hull."""
 
 import random
 
@@ -57,9 +57,11 @@ def test_pair_and_u_triple_sizes_equal_halfspace_hull(ctx):
         v, w = rng.choice(ball), rng.choice(ball)
         lv, lw = _letters(ctx, v), _letters(ctx, w)
         between = roots.inversions(roots.reduced(roots.element(lv[::-1] + lw)))
-        assert roots.hull_size(between) == halfspace_hull([v, w]).size
-        assert (roots.hull_size(roots.inversions(lv) | roots.inversions(lw))
-                == halfspace_hull([ctx.base_chamber, v, w]).size)
+        assert len(roots.lower_set(between)) == halfspace_hull([v, w]).size
+        # The u-triple hull holds e, so it is the lower set itself.
+        assert (roots.lower_set(roots.inversions(lv) | roots.inversions(lw))
+                == {roots.element(_letters(ctx, c))
+                    for c in halfspace_hull([ctx.base_chamber, v, w])})
 
 
 def _reference_sizes(roots, lv, lw):
@@ -108,8 +110,8 @@ def test_interned_weak_order_equals_memo_free_reference(ctx):
         want = _reference_sizes(shared, lv, lw)
         for roots in (shared, _roots(ctx.tag)):
             x = roots.element(lv[::-1] + lw)
-            assert (roots.hull_size(roots.inversions(roots.reduced(x))),
-                    roots.hull_size(roots.inversions(lv) | roots.inversions(lw))) == want
+            assert (len(roots.lower_set(roots.inversions(roots.reduced(x)))),
+                    len(roots.lower_set(roots.inversions(lv) | roots.inversions(lw)))) == want
 
 
 def test_element_without_descent_raises():
