@@ -18,9 +18,9 @@ import sys
 
 from .convexity import HullVerdict, halfspace_hull, sweep_triples
 from .coxeter import TypeTag
-from .formulas import (A2Coord, C2CaseParams, ConstraintViolation,
-                       CoordinateError, a2_chamber_pair, c2_case2_chambers,
-                       c2_case2_counts, a2_pair_count, dihedral_pair_count,
+from .formulas import (A2Coord, C2CaseParams, CoordinateError,
+                       a2_chamber_pair, c2_case2_chambers, c2_case2_counts,
+                       a2_pair_count, dihedral_pair_count, i2_cell,
                        orientation_for_parity)
 from .propcheck import (MismatchReport, a2_box_violations, c2_box_violations,
                         verify_a2_identities, verify_c2_corrected_expansion,
@@ -128,6 +128,15 @@ def _ints(text: str, n: int, what: str):
         raise ParseError(f"{what} wants integers, got {text!r}") from None
 
 
+def _enumerated(checks) -> int:
+    """Print one "enumerated:" line of (label, closed form, enumerated size)
+    checks, marking each equal or not; return the number not equal."""
+    print("enumerated: " + " ".join(
+        f"{label}{have} (equal: {'yes' if want == have else 'NO'})"
+        for label, want, have in checks))
+    return sum(want != have for _, want, have in checks)
+
+
 def cmd_formula(args) -> int:
     tag = TypeTag.from_code(args.type)
     mismatches = 0
@@ -137,12 +146,9 @@ def cmd_formula(args) -> int:
         count = dihedral_pair_count(args.d)
         print(f"interval size at distance {args.d}: {count}")
         if args.verify:
-            from .formulas import i2_cell
             ctx = _context("i2inf")
             got = halfspace_hull([i2_cell(ctx, 0), i2_cell(ctx, args.d)]).size
-            eq = "yes" if got == count else "NO"
-            mismatches += got != count
-            print(f"enumerated: {got} (equal: {eq})")
+            mismatches = _enumerated([("", count, got)])
     elif tag is TypeTag.A2Tilde:
         if not args.xy:
             raise ConfigError("--xy X,Y is required for a2t")
@@ -154,10 +160,7 @@ def cmd_formula(args) -> int:
         if args.verify:
             ctx = _context("a2t")
             u, v = a2_chamber_pair(ctx, coord)
-            got = halfspace_hull([u, v]).size
-            eq = "yes" if got == count else "NO"
-            mismatches += got != count
-            print(f"enumerated: {got} (equal: {eq})")
+            mismatches = _enumerated([("", count, halfspace_hull([u, v]).size)])
     elif tag is TypeTag.C2Tilde:
         if not args.abxy:
             raise ConfigError("--abxy A,B,X,Y is required for c2t")
@@ -174,12 +177,8 @@ def cmd_formula(args) -> int:
             u, v, w = c2_case2_chambers(ctx, params)
             got = (halfspace_hull([u, v]).size, halfspace_hull([v, w]).size,
                    halfspace_hull([u, v, w]).size)
-            flags = []
-            for name, want, have in zip(("size_uv", "size_vw", "size_uvw"), counts, got):
-                eq = "yes" if want == have else "NO"
-                mismatches += want != have
-                flags.append(f"{name}={have} (equal: {eq})")
-            print("enumerated: " + " ".join(flags))
+            mismatches = _enumerated(
+                list(zip(("size_uv=", "size_vw=", "size_uvw="), counts, got)))
     else:
         raise ConfigError(f"no closed forms for type {args.type}")
     return 1 if mismatches else 0
@@ -276,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, CoordinateError, ConstraintViolation) as exc:
+    except (ConfigError, ParseError, CoordinateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -23,10 +23,11 @@ Three hull routes are kept:
   from the Cartan matrix alone.  It sees a chamber only through the word
   that ``word_of`` folds for it, which reads no floor either.
 
-The first two agree on pairs and on random triples in the acceptance
-suite.  A sweep checks its sizes, and the hull sets of its sampled
-pairs, against the weak order; a disagreement aborts with a structured
-report since it would mean an implementation bug, not new mathematics.
+The first two return a `ChamberSet`, a frozenset in barycenter order,
+and agree on pairs and on random triples in the acceptance suite.  A
+sweep checks its sizes, and the hull sets of its sampled pairs, against
+the weak order; a disagreement aborts with a structured report since it
+would mean an implementation bug, not new mathematics.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import partial, reduce
 from itertools import accumulate, repeat
 from operator import and_, attrgetter, or_, sub
 
-from .coxeter import TypeTag, matrix_for
+from .coxeter import TypeTag
 from .group import MixedContext
 from .roots import RootSystem
 from .tessellation import Chamber, GroupContext, build_group
@@ -54,47 +55,28 @@ def _shared_ctx(*chambers: Chamber) -> GroupContext:
     return ctx
 
 
-class ChamberSet:
-    """A finite set of chambers with a deterministic iteration order.
+class ChamberSet(frozenset):
+    """A frozenset of chambers with a deterministic iteration order.
 
-    Chambers are interned by their context, so the members are held in a
-    plain frozenset and size, membership and comparison use identity.
-    Iteration and `chambers` follow the exact barycenter, by the integer
+    Chambers are interned by their context, so size, membership, set
+    algebra and comparison are the frozenset's own, by identity; a
+    ChamberSet equals a plain frozenset of the same chambers.  Iteration
+    and `chambers` follow the exact barycenter, by the integer
     `Chamber.order_key`, sorted on each read rather than on construction:
     a sweep reads only the size."""
 
-    __slots__ = ("_members",)
-
-    def __init__(self, chambers):
-        self._members = frozenset(chambers)
+    __slots__ = ()
 
     @property
     def chambers(self) -> tuple:
-        return tuple(sorted(self._members, key=attrgetter("order_key")))
+        return tuple(sorted(frozenset.__iter__(self), key=attrgetter("order_key")))
 
     @property
     def size(self) -> int:
-        return len(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
+        return len(self)
 
     def __iter__(self):
         return iter(self.chambers)
-
-    def __contains__(self, chamber) -> bool:
-        return chamber in self._members
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChamberSet):
-            return NotImplemented
-        return self._members == other._members
-
-    def __le__(self, other: "ChamberSet") -> bool:
-        return self._members <= other._members
-
-    def __hash__(self) -> int:
-        return hash(self._members)
 
     def __repr__(self) -> str:
         return f"ChamberSet(size={self.size})"
@@ -188,10 +170,9 @@ def closure_hull(points) -> ChamberSet:
         members.add(c)
     while pending:
         a, b = pending.pop()
-        for c in interval(a, b)._members:
-            if c not in members:
-                pending.extend((c, m) for m in members)
-                members.add(c)
+        for c in interval(a, b) - members:
+            pending.extend((c, m) for m in members)
+            members.add(c)
     return ChamberSet(members)
 
 
@@ -370,7 +351,7 @@ class _WeakOrder:
 
     def __init__(self, ctx: GroupContext, ball) -> None:
         self.ctx, self.ball = ctx, ball
-        self.roots = RootSystem(matrix_for(ctx.tag))
+        self.roots = RootSystem(ctx.matrix)
         self.letters = [ctx.letters_of(c) for c in ball]
         # N(ball[k]) as a mask.
         self.masks = [self.roots.inversions(word) for word in self.letters]
@@ -408,9 +389,10 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     a time.  One mask table serves the rows and the sampled hull sets.
 
     With `oracle_samples` > 0 the weak order checks the sweep, and a
-    disagreement aborts it.  It checks every |Conv(u, w)| of row 0, and,
-    on a seeded sample of the pairs i <= j (numbered in that order),
-    |Conv(v, w)| by size and Conv(u, v, w) as the table's set of chambers.
+    disagreement aborts it; a negative count raises ValueError.  It
+    checks every |Conv(u, w)| of row 0, and, on a seeded sample of the
+    pairs i <= j (numbered in that order), |Conv(v, w)| by size and
+    Conv(u, v, w) as the table's set of chambers.
 
     `max_ratio` is the largest |Conv(u, v, w)| / (|Conv(u, v)|·|Conv(v, w)|).
     The pairs with v = u all give exactly 1, and a ratio above 1 is a
@@ -422,6 +404,8 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}: sweeps run in one process")
+    if oracle_samples < 0:
+        raise ValueError(f"oracle_samples must be non-negative, got {oracle_samples}")
     started = time.monotonic()
     ctx = build_group(tag)
     ball = ctx.ball(radius)

@@ -66,7 +66,7 @@ class CoxeterMatrix:
 
 
 def _as_order(value):
-    if value == "inf" or value is None:
+    if value == "inf":
         return INF
     if isinstance(value, float) and value == INF:
         return INF

@@ -13,11 +13,11 @@ segments, one per family offset crossing the viewport.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .convexity import ChamberSet
 from .coxeter import TypeTag
-from .tessellation import Chamber, GroupContext, canonical_family
+from .tessellation import Chamber, GroupContext
 
 _MARGIN = 0.05
 _ROOT3 = math.sqrt(3.0)
@@ -26,9 +26,9 @@ _ROOT3 = math.sqrt(3.0)
 @dataclass
 class SvgScene:
     viewbox: tuple  # (min_x, min_y, width, height) in plane coordinates
-    polygons: list = field(default_factory=list)  # (points, css_class)
-    lines: list = field(default_factory=list)     # ((x1, y1), (x2, y2))
-    labels: list = field(default_factory=list)    # (text, (x, y))
+    polygons: list  # (points, css_class)
+    lines: list     # ((x1, y1), (x2, y2))
+    labels: list    # (text, (x, y))
 
     def filled_count(self) -> int:
         return sum(1 for _, cls in self.polygons if cls != "plain")
@@ -133,13 +133,11 @@ def hull_scene(ctx: GroupContext,
 
     lines = []
     corners = [(box[0], box[1]), (box[0], box[3]), (box[2], box[1]), (box[2], box[3])]
-    for form in ctx.families:
-        fam_normal, ref, spacing = canonical_family(form)
+    for *fam_normal, r, gap in ctx.families:
         n1, n2 = normal(fam_normal)
-        ref, spacing = float(ref), float(spacing)
-        values = [(n1 * x + n2 * y - ref) / spacing for x, y in corners]
+        values = [(n1 * x + n2 * y - r) / gap for x, y in corners]
         for k in range(math.ceil(min(values)), math.floor(max(values)) + 1):
-            seg = _clip_line_to_box(n1, n2, ref + k * spacing, box)
+            seg = _clip_line_to_box(n1, n2, float(r + k * gap), box)
             if seg:
                 lines.append(seg)
 
@@ -147,8 +145,4 @@ def hull_scene(ctx: GroupContext,
     for text, ch in (("u", u), ("v", v), ("w", w)):
         labels.append((text, point(ch.barycenter)))
 
-    scene = SvgScene(viewbox=viewbox)
-    scene.polygons = polygons
-    scene.lines = lines
-    scene.labels = labels
-    return scene
+    return SvgScene(viewbox, polygons, lines, labels)

@@ -15,16 +15,17 @@ rational (`Fraction`).
 
 Wall families are not hard coded.  The table is the least one that holds
 the walls of the base chamber and that every generator maps onto itself:
-one integer form (n1, n2, r, gap) per direction, derived as an exact
-fixed point.  Such a table holds every mirror, and every line it holds is
-one, so it is the wall set of the complex at every radius.
+one canonical integer form (n1, n2, r, gap) per direction, sorted by
+slope and derived as an exact fixed point.  Such a table holds every
+mirror, and every line it holds is one, so it is the wall set of the
+complex at every radius.
 
 Chambers are built on ints: the barycenter scaled by a positive integer
 is the chamber's order key, and each floor is an integer form evaluated
 on it with floor division.  Words, geodesics and point location read no
 floor: they fold an integer point into the base chamber by reflections
 in base walls.  Rational arithmetic is needed to derive the complex and
-to draw it, not to walk it.
+to draw it, not to walk it.  A ball is kept as its list of layers.
 """
 
 from __future__ import annotations
@@ -187,24 +188,19 @@ def _scaled(point):
     """(q1, q2, m): the rational point as the integer point q over the
     least common denominator m of its coordinates."""
     x, y = point
+    if not all(isinstance(t, (int, Fraction)) for t in point):
+        raise TypeError(f"point {point!r}: coordinates must be ints or Fractions")
     m = math.lcm(x.denominator, y.denominator)
     return x.numerator * (m // x.denominator), y.numerator * (m // y.denominator), m
-
-
-def canonical_family(form):
-    """(normal, ref, spacing) of the integer form (n1, n2, r, gap), scaled
-    so the normal's first nonzero component is 1: the family's walls are
-    the lines normal . p = ref + k*spacing."""
-    n1, n2, r, gap = form
-    s = n1 or n2
-    return (Fraction(n1, s), Fraction(n2, s)), Fraction(r, s), Fraction(gap, s)
 
 
 def _derive_families(gens, base_walls):
     """The least wall table that holds the base walls and that every
     generator maps onto itself: one integer form (n1, n2, r, gap) per
-    family, in the order of the canonical normals, whose walls are the
-    lines n1*x + n2*y = r + k*gap at the integers k, with gap > 0.
+    family, sorted by normal slope, whose walls are the lines
+    n1*x + n2*y = r + k*gap at the integers k.  The forms are canonical:
+    the normal is primitive with its first nonzero entry positive, and
+    0 <= r < gap.
 
     The generators are unimodular, so line maps keep the gcd of a normal:
     base walls with coprime normals give primitive images, with integer
@@ -232,7 +228,7 @@ def _derive_families(gens, base_walls):
     if any(gap == 0 for _, gap in table.values()):
         raise RuntimeError("a wall family has a single wall")
     return sorted(((n1, n2, r, gap) for (n1, n2), (r, gap) in table.items()),
-                  key=canonical_family)
+                  key=lambda form: (form[0] > 0, Fraction(form[1], form[0] or 1)))
 
 
 class GroupContext:
@@ -274,8 +270,8 @@ class GroupContext:
             raise RuntimeError(f"{tag.code} floor form with a non-positive divisor")
         self._family_by_dir = {(n1, n2): f for f, (n1, n2, _, _) in enumerate(self.families)}
         self._chambers: dict = {}
-        self._balls: dict = {}
         self.base_chamber = self.chamber_of(GroupElement.identity(tag.code))
+        self._layers = [[self.base_chamber]]
         self._check_floor_forms()
         self._companion = None
 
@@ -392,27 +388,19 @@ class GroupContext:
 
     # -- balls -------------------------------------------------------------
 
-    def ball(self, radius: int):
-        """Chambers at distance <= radius from the base, in a deterministic
-        order (by distance, then barycenter); radius must be >= 0."""
+    def ball(self, radius: int) -> list:
+        """A new list of the chambers at distance <= radius from the base,
+        by distance, then barycenter; radius must be >= 0.  The layers are
+        kept: as every generator flips the parity of word length, the next
+        is the last one's neighbours minus the one before it."""
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
-        if radius in self._balls:
-            return self._balls[radius]
-        layers = [[self.base_chamber]]
-        seen = {self.base_chamber}
-        for _ in range(radius):
-            nxt = []
-            for c in layers[-1]:
-                for _, nb in c.neighbors():
-                    if nb not in seen:
-                        seen.add(nb)
-                        nxt.append(nb)
-            nxt.sort(key=attrgetter("order_key"))
-            layers.append(nxt)
-        out = [c for layer in layers for c in layer]
-        self._balls[radius] = out
-        return out
+        layers = self._layers
+        while len(layers) <= radius:
+            nxt = {nb for c in layers[-1] for _, nb in c.neighbors()}
+            nxt.difference_update(layers[-2] if len(layers) > 1 else ())
+            layers.append(sorted(nxt, key=attrgetter("order_key")))
+        return [c for layer in layers[:radius + 1] for c in layer]
 
     # -- companion coarse complex -----------------------------------------
 
@@ -424,8 +412,7 @@ class GroupContext:
             raise UnsupportedType("coarsening companion exists only for g2t")
         if self._companion is None:
             comp = build_group(TypeTag.A2Tilde)
-            mine = set(map(canonical_family, self.families))
-            if not mine.issuperset(map(canonical_family, comp.families)):
+            if not set(self.families) >= set(comp.families):
                 raise RuntimeError("companion wall families do not align")
             self._companion = comp
         return self._companion

@@ -216,6 +216,12 @@ def test_chamber_set_determinism(a2):
     s2 = ChamberSet(reversed(ball))
     assert s1 == s2
     assert [c.barycenter for c in s1] == [c.barycenter for c in s2]
+    # The set algebra is the frozenset's own: a ChamberSet equals, and
+    # hashes as, the plain frozenset of its chambers.
+    plain = frozenset(ball)
+    assert s1 == plain and hash(s1) == hash(plain)
+    assert ChamberSet(ball[:4]) <= s1 and not s1 <= ChamberSet(ball[:4])
+    assert ball[-1] in s1 and a2.ball(4)[-1] not in s1
 
 
 def test_sweep_small_all_types():
@@ -230,6 +236,11 @@ def test_sweep_small_all_types():
 def test_sweep_refuses_jobs_other_than_1():
     with pytest.raises(ValueError, match="jobs must be 1"):
         sweep_triples(TypeTag.A2Tilde, 2, 2)
+
+
+def test_sweep_refuses_negative_oracle_samples():
+    with pytest.raises(ValueError, match="oracle_samples must be non-negative"):
+        sweep_triples(TypeTag.A2Tilde, 2, oracle_samples=-5)
 
 
 def test_sweep_rejects_lost_pair_row(monkeypatch):

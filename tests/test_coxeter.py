@@ -1,7 +1,7 @@
 import pytest
 
-from coxhull.coxeter import (INF, BadDiagonal, NonSymmetric, OrderBelowTwo,
-                             TypeTag, validate_matrix)
+from coxhull.coxeter import (INF, BadDiagonal, CoxeterMatrixError, NonSymmetric,
+                             OrderBelowTwo, TypeTag, validate_matrix)
 
 
 def test_valid_triangular_matrix():
@@ -14,6 +14,12 @@ def test_infinite_order_sentinel():
     m = validate_matrix([[1, "inf"], ["inf", 1]])
     assert m.rank == 2
     assert m.order(0, 1) == INF
+
+
+def test_none_is_not_an_order():
+    # Only "inf" spells an infinite order; a JSON null is refused.
+    with pytest.raises(CoxeterMatrixError, match="None"):
+        validate_matrix([[1, None], [None, 1]])
 
 
 def test_non_symmetric_names_indices():

@@ -231,6 +231,23 @@ def test_finite_group_has_single_wall_families():
         _derive_families(gens, walls)
 
 
+def test_ball_matches_reference_bfs(ctx):
+    reference = GroupContext(ctx.tag)
+    layers = collections.defaultdict(list)
+    for c, d in bfs_distances(reference.base_chamber, 10).items():
+        layers[d].append(c)
+    want = {r: [c.order_key for d in range(r + 1)
+                for c in sorted(layers[d], key=lambda c: c.order_key)]
+            for r in range(11)}
+    for radii in (range(11), range(10, -1, -1)):
+        fresh = GroupContext(ctx.tag)
+        for r in radii:
+            assert [c.order_key for c in fresh.ball(r)] == want[r]
+    # Each call returns a new list: appending to one leaves the ball.
+    fresh.ball(2).append(fresh.ball(3)[-1])
+    assert [c.order_key for c in fresh.ball(2)] == want[2]
+
+
 def test_negative_radius_refused(a2):
     with pytest.raises(ValueError, match="non-negative"):
         a2.ball(-5)
@@ -475,6 +492,11 @@ def test_point_on_wall_rejected(code, point):
         ctx.chamber_containing(tuple(map(Fraction, point)))
 
 
+def test_inexact_point_refused(ctx):
+    with pytest.raises(TypeError, match=r"point \(0\.5, 0\.25\).*ints or Fractions"):
+        ctx.chamber_containing((0.5, 0.25))
+
+
 def test_vertices_map_with_element(ctx):
     c = ctx.chamber_from_word([0, 1, 0])
     assert c.vertices() == [c.element.apply(v) for v in ctx.base_vertices]
@@ -515,6 +537,16 @@ def test_unsupported_type_rejected():
     # TypeTag has only the four supported members; anything else is refused.
     with pytest.raises(ValueError, match="unsupported type"):
         GroupContext("b2t")
+
+
+def test_companion_refuses_a_shifted_family():
+    # The fine walls x = k moved half a spacing, to x = k + 1/2: the
+    # coarse walls x = k are no longer among them.
+    g2 = GroupContext(TypeTag.G2Tilde)
+    g2.families = [(2, 0, 1, 2) if form == (1, 0, 0, 1) else form
+                   for form in g2.families]
+    with pytest.raises(RuntimeError, match="do not align"):
+        g2.companion
 
 
 def test_companion_families_align(g2):
