@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tally the coarse-vs-fine hull comparison on random triples.
 
-For sampled triples (u1, v, w1) of the finest planar complex this logs
-how often twice the coarse triple-hull size dominates the fine
-triple-hull size.  Purely diagnostic: the comparison holds for the
+For triples (u1, v, w1) of the finest planar complex, sampled with the
+fixed seed 0, this logs how often twice the coarse triple-hull size
+dominates the fine triple-hull size.  Purely diagnostic: the comparison holds for the
 reduced configurations the coarsening argument uses, not universally,
 so the output is a tally rather than an assertion.
 """
@@ -21,7 +21,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--radius", type=int, default=4)
     parser.add_argument("--samples", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     for name in ("radius", "samples"):
         if getattr(args, name) < 0:
@@ -29,7 +28,7 @@ def main():
 
     ctx = build_group(TypeTag.G2Tilde)
     ball = ctx.ball(args.radius)
-    rng = random.Random(args.seed)
+    rng = random.Random(0)
     holds = fails = 0
     worst = None
     for _ in range(args.samples):

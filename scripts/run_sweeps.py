@@ -22,7 +22,6 @@ SWEEPS = [
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="reports", help="report directory")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     out = pathlib.Path(args.out)
@@ -32,7 +31,6 @@ def main():
         report = out / f"sweep_{code}_r{radius}.json"
         rc = coxhull_main([
             "check", "--type", code, "--radius", str(radius),
-            "--seed", str(args.seed),
             "--report", str(report),
         ])
         worst = max(worst, rc)

@@ -20,8 +20,7 @@ from .convexity import HullVerdict, halfspace_hull, sweep_triples
 from .coxeter import TypeTag
 from .formulas import (A2Coord, C2CaseParams, CoordinateError,
                        a2_chamber_pair, c2_case2_chambers, c2_case2_counts,
-                       a2_pair_count, dihedral_pair_count, i2_cell,
-                       orientation_for_parity)
+                       a2_pair_count, dihedral_pair_count, i2_cell)
 from .propcheck import (MismatchReport, a2_box_violations, c2_box_violations,
                         verify_a2_identities, verify_c2_corrected_expansion,
                         verify_c2_expansion)
@@ -77,8 +76,7 @@ def cmd_check(args) -> int:
         raise ConfigError(
             f"radius {args.radius} exceeds the cap {args.radius_cap}; "
             f"raise it explicitly with --radius-cap")
-    report = sweep_triples(TypeTag.from_code(args.type), args.radius,
-                           seed=args.seed)
+    report = sweep_triples(TypeTag.from_code(args.type), args.radius)
     print(f"type {report.type} radius {report.radius}: "
           f"{report.triples_checked} triples checked, "
           f"{len(report.counterexamples)} counterexamples, "
@@ -112,7 +110,7 @@ def cmd_hull(args) -> int:
           f"{verdict.product} {rel} {verdict.size_uvw} "
           f"({'holds' if verdict.holds else 'FAILS'})")
     if args.svg:
-        scene = hull_scene(ctx, u, v, w, hull_uv, hull_vw, hull_uvw)
+        scene = hull_scene(u, v, w, hull_uv, hull_vw, hull_uvw)
         _write_atomic(args.svg, scene.to_svg())
         print(f"svg written to {args.svg} ({scene.filled_count()} filled polygons)")
     return 0 if verdict.holds else 1
@@ -153,7 +151,7 @@ def cmd_formula(args) -> int:
         if not args.xy:
             raise ConfigError("--xy X,Y is required for a2t")
         x, y = _ints(args.xy, 2, "--xy")
-        coord = A2Coord(x, y, orientation_for_parity(x, y))
+        coord = A2Coord(x, y)
         count = a2_pair_count(coord)
         print(f"pair count at ({x},{y}) "
               f"[{coord.base_orientation.value} base, x+y {'even' if (x+y) % 2 == 0 else 'odd'}]: {count}")
@@ -235,13 +233,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact hull checks on planar Coxeter tessellations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    types = ["a2t", "c2t", "g2t", "i2inf"]
+    types = [t.code for t in TypeTag]
 
     p = sub.add_parser("check", help="exhaustive strong-hull sweep")
     p.add_argument("--type", required=True, choices=types)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--radius-cap", type=int, default=8)
     p.set_defaults(func=cmd_check)
 

@@ -107,12 +107,11 @@ def interval(u: Chamber, v: Chamber) -> ChamberSet:
     by generator i with each step."""
     ctx = _shared_ctx(u, v)
     m = ctx.scale
-    steps = list(zip(ctx.base_walls, ctx.gens))
     seen = {u}
     stack = [(u, u.element.preimage_scaled(*v.order_key, m))]
     while stack:
         c, (p1, p2) = stack.pop()
-        for ((n1, n2, k), g), (_, nb) in zip(steps, c.neighbors()):
+        for (n1, n2, k), g, nb in zip(ctx.base_walls, ctx.gens, c.neighbors()):
             if n1 * p1 + n2 * p2 < k * m and nb not in seen:
                 seen.add(nb)
                 stack.append((nb, g.apply_scaled(p1, p2, m)))
@@ -141,7 +140,7 @@ def halfspace_hull(points) -> ChamberSet:
     while frontier:
         nxt = []
         for c in frontier:
-            for _, nb in c.neighbors():
+            for nb in c.neighbors():
                 if nb in seen:
                     continue
                 fl = nb.floors
@@ -254,16 +253,27 @@ def g2_diagnostic(u1: Chamber, v: Chamber, w1: Chamber) -> CoarseningDiagnostic:
 
 @dataclass
 class CheckReport:
+    """One sweep's result: the counterexamples among `triples_checked`
+    ordered triples of the ball of `radius`, and the sweep's wall time.
+    `ok` and `max_ratio` are read off the counterexamples."""
+
     type: str
     radius: int
     triples_checked: int
     counterexamples: list
-    max_ratio: Fraction
     wall_clock_ms: int
 
     @property
     def ok(self) -> bool:
         return not self.counterexamples
+
+    @property
+    def max_ratio(self) -> Fraction:
+        """The largest |Conv(u, v, w)| / (|Conv(u, v)|·|Conv(v, w)|).  The
+        pairs with v = u all give exactly 1, and a ratio above 1 is a
+        counterexample."""
+        return max((Fraction(c["size_uvw"], c["size_uv"] * c["size_vw"])
+                    for c in self.counterexamples), default=Fraction(1))
 
     def to_dict(self) -> dict:
         return {
@@ -390,13 +400,12 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
 
     With `oracle_samples` > 0 the weak order checks the sweep, and a
     disagreement aborts it; a negative count raises ValueError.  It
-    checks every |Conv(u, w)| of row 0, and, on a seeded sample of the
-    pairs i <= j (numbered in that order), |Conv(v, w)| by size and
-    Conv(u, v, w) as the table's set of chambers.
+    checks every |Conv(u, w)| of row 0, and, on a sample of the pairs
+    i <= j (numbered in that order) drawn with `seed`, |Conv(v, w)| by
+    size and Conv(u, v, w) as the table's set of chambers.
 
-    `max_ratio` is the largest |Conv(u, v, w)| / (|Conv(u, v)|·|Conv(v, w)|).
-    The pairs with v = u all give exactly 1, and a ratio above 1 is a
-    counterexample, so it is read off the counterexamples, not tracked.
+    The report lists every counterexample found; its `max_ratio` is read
+    off them, not tracked.
 
     `jobs` must be 1; any other value raises ValueError.  The slot stays
     only because `bench/worker.py` passes 1 there by position, before the
@@ -451,7 +460,5 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
         radius=radius,
         triples_checked=n * n,
         counterexamples=counterexamples,
-        max_ratio=max((Fraction(c["size_uvw"], c["size_uv"] * c["size_vw"])
-                       for c in counterexamples), default=Fraction(1)),
         wall_clock_ms=elapsed_ms,
     )

@@ -70,7 +70,7 @@ def _as_order(value):
         return INF
     if isinstance(value, float) and value == INF:
         return INF
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise CoxeterMatrixError(f"order entries must be integers or 'inf', got {value!r}")
 

@@ -108,7 +108,7 @@ def verify_a2_identities() -> tuple[bool, bool]:
     return (a2_decomposed_lhs() == lhs, a2_factored_rhs() == rhs)
 
 
-def a2_box_violations(limit: int = 25):
+def a2_box_violations(limit: int):
     """Tuples in [0, limit]^4 meeting the constraints with LHS < RHS.
     The counts of ``formulas.a2_pair_form`` are evaluated on integers at
     each tuple, never expanded, so this does not lean on the polynomial
@@ -185,7 +185,7 @@ def verify_c2_corrected_expansion() -> MultiPoly:
                           case2_corrected_difference)
 
 
-def c2_box_violations(limit: int = 40):
+def c2_box_violations(limit: int):
     """Admissible tuples up to the limit with LHS < RHS; the domain is the
     reparametrization's image, i.e. includes y = b+1."""
     bad = []

@@ -96,11 +96,12 @@ def _plane_maps(ctx: GroupContext):
             lambda n: (float(n[0]), float(n[1])))
 
 
-def hull_scene(ctx: GroupContext,
-               u: Chamber, v: Chamber, w: Chamber,
+def hull_scene(u: Chamber, v: Chamber, w: Chamber,
                hull_uv: ChamberSet, hull_vw: ChamberSet,
                hull_uvw: ChamberSet) -> SvgScene:
-    """Scene with the triple hull shaded and its pair hulls emphasized."""
+    """Scene with the triple hull shaded and its pair hulls emphasized, in
+    the frame of the chambers' own context."""
+    ctx = u.ctx
     point, normal = _plane_maps(ctx)
     drawn = {}
     for c in hull_uvw:
@@ -113,7 +114,7 @@ def hull_scene(ctx: GroupContext,
         drawn[c] = cls
     belt = {}
     for c in list(drawn):
-        for _, nb in c.neighbors():
+        for nb in c.neighbors():
             if nb not in drawn and nb not in belt:
                 belt[nb] = "plain"
 

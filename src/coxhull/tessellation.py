@@ -92,13 +92,12 @@ class Chamber:
         bx, by = self.barycenter
         return f"Chamber({self.ctx.tag.code}, word={self.ctx.word_of(self)!r}, at=({bx}, {by}))"
 
-    def neighbors(self):
-        """List of (generator index, adjacent chamber), one per generator."""
+    def neighbors(self) -> tuple:
+        """The adjacent chambers, one per generator: the i-th lies across
+        panel i, the one on the wall `panel_walls()[i]`."""
         if self._neighbors is None:
-            self._neighbors = [
-                (i, self.ctx.chamber_of(self.element.compose(s)))
-                for i, s in enumerate(self.ctx.gens)
-            ]
+            self._neighbors = tuple([self.ctx.chamber_of(self.element.compose(s))
+                                     for s in self.ctx.gens])
         return self._neighbors
 
     def panel_walls(self):
@@ -123,12 +122,9 @@ class Gallery:
         """Panel walls crossed along the gallery, in order."""
         walls = []
         for a, b in zip(self.chambers, self.chambers[1:]):
-            for i, nb in a.neighbors():
-                if nb == b:
-                    walls.append(a.panel_walls()[i])
-                    break
-            else:
+            if b not in a.neighbors():
                 raise ValueError("gallery steps must be adjacent chambers")
+            walls.append(a.panel_walls()[a.neighbors().index(b)])
         return walls
 
 
@@ -279,7 +275,7 @@ class GroupContext:
         """Raise unless the integer floor forms give the exact floors of the
         base chamber and its neighbours."""
         base = self.base_chamber
-        for c in [base, *(nb for _, nb in base.neighbors())]:
+        for c in [base, *base.neighbors()]:
             q1, q2, m = _scaled(c.barycenter)
             exact = tuple((n1 * q1 + n2 * q2 - m * r) // (m * gap)
                           for n1, n2, r, gap in self.families)
@@ -374,7 +370,7 @@ class GroupContext:
         self._check(u, v)
         letters = self._fold(*u.element.preimage_scaled(*v.order_key, self.scale),
                              self.scale)
-        return Gallery(tuple(accumulate(letters, lambda c, i: c.neighbors()[i][1],
+        return Gallery(tuple(accumulate(letters, lambda c, i: c.neighbors()[i],
                                         initial=u)))
 
     def letters_of(self, c: Chamber) -> list:
@@ -397,7 +393,7 @@ class GroupContext:
             raise ValueError(f"radius must be non-negative, got {radius}")
         layers = self._layers
         while len(layers) <= radius:
-            nxt = {nb for c in layers[-1] for _, nb in c.neighbors()}
+            nxt = {nb for c in layers[-1] for nb in c.neighbors()}
             nxt.difference_update(layers[-2] if len(layers) > 1 else ())
             layers.append(sorted(nxt, key=attrgetter("order_key")))
         return [c for layer in layers[:radius + 1] for c in layer]

@@ -19,8 +19,7 @@ from coxhull.convexity import (closure_hull, halfspace_hull, interval,
 from coxhull.coxeter import TypeTag
 from coxhull.formulas import (A2Coord, C2CaseParams, a2_chamber_pair,
                               a2_pair_count, c2_case2_chambers,
-                              c2_case2_counts, dihedral_pair_count, i2_cell,
-                              orientation_for_parity)
+                              c2_case2_counts, dihedral_pair_count, i2_cell)
 from coxhull.poly import check_nonneg_coeffs
 from coxhull.propcheck import (a2_box_violations, verify_a2_identities,
                                verify_c2_expansion)
@@ -58,7 +57,7 @@ def test_criterion_02_metric_oracle():
         for d in range(1, 9):
             nxt = []
             for c in frontier:
-                for _, nb in c.neighbors():
+                for nb in c.neighbors():
                     if nb not in dist:
                         dist[nb] = d
                         nxt.append(nb)
@@ -115,12 +114,12 @@ def test_criterion_05_a2_formula_reproduction():
             x = s - y
             if x < max(0, y - 1):
                 continue
-            coord = A2Coord(x, y, orientation_for_parity(x, y))
+            coord = A2Coord(x, y)
             u, v = a2_chamber_pair(ctx, coord)
             checked += 1
             if halfspace_hull([u, v]).size != a2_pair_count(coord):
                 ok = False
-    pin = A2Coord(7, 3, orientation_for_parity(7, 3))
+    pin = A2Coord(7, 3)
     u, v = a2_chamber_pair(ctx, pin)
     ok = ok and a2_pair_count(pin) == 23 == halfspace_hull([u, v]).size
     _report(5, "triangular pair-count formulas match enumeration for x+y <= 14",

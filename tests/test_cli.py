@@ -2,7 +2,6 @@ import hashlib
 import json
 import runpy
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,6 +37,13 @@ def test_check_has_no_jobs_option(capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+def test_check_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--type", "a2t", "--radius", "2", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_check_radius_cap(capsys):
     assert main(["check", "--type", "a2t", "--radius", "9"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
@@ -49,7 +55,7 @@ def test_check_radius_cap(capsys):
 def test_check_counterexample_exits_1(monkeypatch, capsys):
     ce = {"v": "12", "w": "3", "size_uv": 3, "size_vw": 2, "size_uvw": 7}
     monkeypatch.setattr(coxhull.cli, "sweep_triples", lambda *args, **kwargs:
-                        CheckReport("a2t", 2, 100, [ce], Fraction(7, 6), 0))
+                        CheckReport("a2t", 2, 100, [ce], 0))
     assert main(["check", "--type", "a2t", "--radius", "2"]) == 1
     out = capsys.readouterr().out
     assert "1 counterexamples, max ratio 7/6" in out
@@ -288,6 +294,21 @@ CHECK_GOLDEN = {
     "i2inf": "9298b1569c7a5b5d5d222333691510313858ce68e7137ae2cec64b2c42484658",
 }
 
+# The closed-form commands, with digests of their stdout.  (4,3) has x+y
+# odd, so it is counted from a downward origin chamber.
+FORMULA_GOLDEN = {
+    "formula --type a2t --xy 7,3 --verify":
+        "622554a7f29fc36917a71818d6074f77d0747f8eaaf8f36cfbc286ac0fc0d97b",
+    "formula --type a2t --xy 4,3 --verify":
+        "cffa617fa9ab5197f783eb1aea276cb725bb1b47abf658c2482b80e96a0b82c2",
+    "formula --type c2t --abxy 2,2,5,4 --verify":
+        "478f7d6bcc2e03535b1ffa838fc90ef623e13303abc5de3e94c4779ef6208445",
+    "formula --type i2inf --d 5 --verify":
+        "48d0cbc7f6dd6ac044696c7f70e7724dd90947a1d9f8b11652dc3f0dcb0dd449",
+    "prove a2": "c2005a0d1ff7e1fd7801dd9fed65ba0b27893d9b946892f7e163977e93ad2269",
+    "prove c2": "eba8c3d1752acb796da1019603b1831cccc2945d84c0556f46d08f0d40fb1af8",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -312,6 +333,12 @@ def test_check_report_golden(code, tmp_path, capsys):
     del report["wall_clock_ms"]
     text = json.dumps(report, indent=2, sort_keys=True)
     assert _sha256(text.encode()) == CHECK_GOLDEN[code]
+
+
+@pytest.mark.parametrize("command", sorted(FORMULA_GOLDEN))
+def test_formula_outputs_golden(command, capsys):
+    assert main(command.split()) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == FORMULA_GOLDEN[command]
 
 
 @pytest.mark.parametrize("flag", ["--radius", "--samples"])

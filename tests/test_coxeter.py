@@ -22,6 +22,19 @@ def test_none_is_not_an_order():
         validate_matrix([[1, None], [None, 1]])
 
 
+@pytest.mark.parametrize("raw", [
+    [[True, 3], [3, True]],      # True is the int 1 on the diagonal
+    [[1, True], [True, 1]],
+    [[False, 3], [3, 1]],
+    [[1, False], [False, 1]],
+])
+def test_bool_is_not_an_order(raw):
+    # bool subclasses int, but True and False are refused as entries,
+    # not read as the orders 1 and 0.
+    with pytest.raises(CoxeterMatrixError, match="integers or 'inf', got (True|False)"):
+        validate_matrix(raw)
+
+
 def test_non_symmetric_names_indices():
     with pytest.raises(NonSymmetric) as exc:
         validate_matrix([[1, 2], [3, 1]])

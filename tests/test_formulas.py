@@ -5,35 +5,32 @@ from coxhull.formulas import (A2Coord, C2CaseParams, ConstraintViolation,
                               Orientation, ParityViolation, ShapeViolation,
                               a2_chamber_pair, a2_pair_count,
                               a2_strong_hull_sides, c2_case2_chambers,
-                              c2_case2_counts, dihedral_pair_count, i2_cell,
-                              orientation_for_parity)
+                              c2_case2_counts, dihedral_pair_count, i2_cell)
 
 
 def test_pair_count_examples():
-    assert a2_pair_count(A2Coord(3, 0, Orientation.Down)) == 4
-    assert a2_pair_count(A2Coord(7, 3, Orientation.Up)) == 23
-    assert a2_pair_count(A2Coord(1, 0, Orientation.Down)) == 2
+    assert a2_pair_count(A2Coord(3, 0)) == 4
+    assert a2_pair_count(A2Coord(7, 3)) == 23
+    assert a2_pair_count(A2Coord(1, 0)) == 2
 
 
 def test_parity_enforced():
     with pytest.raises(ParityViolation):
-        A2Coord(3, 0, Orientation.Up)
-    with pytest.raises(ParityViolation):
-        A2Coord(2, 0, Orientation.Down)
-    with pytest.raises(ParityViolation):
-        A2Coord(0, 0, Orientation.Up)
+        A2Coord(0, 0)
 
 
 def test_shape_enforced():
     with pytest.raises(ShapeViolation):
-        a2_pair_count(A2Coord(0, 2, Orientation.Up))
+        a2_pair_count(A2Coord(0, 2))
     with pytest.raises(ShapeViolation):
-        A2Coord(-1, 1, Orientation.Up)
+        A2Coord(-1, 1)
 
 
-def test_orientation_for_parity():
-    assert orientation_for_parity(7, 3) is Orientation.Up
-    assert orientation_for_parity(3, 0) is Orientation.Down
+def test_base_orientation_follows_parity():
+    assert A2Coord(7, 3).base_orientation is Orientation.Up
+    assert A2Coord(2, 0).base_orientation is Orientation.Up
+    assert A2Coord(3, 0).base_orientation is Orientation.Down
+    assert A2Coord(4, 3).base_orientation is Orientation.Down
 
 
 def test_formula_agrees_with_enumeration_small(a2):
@@ -42,7 +39,7 @@ def test_formula_agrees_with_enumeration_small(a2):
             x = s - y
             if x < max(0, y - 1):
                 continue
-            coord = A2Coord(x, y, orientation_for_parity(x, y))
+            coord = A2Coord(x, y)
             u, v = a2_chamber_pair(a2, coord)
             assert halfspace_hull([u, v]).size == a2_pair_count(coord)
 

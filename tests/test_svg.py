@@ -13,7 +13,7 @@ def scene_for(ctx, u_word, v_word, w_word):
     hull_uv = halfspace_hull([u, v])
     hull_vw = halfspace_hull([v, w])
     hull_uvw = halfspace_hull([u, v, w])
-    return hull_scene(ctx, u, v, w, hull_uv, hull_vw, hull_uvw), hull_uvw
+    return hull_scene(u, v, w, hull_uv, hull_vw, hull_uvw), hull_uvw
 
 
 def test_filled_polygon_count_matches_hull(a2):

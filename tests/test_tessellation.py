@@ -9,7 +9,7 @@ import pytest
 from coxhull.convexity import halfspace_hull, sweep_triples
 from coxhull.coxeter import TypeTag
 from coxhull.group import reflection_across
-from coxhull.tessellation import GroupContext, _base_data, _derive_families
+from coxhull.tessellation import Gallery, GroupContext, _base_data, _derive_families
 
 
 def bfs_distances(start, depth):
@@ -19,7 +19,7 @@ def bfs_distances(start, depth):
     for d in range(1, depth + 1):
         nxt = []
         for c in frontier:
-            for _, nb in c.neighbors():
+            for nb in c.neighbors():
                 if nb not in dist:
                     dist[nb] = d
                     nxt.append(nb)
@@ -271,25 +271,24 @@ def test_barycenters_never_on_walls(ctx):
 
 def test_neighbors_rank_many_distinct_symmetric(ctx):
     for c in ctx.ball(3):
-        nbs = [nb for _, nb in c.neighbors()]
-        assert len(nbs) == ctx.rank
+        nbs = c.neighbors()
+        assert type(nbs) is tuple and len(nbs) == ctx.rank
         assert len(set(nbs)) == ctx.rank
         assert all(nb != c for nb in nbs)
         for nb in nbs:
-            assert c in [x for _, x in nb.neighbors()]
+            assert c in nb.neighbors()
 
 
 def test_adjacent_chambers_separated_by_exactly_their_panel(ctx):
     for c in ctx.ball(3):
-        for i, nb in c.neighbors():
-            walls = ctx.separating_walls(c, nb)
-            assert walls == {c.panel_walls()[i]}
+        for wall, nb in zip(c.panel_walls(), c.neighbors()):
+            assert ctx.separating_walls(c, nb) == {wall}
 
 
 def test_separates_basics(ctx):
     base = ctx.base_chamber
     assert ctx.separating_walls(base, base) == set()
-    assert base.panel_walls()[0] in ctx.separating_walls(base, base.neighbors()[0][1])
+    assert base.panel_walls()[0] in ctx.separating_walls(base, base.neighbors()[0])
 
 
 def test_distance_equals_bfs(ctx):
@@ -302,7 +301,7 @@ def test_adjacent_distance_parity(ctx):
     base = ctx.base_chamber
     for c in ctx.ball(5):
         d = ctx.wall_distance(base, c)
-        for _, nb in c.neighbors():
+        for nb in c.neighbors():
             assert abs(ctx.wall_distance(base, nb) - d) == 1
 
 
@@ -318,8 +317,7 @@ def test_separating_wall_count_is_distance(ctx):
 def test_reflection_flips_only_its_wall(planar_ctx):
     ctx = planar_ctx
     for c in ctx.ball(2):
-        for i, nb in c.neighbors():
-            wall = c.panel_walls()[i]
+        for wall, nb in zip(c.panel_walls(), c.neighbors()):
             for f in range(len(ctx.families)):
                 if f == wall.family:
                     assert abs(c.floors[f] - nb.floors[f]) == 1
@@ -425,11 +423,18 @@ def test_exact_data_only(ctx):
         assert integral(e.a, e.b, e.c, e.d, e.tx, e.ty)
 
 
+def test_gallery_refuses_non_adjacent_steps(ctx):
+    base = ctx.base_chamber
+    for step in [ctx.chamber_from_word([0, 1]), base]:
+        with pytest.raises(ValueError, match="gallery steps must be adjacent chambers"):
+            Gallery((base, step)).crossed_walls()
+
+
 def test_chambers_are_interned(ctx):
     # Two words for one element give the one chamber object.
     for i in range(ctx.rank):
         assert ctx.chamber_from_word([i, i]) is ctx.base_chamber
-    assert ctx.chamber_from_word([0, 1, 1]) is ctx.base_chamber.neighbors()[0][1]
+    assert ctx.chamber_from_word([0, 1, 1]) is ctx.base_chamber.neighbors()[0]
 
 
 def test_separate_contexts_never_share_chambers():
