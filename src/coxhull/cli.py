@@ -3,7 +3,8 @@ evaluation and the symbolic verification transcript.
 
 Exit codes: 0 when every requested check passes, 1 when a counterexample
 or verification mismatch is found, 2 for unusable configuration or input
-or an interrupt (Ctrl-C), 3 for an implementation fault (any
+(`ConfigError`, `formulas.CoordinateError`, `OSError`) or an interrupt
+(Ctrl-C), 3 for an implementation fault (any
 RuntimeError, such as disagreeing hull routes).  Exits 2 and 3 report on
 one `error:` line and write no report.  Reports are written atomically
 (write to a temp file, then rename).  `check` sweeps in one pass.
@@ -29,15 +30,7 @@ from .tessellation import GroupContext, build_group
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class ParseError(ValueError):
-    pass
-
-
-def _context(code: str) -> GroupContext:
-    return build_group(TypeTag.from_code(code))
+    """Unusable options or arguments: exit 2."""
 
 
 def _word_chamber(ctx: GroupContext, word: str):
@@ -45,7 +38,7 @@ def _word_chamber(ctx: GroupContext, word: str):
     digits = "123456789"[:ctx.rank]
     for ch in word:
         if ch not in digits:
-            raise ParseError(
+            raise ConfigError(
                 f"word {word!r}: expected digits 1..{ctx.rank} only")
         indices.append(digits.index(ch))
     return ctx.chamber_from_word(indices)
@@ -92,7 +85,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    ctx = _context(args.type)
+    ctx = build_group(TypeTag.from_code(args.type))
     u = _word_chamber(ctx, args.u)
     v = _word_chamber(ctx, args.v)
     w = _word_chamber(ctx, args.w)
@@ -119,11 +112,11 @@ def cmd_hull(args) -> int:
 def _ints(text: str, n: int, what: str):
     parts = text.split(",")
     if len(parts) != n:
-        raise ParseError(f"{what} wants {n} comma-separated integers, got {text!r}")
+        raise ConfigError(f"{what} wants {n} comma-separated integers, got {text!r}")
     try:
         return [int(p) for p in parts]
     except ValueError:
-        raise ParseError(f"{what} wants integers, got {text!r}") from None
+        raise ConfigError(f"{what} wants integers, got {text!r}") from None
 
 
 def _enumerated(checks) -> int:
@@ -144,7 +137,7 @@ def cmd_formula(args) -> int:
         count = dihedral_pair_count(args.d)
         print(f"interval size at distance {args.d}: {count}")
         if args.verify:
-            ctx = _context("i2inf")
+            ctx = build_group(tag)
             got = halfspace_hull([i2_cell(ctx, 0), i2_cell(ctx, args.d)]).size
             mismatches = _enumerated([("", count, got)])
     elif tag is TypeTag.A2Tilde:
@@ -154,9 +147,9 @@ def cmd_formula(args) -> int:
         coord = A2Coord(x, y)
         count = a2_pair_count(coord)
         print(f"pair count at ({x},{y}) "
-              f"[{coord.base_orientation.value} base, x+y {'even' if (x+y) % 2 == 0 else 'odd'}]: {count}")
+              f"[{'down base, x+y odd' if coord.down else 'up base, x+y even'}]: {count}")
         if args.verify:
-            ctx = _context("a2t")
+            ctx = build_group(tag)
             u, v = a2_chamber_pair(ctx, coord)
             mismatches = _enumerated([("", count, halfspace_hull([u, v]).size)])
     elif tag is TypeTag.C2Tilde:
@@ -167,11 +160,12 @@ def cmd_formula(args) -> int:
         counts = c2_case2_counts(params)
         print(f"counts at (a,b,x,y)=({a},{b},{x},{y}): "
               f"size_uv={counts[0]} size_vw={counts[1]} size_uvw={counts[2]}")
-        product = counts[0] * counts[1]
-        rel = ">=" if product >= counts[2] else "<"
-        print(f"strong hull product: {counts[0]}*{counts[1]} = {product} {rel} {counts[2]}")
+        verdict = HullVerdict(*counts)
+        rel = ">=" if verdict.holds else "<"
+        print(f"strong hull product: {counts[0]}*{counts[1]} = "
+              f"{verdict.product} {rel} {counts[2]}")
         if args.verify:
-            ctx = _context("c2t")
+            ctx = build_group(tag)
             u, v, w = c2_case2_chambers(ctx, params)
             got = (halfspace_hull([u, v]).size, halfspace_hull([v, w]).size,
                    halfspace_hull([u, v, w]).size)
@@ -272,7 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, CoordinateError) as exc:
+    except (ConfigError, CoordinateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

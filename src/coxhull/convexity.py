@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, repeat
@@ -219,7 +219,6 @@ def checked_hull(points) -> ChamberSet:
 
 def strong_hull_check(u: Chamber, v: Chamber, w: Chamber) -> HullVerdict:
     """Exact sizes for the hull inequality |C(u,v)|*|C(v,w)| >= |C(u,v,w)|."""
-    _shared_ctx(u, v, w)
     return HullVerdict(
         size_uv=halfspace_hull([u, v]).size,
         size_vw=halfspace_hull([v, w]).size,
@@ -276,17 +275,8 @@ class CheckReport:
                     for c in self.counterexamples), default=Fraction(1))
 
     def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "radius": self.radius,
-            "triples_checked": self.triples_checked,
-            "counterexamples": self.counterexamples,
-            "max_ratio": {
-                "num": self.max_ratio.numerator,
-                "den": self.max_ratio.denominator,
-            },
-            "wall_clock_ms": self.wall_clock_ms,
-        }
+        ratio = self.max_ratio
+        return {**asdict(self), "max_ratio": {"num": ratio.numerator, "den": ratio.denominator}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

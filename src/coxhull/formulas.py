@@ -15,7 +15,8 @@ origin chamber and x+y odd it is
     xy + x - y^2 + 2y + 1,
 
 a parallelogram with two opposite corners removed.  So the parity of
-x+y fixes the origin's orientation, and an ``A2Coord`` takes only (x, y).
+x+y fixes the origin's orientation, and an ``A2Coord`` takes only (x, y)
+and reads it off as ``down``.
 The pairing is easy to transpose by eye, so it is pinned by enumeration,
 not by pictures: acceptance criterion 5 compares both counts with
 enumerated hulls for every x+y <= 14.
@@ -31,11 +32,12 @@ chamber more than the paper's simplified ``3(x-a+3) + (y-b-2)(x-a+5)``,
 which drops a unit from the row-by-row count it was simplified from; the
 paper's form survives only in ``coxhull.propcheck``, as the expression
 behind its pinned expansion.
+
+Input outside the domain of a form raises ``CoordinateError``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,25 +45,8 @@ from .coxeter import TypeTag
 from .tessellation import Chamber, GroupContext
 
 
-class Orientation(enum.Enum):
-    Up = "up"
-    Down = "down"
-
-
 class CoordinateError(ValueError):
-    """Base for invalid closed-form coordinates."""
-
-
-class ParityViolation(CoordinateError):
-    pass
-
-
-class ShapeViolation(CoordinateError):
-    pass
-
-
-class ConstraintViolation(CoordinateError):
-    pass
+    """Closed-form coordinates outside the domain of their forms."""
 
 
 @dataclass(frozen=True)
@@ -74,37 +59,37 @@ class A2Coord:
 
     def __post_init__(self):
         if self.x < 0 or self.y < 0:
-            raise ShapeViolation(f"coordinates must be non-negative, got {(self.x, self.y)}")
+            raise CoordinateError(f"coordinates must be non-negative, got {(self.x, self.y)}")
         if self.x + self.y == 0:
-            raise ParityViolation("x+y must be positive")
+            raise CoordinateError("x+y must be positive")
 
     @property
-    def base_orientation(self) -> Orientation:
-        """Up when x+y is even, down when it is odd."""
-        return Orientation.Down if (self.x + self.y) % 2 else Orientation.Up
+    def down(self) -> bool:
+        """Whether the base chamber points down: x+y is odd."""
+        return (self.x + self.y) % 2 == 1
 
 
-def a2_pair_form(x, y, base: Orientation):
+def a2_pair_form(x, y, down: bool):
     """The pair count xy + x - y^2 + y + 1 (upward origin) or
     xy + x - y^2 + 2y + 1 (downward origin), unchecked, so that the same
     expression serves integers and the symbolic route's polynomials."""
-    return x * y + x - y * y + (1 if base is Orientation.Up else 2) * y + 1
+    return x * y + x - y * y + (2 if down else 1) * y + 1
 
 
 def a2_sides_forms(x, y, a, b):
     """Both sides of the reduced-triple product inequality, unchecked:
     the downward count at (x, y) times the upward count at (a, b), and the
     downward count at (x+a, y+b)."""
-    return (a2_pair_form(x, y, Orientation.Down) * a2_pair_form(a, b, Orientation.Up),
-            a2_pair_form(x + a, y + b, Orientation.Down))
+    return (a2_pair_form(x, y, down=True) * a2_pair_form(a, b, down=False),
+            a2_pair_form(x + a, y + b, down=True))
 
 
 def a2_pair_count(coord: A2Coord) -> int:
     """Chambers in the pair hull addressed by the coordinate."""
     x, y = coord.x, coord.y
     if x < y - 1:
-        raise ShapeViolation(f"need x >= y-1 for the truncated-parallelogram shape, got {(x, y)}")
-    return a2_pair_form(x, y, coord.base_orientation)
+        raise CoordinateError(f"need x >= y-1 for the truncated-parallelogram shape, got {(x, y)}")
+    return a2_pair_form(x, y, down=coord.down)
 
 
 def a2_strong_hull_sides(x: int, y: int, a: int, b: int) -> tuple[int, int]:
@@ -112,15 +97,15 @@ def a2_strong_hull_sides(x: int, y: int, a: int, b: int) -> tuple[int, int]:
     configuration u = (0,0), v = (x,y), w = (x+a, y+b)."""
     for name, val in (("x", x), ("y", y), ("a", a), ("b", b)):
         if val < 0:
-            raise ConstraintViolation(f"{name} must be non-negative, got {val}")
+            raise CoordinateError(f"{name} must be non-negative, got {val}")
     if x < y - 1:
-        raise ConstraintViolation(f"need x >= y-1, got x={x}, y={y}")
+        raise CoordinateError(f"need x >= y-1, got x={x}, y={y}")
     if a < b - 1:
-        raise ConstraintViolation(f"need a >= b-1, got a={a}, b={b}")
+        raise CoordinateError(f"need a >= b-1, got a={a}, b={b}")
     if x + y <= 0 or (x + y) % 2 != 1:
-        raise ConstraintViolation(f"x+y must be positive odd, got {x + y}")
+        raise CoordinateError(f"x+y must be positive odd, got {x + y}")
     if a + b <= 0 or (a + b) % 2 != 0:
-        raise ConstraintViolation(f"a+b must be positive even, got {a + b}")
+        raise CoordinateError(f"a+b must be positive even, got {a + b}")
     return a2_sides_forms(x, y, a, b)
 
 
@@ -133,13 +118,13 @@ class C2CaseParams:
 
     def __post_init__(self):
         if self.a % 4 != 2:
-            raise ConstraintViolation(f"a must be 2 mod 4, got {self.a}")
+            raise CoordinateError(f"a must be 2 mod 4, got {self.a}")
         if self.x % 4 != 1:
-            raise ConstraintViolation(f"x must be 1 mod 4, got {self.x}")
+            raise CoordinateError(f"x must be 1 mod 4, got {self.x}")
         if not (self.y > self.b >= 2):
-            raise ConstraintViolation(f"need y > b >= 2, got b={self.b}, y={self.y}")
+            raise CoordinateError(f"need y > b >= 2, got b={self.b}, y={self.y}")
         if self.x < self.a + 3:
-            raise ConstraintViolation(f"need x >= a+3, got a={self.a}, x={self.x}")
+            raise CoordinateError(f"need x >= a+3, got a={self.a}, x={self.x}")
 
 
 def c2_case2_forms(a, b, x, y):
@@ -165,14 +150,14 @@ def c2_case2_counts(p: C2CaseParams) -> tuple[int, int, int]:
     route rather than claimed for the closed forms.
     """
     if p.y < p.b + 2:
-        raise ConstraintViolation(f"closed forms need y >= b+2, got b={p.b}, y={p.y}")
+        raise CoordinateError(f"closed forms need y >= b+2, got b={p.b}, y={p.y}")
     return c2_case2_forms(p.a, p.b, p.x, p.y)
 
 
 def dihedral_pair_count(dist: int) -> int:
     """Interval size on the line: a path graph interval has d+1 cells."""
     if dist < 0:
-        raise ConstraintViolation("distance must be non-negative")
+        raise CoordinateError("distance must be non-negative")
     return dist + 1
 
 
@@ -189,11 +174,10 @@ def _a2_barycenter(col_halfsteps: Fraction, row: int, up: bool):
 def a2_chamber_pair(ctx: GroupContext, coord: A2Coord) -> tuple[Chamber, Chamber]:
     """The (origin, target) chambers addressed by an A2 coordinate."""
     if ctx.tag is not TypeTag.A2Tilde:
-        raise ConstraintViolation("A2 coordinates address the triangular complex")
-    up = coord.base_orientation is Orientation.Up
-    base_col = Fraction(1, 2) if up else Fraction(1)
-    u = ctx.chamber_containing(_a2_barycenter(base_col, 0, up=up))
-    # Orientation alternates with each step and the parity of x+y fixes
+        raise CoordinateError("A2 coordinates address the triangular complex")
+    base_col = Fraction(1) if coord.down else Fraction(1, 2)
+    u = ctx.chamber_containing(_a2_barycenter(base_col, 0, up=not coord.down))
+    # The orientation alternates with each step and the parity of x+y fixes
     # the base's, so the target is always an upward triangle.
     col = base_col + Fraction(coord.x, 2)
     v = ctx.chamber_containing(_a2_barycenter(col, coord.y, up=True))
@@ -214,7 +198,6 @@ def a2_reduced_triple(ctx: GroupContext, x: int, y: int, a: int, b: int):
 # Square-grid triangle species: a unit square is cut by one diagonal, and
 # the in-square barycenter offset identifies the triangle.
 _C2_SPECIES = {
-    "UL": (Fraction(1, 3), Fraction(2, 3)),
     "LR": (Fraction(2, 3), Fraction(1, 3)),
     "SW": (Fraction(1, 3), Fraction(1, 3)),
     "NE": (Fraction(2, 3), Fraction(2, 3)),
@@ -224,7 +207,7 @@ _C2_SPECIES = {
 def c2_triangle(ctx: GroupContext, i: int, j: int, species: str) -> Chamber:
     """Triangle of the given species in the unit square [i,i+1] x [j,j+1]."""
     if ctx.tag is not TypeTag.C2Tilde:
-        raise ConstraintViolation("square-grid triangles live in the c2t complex")
+        raise CoordinateError("square-grid triangles live in the c2t complex")
     dx, dy = _C2_SPECIES[species]
     return ctx.chamber_containing((i + dx, j + dy))
 
@@ -242,5 +225,5 @@ def c2_case2_chambers(ctx: GroupContext, p: C2CaseParams) -> tuple[Chamber, Cham
 def i2_cell(ctx: GroupContext, n: int) -> Chamber:
     """The n-th unit cell of the line model."""
     if ctx.tag is not TypeTag.I2Infinity:
-        raise ConstraintViolation("cells are addressed on the line model only")
+        raise CoordinateError("cells are addressed on the line model only")
     return ctx.chamber_containing((n + Fraction(1, 2), Fraction(1, 2)))

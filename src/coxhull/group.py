@@ -32,28 +32,25 @@ def vec(x, y) -> Vec:
 class GroupElement:
     """Integer affine map p -> A p + t, tagged by the group it belongs to."""
 
-    __slots__ = ("tag", "a", "b", "c", "d", "tx", "ty", "_key")
+    __slots__ = ("tag", "a", "b", "c", "d", "tx", "ty", "key")
 
     def __init__(self, tag: str, linear, translation) -> None:
         self.tag = tag
         self.a, self.b, self.c, self.d = linear
         self.tx, self.ty = translation
-        self._key = (tag, self.a, self.b, self.c, self.d, self.tx, self.ty)
+        self.key = (tag, self.a, self.b, self.c, self.d, self.tx, self.ty)
 
     @classmethod
     def identity(cls, tag: str) -> "GroupElement":
         return cls(tag, (1, 0, 0, 1), (0, 0))
 
-    def key(self):
-        return self._key
-
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self._key == other._key
+        return self.key == other.key
 
     def __repr__(self) -> str:
         return (f"GroupElement({self.tag}, [[{self.a}, {self.b}], "

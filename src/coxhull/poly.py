@@ -21,15 +21,9 @@ class MultiPoly:
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        clean = {}
-        if terms:
-            for expo, coeff in terms.items():
-                if coeff != 0:
-                    expo = tuple(expo)
-                    if len(expo) != len(self.variables):
-                        raise ValueError("exponent vector length mismatch")
-                    clean[expo] = clean.get(expo, 0) + coeff
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        self.terms = {tuple(e): c for e, c in (terms or {}).items() if c != 0}
+        if any(len(e) != len(self.variables) for e in self.terms):
+            raise ValueError("exponent vector length mismatch")
 
     # -- constructors -------------------------------------------------------
 

@@ -31,7 +31,7 @@ positive terms.
 
 from __future__ import annotations
 
-from .formulas import Orientation, a2_pair_form, a2_sides_forms, c2_case2_forms
+from .formulas import a2_sides_forms, c2_case2_forms
 from .poly import MultiPoly
 
 VARS_A2 = ("x", "y", "a", "b")
@@ -110,21 +110,18 @@ def verify_a2_identities() -> tuple[bool, bool]:
 
 def a2_box_violations(limit: int):
     """Tuples in [0, limit]^4 meeting the constraints with LHS < RHS.
-    The counts of ``formulas.a2_pair_form`` are evaluated on integers at
-    each tuple, never expanded, so this does not lean on the polynomial
-    route."""
+    ``formulas.a2_sides_forms`` is evaluated on integers at each tuple,
+    never expanded, so this does not lean on the polynomial route."""
     bad = []
     for x in range(limit + 1):
         for y in range(limit + 1):
             if x < y - 1 or (x + y) % 2 != 1:
                 continue
-            f1 = a2_pair_form(x, y, Orientation.Down)
             for a in range(limit + 1):
                 for b in range(limit + 1):
                     if a < b - 1 or (a + b) % 2 != 0 or a + b == 0:
                         continue
-                    lhs = f1 * a2_pair_form(a, b, Orientation.Up)
-                    rhs = a2_pair_form(x + a, y + b, Orientation.Down)
+                    lhs, rhs = a2_sides_forms(x, y, a, b)
                     if lhs < rhs:
                         bad.append((x, y, a, b, lhs, rhs))
     return bad

@@ -33,17 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import attrgetter
 
 from .coxeter import INF, CoxeterMatrix, TypeTag, matrix_for
 from .group import (GroupElement, MixedContext, Vec, element_order,
                     reflection_across, vec)
-
-
-class UnsupportedType(ValueError):
-    """Raised when a structure is requested for a type that lacks it."""
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,6 @@ class GroupContext:
         self.base_chamber = self.chamber_of(GroupElement.identity(tag.code))
         self._layers = [[self.base_chamber]]
         self._check_floor_forms()
-        self._companion = None
 
     def _check_floor_forms(self) -> None:
         """Raise unless the integer floor forms give the exact floors of the
@@ -293,10 +288,10 @@ class GroupContext:
         that makes chamber identity equality.  Nothing else builds one."""
         if element.tag != self.tag.code:
             raise MixedContext(f"element of {element.tag} used in {self.tag.code}")
-        ch = self._chambers.get(element.key())
+        ch = self._chambers.get(element.key)
         if ch is None:
             ch = Chamber(self, element)
-            self._chambers[element.key()] = ch
+            self._chambers[element.key] = ch
         return ch
 
     def chamber_from_word(self, word) -> Chamber:
@@ -400,18 +395,16 @@ class GroupContext:
 
     # -- companion coarse complex -----------------------------------------
 
-    @property
+    @cached_property
     def companion(self) -> "GroupContext":
         """The coarse triangulation sharing this context's hexagonal wall
         families (only available for the finest hexagonal type)."""
         if self.tag is not TypeTag.G2Tilde:
-            raise UnsupportedType("coarsening companion exists only for g2t")
-        if self._companion is None:
-            comp = build_group(TypeTag.A2Tilde)
-            if not set(self.families) >= set(comp.families):
-                raise RuntimeError("companion wall families do not align")
-            self._companion = comp
-        return self._companion
+            raise ValueError("coarsening companion exists only for g2t")
+        comp = build_group(TypeTag.A2Tilde)
+        if not set(self.families) >= set(comp.families):
+            raise RuntimeError("companion wall families do not align")
+        return comp
 
     def coarsen(self, chamber: Chamber) -> Chamber:
         """Coarse chamber whose triangle contains this chamber's barycenter."""

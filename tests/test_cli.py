@@ -199,6 +199,20 @@ def test_formula_constraint_errors(capsys):
     assert main(["formula", "--type", "a2t"]) == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--type", "g2t"], "no closed forms for type g2t"),
+    (["--type", "i2inf"], "--d N is required for i2inf"),
+    (["--type", "c2t"], "--abxy A,B,X,Y is required for c2t"),
+    (["--type", "a2t", "--xy", "7"], "--xy wants 2 comma-separated integers, got '7'"),
+    (["--type", "a2t", "--xy", "7,a"], "--xy wants integers, got '7,a'"),
+])
+def test_formula_usage_refused(args, message, capsys):
+    assert main(["formula", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_prove_a2(capsys):
     assert main(["prove", "a2", "--box", "10"]) == 0
     out = capsys.readouterr().out

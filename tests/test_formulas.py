@@ -1,8 +1,7 @@
 import pytest
 
 from coxhull.convexity import halfspace_hull
-from coxhull.formulas import (A2Coord, C2CaseParams, ConstraintViolation,
-                              Orientation, ParityViolation, ShapeViolation,
+from coxhull.formulas import (A2Coord, C2CaseParams, CoordinateError,
                               a2_chamber_pair, a2_pair_count,
                               a2_strong_hull_sides, c2_case2_chambers,
                               c2_case2_counts, dihedral_pair_count, i2_cell)
@@ -15,22 +14,22 @@ def test_pair_count_examples():
 
 
 def test_parity_enforced():
-    with pytest.raises(ParityViolation):
+    with pytest.raises(CoordinateError, match="^x\\+y must be positive$"):
         A2Coord(0, 0)
 
 
 def test_shape_enforced():
-    with pytest.raises(ShapeViolation):
+    with pytest.raises(CoordinateError, match="need x >= y-1"):
         a2_pair_count(A2Coord(0, 2))
-    with pytest.raises(ShapeViolation):
+    with pytest.raises(CoordinateError, match="coordinates must be non-negative"):
         A2Coord(-1, 1)
 
 
 def test_base_orientation_follows_parity():
-    assert A2Coord(7, 3).base_orientation is Orientation.Up
-    assert A2Coord(2, 0).base_orientation is Orientation.Up
-    assert A2Coord(3, 0).base_orientation is Orientation.Down
-    assert A2Coord(4, 3).base_orientation is Orientation.Down
+    assert not A2Coord(7, 3).down
+    assert not A2Coord(2, 0).down
+    assert A2Coord(3, 0).down
+    assert A2Coord(4, 3).down
 
 
 def test_formula_agrees_with_enumeration_small(a2):
@@ -72,14 +71,14 @@ def test_strong_hull_sides_match_enumeration(a2):
 
 
 def test_strong_hull_sides_constraints():
-    with pytest.raises(ConstraintViolation):
-        a2_strong_hull_sides(0, 2, 2, 0)   # x < y-1
-    with pytest.raises(ConstraintViolation):
-        a2_strong_hull_sides(2, 0, 2, 0)   # x+y even
-    with pytest.raises(ConstraintViolation):
-        a2_strong_hull_sides(1, 0, 1, 0)   # a+b odd
-    with pytest.raises(ConstraintViolation):
-        a2_strong_hull_sides(1, 0, 0, 0)   # a+b not positive
+    with pytest.raises(CoordinateError, match="need x >= y-1"):
+        a2_strong_hull_sides(0, 2, 2, 0)
+    with pytest.raises(CoordinateError, match="x\\+y must be positive odd"):
+        a2_strong_hull_sides(2, 0, 2, 0)
+    with pytest.raises(CoordinateError, match="a\\+b must be positive even, got 1"):
+        a2_strong_hull_sides(1, 0, 1, 0)
+    with pytest.raises(CoordinateError, match="a\\+b must be positive even, got 0"):
+        a2_strong_hull_sides(1, 0, 0, 0)
 
 
 def test_case2_counts_examples():
@@ -89,17 +88,17 @@ def test_case2_counts_examples():
 
 
 def test_case2_params_constraints():
-    with pytest.raises(ConstraintViolation):
-        C2CaseParams(3, 2, 5, 4)    # a not 2 mod 4
-    with pytest.raises(ConstraintViolation):
-        C2CaseParams(2, 2, 6, 4)    # x not 1 mod 4
-    with pytest.raises(ConstraintViolation):
-        C2CaseParams(2, 1, 5, 4)    # b < 2
-    with pytest.raises(ConstraintViolation):
-        C2CaseParams(2, 2, 5, 2)    # y <= b
-    with pytest.raises(ConstraintViolation):
-        C2CaseParams(6, 2, 5, 4)    # x < a+3
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(CoordinateError, match="a must be 2 mod 4"):
+        C2CaseParams(3, 2, 5, 4)
+    with pytest.raises(CoordinateError, match="x must be 1 mod 4"):
+        C2CaseParams(2, 2, 6, 4)
+    with pytest.raises(CoordinateError, match="need y > b >= 2, got b=1"):
+        C2CaseParams(2, 1, 5, 4)
+    with pytest.raises(CoordinateError, match="need y > b >= 2, got b=2, y=2"):
+        C2CaseParams(2, 2, 5, 2)
+    with pytest.raises(CoordinateError, match="need x >= a\\+3"):
+        C2CaseParams(6, 2, 5, 4)
+    with pytest.raises(CoordinateError, match="closed forms need y >= b\\+2"):
         c2_case2_counts(C2CaseParams(2, 2, 5, 3))  # y = b+1 outside formula domain
 
 

@@ -66,6 +66,13 @@ def test_variable_mismatch_rejected():
         MultiPoly.var(VARS, "k") + MultiPoly.var(("x", "y"), "x")
 
 
+def test_exponent_length_mismatch_rejected():
+    with pytest.raises(ValueError, match="exponent vector length mismatch"):
+        MultiPoly(VARS, {(1, 0): 3})
+    # A zero coefficient is dropped before its exponent is checked.
+    assert MultiPoly(VARS, {(1, 0): 0}).is_zero()
+
+
 def test_check_nonneg_coeffs():
     k, n, p, q = _vars()
     assert check_nonneg_coeffs(MultiPoly(VARS))

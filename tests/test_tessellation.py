@@ -533,9 +533,10 @@ def test_coarsen_commutes_with_shared_reflections(g2):
             assert lhs == rhs
 
 
-def test_coarsen_rejected_for_other_types(a2):
-    with pytest.raises(Exception):
-        a2.coarsen(a2.base_chamber)
+def test_coarsen_rejected_for_other_types(a2, c2, i2):
+    for ctx in (a2, c2, i2):
+        with pytest.raises(ValueError, match="only for g2t"):
+            ctx.coarsen(ctx.base_chamber)
 
 
 def test_unsupported_type_rejected():
