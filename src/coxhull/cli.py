@@ -16,8 +16,9 @@ import argparse
 import contextlib
 import os
 import sys
+from dataclasses import astuple
 
-from .convexity import HullVerdict, halfspace_hull, sweep_triples
+from .convexity import HullVerdict, halfspace_hull, strong_hull_check, sweep_triples
 from .coxeter import TypeTag
 from .formulas import (A2Coord, C2CaseParams, CoordinateError,
                        a2_chamber_pair, c2_case2_chambers, c2_case2_counts,
@@ -165,10 +166,7 @@ def cmd_formula(args) -> int:
         print(f"strong hull product: {counts[0]}*{counts[1]} = "
               f"{verdict.product} {rel} {counts[2]}")
         if args.verify:
-            ctx = build_group(tag)
-            u, v, w = c2_case2_chambers(ctx, params)
-            got = (halfspace_hull([u, v]).size, halfspace_hull([v, w]).size,
-                   halfspace_hull([u, v, w]).size)
+            got = astuple(strong_hull_check(*c2_case2_chambers(build_group(tag), params)))
             mismatches = _enumerated(
                 list(zip(("size_uv=", "size_vw=", "size_uvw="), counts, got)))
     else:

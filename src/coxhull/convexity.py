@@ -7,10 +7,10 @@ Three hull routes are kept:
   on one side, the chamber lies on that same side.  Per wall family this
   is an integer window test on floor vectors, and the hull is collected by
   flood fill from one seed.  A sweep reads the same windows from bit masks
-  over one precomputed cover (``_HullTable``) instead of flood filling:
-  per family, lists of masks indexed by floor offset, and per v one row
-  list of the masks of Conv(v, w) and Conv(u, v, w) over w's offsets, so
-  each pair's two sizes take one lookup per family and one AND.
+  instead: ``_HullTable`` takes one cover's floor vectors and keeps, per
+  family, lists of masks over cover indices by floor offset, and per v one
+  row list of the masks of Conv(v, w) and Conv(u, v, w) over w's offsets,
+  so each pair's two sizes take one lookup per family and one AND.
 
 * ``closure_hull`` is an oracle.  It iterates geodesic intervals (the
   sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint.  An interval
@@ -118,22 +118,17 @@ def interval(u: Chamber, v: Chamber) -> ChamberSet:
     return ChamberSet(seen)
 
 
-def _window(points):
-    """Per-family [lo, hi] floor bounds of the points.  The halfspace hull
-    is exactly the chambers whose floors lie inside: it is convex, hence
-    gallery-connected, so no chamber of the window is cut off."""
-    cols = list(zip(*(p.floors for p in points)))
-    return [min(c) for c in cols], [max(c) for c in cols]
-
-
 def halfspace_hull(points) -> ChamberSet:
     """Chambers on the common side of every wall that does not separate
-    the given points; the defining window is per-family integer bounds."""
+    the given points: those whose floors lie in the points' per-family
+    [lo, hi] window.  That set is convex, hence gallery-connected, so the
+    flood fill from one point cuts no chamber of the window off."""
     points = list(points)
     if not points:
         raise ValueError("hull of an empty point list")
     nfam = len(_shared_ctx(*points).families)
-    lo, hi = _window(points)
+    cols = list(zip(*(p.floors for p in points)))
+    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
     seed = points[0]
     seen = {seed}
     frontier = [seed]
@@ -283,43 +278,43 @@ class CheckReport:
 
 
 class _HullTable:
-    """Halfspace hulls of points of one ball, as bit masks over a cover.
+    """Hulls of points of a convex cover, as bit masks over the cover's
+    integer vectors: bit k stands for cover[k].
 
-    The cover is the halfspace hull of the whole ball.  A hull is the set
-    of chambers whose floors lie in its points' window, and a subset of
-    the ball has a window inside the ball's, so each hull of ball points
-    is the set of cover chambers inside its window.  The cover is convex,
-    so each family's floors on it run through one interval of integers.
-    Per family the table keeps two lists indexed by floor minus that
-    interval's least floor: at offset t, the mask of cover chambers at or
-    above it (`ge`) and of those at or below it (`le`).  A hull is the AND
-    of 2·nfam list entries."""
+    Each coordinate places a chamber among one family of parallel walls
+    (a floor, or the 0/1 side of one wall), so by Tits' theorem the hull
+    of cover points is the set of cover vectors inside their window: per
+    coordinate, between the points' least and greatest value.  Per
+    coordinate the table keeps two lists indexed by value minus the least
+    cover value (the offset): at offset t, the mask of cover vectors at
+    or above it (`ge`) and of those at or below it (`le`).  A hull is the
+    AND of two entries per coordinate."""
 
-    def __init__(self, ball) -> None:
-        cover = halfspace_hull(ball).chambers
-        self._bit = {c: 1 << k for k, c in enumerate(cover)}
+    def __init__(self, cover) -> None:
         self.least, self.ge, self.le = [], [], []
-        for f in range(len(cover[0].floors)):
-            least = min(c.floors[f] for c in cover)
-            at = [0] * (max(c.floors[f] for c in cover) - least + 1)
-            for c, bit in self._bit.items():
-                at[c.floors[f] - least] |= bit
+        for col in zip(*cover):
+            least = min(col)
+            at = [0] * (max(col) - least + 1)
+            for k, x in enumerate(col):
+                at[x - least] |= 1 << k
             self.least.append(least)
             self.ge.append(list(accumulate(reversed(at), or_))[::-1])
             self.le.append(list(accumulate(at, or_)))
 
-    def offsets(self, chamber) -> tuple:
-        """The chamber's floors minus each family's least cover floor."""
-        return tuple(map(sub, chamber.floors, self.least))
+    def offsets(self, vector) -> tuple:
+        """The vector minus each coordinate's least cover value."""
+        return tuple(map(sub, vector, self.least))
 
-    def hull(self, points) -> ChamberSet:
-        if any(p not in self._bit for p in points):
-            raise ValueError("point outside the table's cover")
-        lo, hi = _window(points)
+    def hull(self, offsets) -> int:
+        """The mask of the hull of the points with these offsets; an offset
+        outside its coordinate's range on the cover raises ValueError."""
         mask = -1
-        for least, ge, le, a, b in zip(self.least, self.ge, self.le, lo, hi):
-            mask &= ge[a - least] & le[b - least]
-        return ChamberSet(c for c, bit in self._bit.items() if mask & bit)
+        for ge, le, col in zip(self.ge, self.le, zip(*offsets)):
+            lo, hi = min(col), max(col)
+            if lo < 0 or hi >= len(ge):
+                raise ValueError(f"offsets {list(col)} outside the cover's 0..{len(ge) - 1}")
+            mask &= ge[lo] & le[hi]
+        return mask
 
 
 def _row(ge, le, lo, hi) -> list:
@@ -409,8 +404,9 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     ctx = build_group(tag)
     ball = ctx.ball(radius)
     n = len(ball)
-    table = _HullTable(ball)
-    offsets = [table.offsets(c) for c in ball]
+    cover = halfspace_hull(ball).chambers
+    table = _HullTable([c.floors for c in cover])
+    offsets = [table.offsets(c.floors) for c in ball]
     rng = random.Random(seed)
     # Sampled pair numbers, popped from the end in ascending order.
     sampled = sorted({rng.randrange(n * (n + 1) // 2)
@@ -430,8 +426,9 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
             j = i + sampled.pop() - first
             vw, uvw = row[j - i]
             weak.check([i, j], weak.between(i, j), vw)
+            mask = table.hull([offsets[0], offsets[i], offsets[j]])
             weak.check([0, i, j], weak.masks[i] | weak.masks[j], uvw,
-                       hull=table.hull([ctx.base_chamber, ball[i], ball[j]]))
+                       hull=[c for k, c in enumerate(cover) if mask >> k & 1])
         if i == 0 and weak is not None:
             # Both sizes of row 0 are |Conv(u, w)|, as v = u.
             for j, (vw, uvw) in enumerate(row):

@@ -16,25 +16,7 @@ INF = float("inf")
 
 
 class CoxeterMatrixError(ValueError):
-    """Base for invalid Coxeter matrix input."""
-
-
-class NonSymmetric(CoxeterMatrixError):
-    def __init__(self, i, j, vij, vji):
-        super().__init__(f"entries[{i}][{j}]={vij} != entries[{j}][{i}]={vji}")
-        self.indices = (i, j)
-
-
-class BadDiagonal(CoxeterMatrixError):
-    def __init__(self, i, value):
-        super().__init__(f"entries[{i}][{i}]={value}, diagonal orders must be 1")
-        self.indices = (i, i)
-
-
-class OrderBelowTwo(CoxeterMatrixError):
-    def __init__(self, i, j, value):
-        super().__init__(f"entries[{i}][{j}]={value}, off-diagonal orders must be >= 2")
-        self.indices = (i, j)
+    """Invalid Coxeter matrix input; the message names the entry at fault."""
 
 
 class TypeTag(enum.Enum):
@@ -83,13 +65,16 @@ def validate_matrix(raw) -> CoxeterMatrix:
     entries = tuple(tuple(_as_order(v) for v in row) for row in raw)
     for i in range(rank):
         if entries[i][i] != 1:
-            raise BadDiagonal(i, entries[i][i])
+            raise CoxeterMatrixError(
+                f"entries[{i}][{i}]={entries[i][i]}, diagonal orders must be 1")
     for i in range(rank):
         for j in range(i + 1, rank):
             if entries[i][j] != entries[j][i]:
-                raise NonSymmetric(i, j, entries[i][j], entries[j][i])
+                raise CoxeterMatrixError(f"entries[{i}][{j}]={entries[i][j]} != "
+                                         f"entries[{j}][{i}]={entries[j][i]}")
             if entries[i][j] < 2:
-                raise OrderBelowTwo(i, j, entries[i][j])
+                raise CoxeterMatrixError(
+                    f"entries[{i}][{j}]={entries[i][j]}, off-diagonal orders must be >= 2")
     return CoxeterMatrix(rank, entries)
 
 

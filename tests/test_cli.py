@@ -10,7 +10,7 @@ import coxhull.cli
 import coxhull.convexity
 import coxhull.propcheck
 from coxhull.cli import main
-from coxhull.convexity import ChamberSet, CheckReport, _HullTable
+from coxhull.convexity import CheckReport, _HullTable
 from coxhull.formulas import c2_case2_counts
 
 
@@ -63,10 +63,12 @@ def test_check_counterexample_exits_1(monkeypatch, capsys):
 
 
 def test_check_hull_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    # Drop the table hull's lowest bit, its member first in barycenter order.
     hull = _HullTable.hull
 
-    def drop_one(self, points):
-        return ChamberSet(hull(self, points).chambers[1:])
+    def drop_one(self, offsets):
+        mask = hull(self, offsets)
+        return mask & mask - 1
 
     monkeypatch.setattr(_HullTable, "hull", drop_one)
     report = tmp_path / "report.json"

@@ -9,7 +9,7 @@ from coxhull.convexity import (ChamberSet, HullDisagreement, HullVerdict,
                                WeakOrderDisagreement, _HullTable, checked_hull,
                                closure_hull, g2_diagnostic, halfspace_hull,
                                interval, strong_hull_check, sweep_triples)
-from coxhull.coxeter import TypeTag, matrix_for
+from coxhull.coxeter import TypeTag, matrix_for, validate_matrix
 from coxhull.formulas import C2CaseParams, c2_case2_chambers, i2_cell
 from coxhull.group import MixedContext
 from coxhull.roots import RootSystem
@@ -279,18 +279,31 @@ def test_sweep_memory_with_the_oracle_stays_small():
     assert peak < 1 << 20
 
 
+def _cover_table(ball):
+    """The sweep's table over the halfspace hull of the ball, and its hull
+    of some chambers decoded back to cover chambers."""
+    cover = halfspace_hull(ball).chambers
+    table = _HullTable([c.floors for c in cover])
+
+    def hull(points):
+        mask = table.hull([table.offsets(p.floors) for p in points])
+        return ChamberSet(c for k, c in enumerate(cover) if mask >> k & 1)
+
+    return table, hull
+
+
 def test_hull_table_equals_halfspace_hull(planar_ctx):
     ball = planar_ctx.ball(6)
-    table = _HullTable(ball)
+    _, table_hull = _cover_table(ball)
     for i, v in enumerate(ball):
         for w in ball[i:]:
-            assert table.hull([v, w]) == halfspace_hull([v, w])
+            assert table_hull([v, w]) == halfspace_hull([v, w])
     rng = random.Random(12)
     for _ in range(1000):
         pts = [rng.choice(ball) for _ in range(3)]
         hull = halfspace_hull(pts)
-        assert table.hull(pts) == hull
-        assert table.hull(pts).size == hull.size
+        assert table_hull(pts) == hull
+        assert table_hull(pts).size == hull.size
 
 
 def test_pair_sizes_rows_under_any_split(ctx):
@@ -298,25 +311,57 @@ def test_pair_sizes_rows_under_any_split(ctx):
     # flood-fill hull.
     ball = ctx.ball(6)
     u = ctx.base_chamber
-    table = _HullTable(ball)
-    offsets = [table.offsets(c) for c in ball]
+    table, _ = _cover_table(ball)
+    offsets = [table.offsets(c.floors) for c in ball]
     for i, v in enumerate(ball):
         assert convexity._row_sizes(table, offsets, i) == [
             (halfspace_hull([v, w]).size, halfspace_hull([u, v, w]).size)
             for w in ball[i:]]
 
 
+@pytest.mark.parametrize("orders, order", [
+    pytest.param([[1, 3, 2], [3, 1, 3], [2, 3, 1]], 24, id="A3"),
+    pytest.param([[1, 3, 2], [3, 1, 4], [2, 4, 1]], 48, id="B3")])
+def test_hull_table_on_root_indicator_vectors(orders, order):
+    # The kernel knows no chamber.  Over the 0/1 vectors of the inversion
+    # sets N(x) of a whole finite group, e first, every pair's sizes are
+    # the weak order's: |Conv(v, w)| through v^-1 w, and |Conv(e, v, w)|
+    # through N(v) | N(w).
+    roots = RootSystem(validate_matrix(orders))
+    words = [roots.reduced(k) for k in sorted(roots.lower_set(-1))]
+    masks = [roots.inversions(word) for word in words]
+    assert len(words) == order and words[0] == []
+    width = max(masks).bit_length()
+    vectors = [[m >> b & 1 for b in range(width)] for m in masks]
+    table = _HullTable(vectors)
+    offsets = [table.offsets(x) for x in vectors]
+    for i, (v, nv) in enumerate(zip(words, masks)):
+        between = [roots.inversions(roots.reduced(roots.element(v[::-1] + w)))
+                   for w in words[i:]]
+        assert convexity._row_sizes(table, offsets, i) == [
+            (len(roots.lower_set(nvw)), len(roots.lower_set(nv | nw)))
+            for nvw, nw in zip(between, masks[i:])]
+
+
 def test_hull_table_rejects_points_outside_cover(a2):
-    table = _HullTable(a2.ball(2))
+    # A chamber outside the cover has a floor outside the cover's window,
+    # so some offset below 0 or past its coordinate's range.
+    table, _ = _cover_table(a2.ball(2))
     with pytest.raises(ValueError, match="cover"):
-        table.hull([a2.ball(4)[-1]])
+        table.hull([table.offsets(a2.ball(4)[-1].floors)])
+    inside = table.offsets(a2.base_chamber.floors)
+    for t in (-1, len(table.ge[0])):
+        with pytest.raises(ValueError, match="cover"):
+            table.hull([inside, (t, *inside[1:])])
 
 
 def test_sweep_oracle_catches_wrong_table_hull(monkeypatch):
+    # Drop the table hull's lowest bit, its member first in barycenter order.
     hull = _HullTable.hull
 
-    def drop_one(self, points):
-        return ChamberSet(hull(self, points).chambers[1:])
+    def drop_one(self, offsets):
+        mask = hull(self, offsets)
+        return mask & mask - 1
 
     monkeypatch.setattr(_HullTable, "hull", drop_one)
     with pytest.raises(WeakOrderDisagreement, match="weak-only") as err:
@@ -325,21 +370,23 @@ def test_sweep_oracle_catches_wrong_table_hull(monkeypatch):
 
 
 def test_sweep_oracle_catches_same_size_swap_in_table_hull(monkeypatch):
-    # Swap one member of each table hull for a chamber outside it: the
-    # size is unchanged, so only the set comparison catches it, and it
+    # Swap one member of each table hull for a cover chamber outside it:
+    # the size is unchanged, so only the set comparison catches it, and it
     # names the word each side holds alone.
     hull = _HullTable.hull
+    ctx = build_group(TypeTag.G2Tilde)
+    cover = halfspace_hull(ctx.ball(3)).chambers
     swaps = []
 
-    def swap_one(self, points):
-        members = hull(self, points).chambers
+    def swap_one(self, offsets):
+        mask = hull(self, offsets)
+        members = [c for k, c in enumerate(cover) if mask >> k & 1]
         outside = next(nb for c in members for nb in c.neighbors()
-                       if nb not in members)
+                       if nb in cover and nb not in members)
         swaps.append((members[-1], outside))
-        return ChamberSet([*members[:-1], outside])
+        return mask ^ 1 << cover.index(members[-1]) | 1 << cover.index(outside)
 
     monkeypatch.setattr(_HullTable, "hull", swap_one)
-    ctx = build_group(TypeTag.G2Tilde)
     with pytest.raises(WeakOrderDisagreement, match="table-only") as err:
         sweep_triples(TypeTag.G2Tilde, 3)
     dropped, outside = swaps[-1]

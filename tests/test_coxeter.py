@@ -1,7 +1,6 @@
 import pytest
 
-from coxhull.coxeter import (INF, BadDiagonal, CoxeterMatrixError, NonSymmetric,
-                             OrderBelowTwo, TypeTag, validate_matrix)
+from coxhull.coxeter import INF, CoxeterMatrixError, TypeTag, validate_matrix
 
 
 def test_valid_triangular_matrix():
@@ -36,21 +35,21 @@ def test_bool_is_not_an_order(raw):
 
 
 def test_non_symmetric_names_indices():
-    with pytest.raises(NonSymmetric) as exc:
+    with pytest.raises(CoxeterMatrixError,
+                       match=r"^entries\[0\]\[1\]=2 != entries\[1\]\[0\]=3$"):
         validate_matrix([[1, 2], [3, 1]])
-    assert exc.value.indices == (0, 1)
 
 
 def test_bad_diagonal():
-    with pytest.raises(BadDiagonal) as exc:
+    with pytest.raises(CoxeterMatrixError,
+                       match=r"^entries\[0\]\[0\]=2, diagonal orders must be 1$"):
         validate_matrix([[2, 3], [3, 1]])
-    assert exc.value.indices == (0, 0)
 
 
 def test_order_below_two():
-    with pytest.raises(OrderBelowTwo) as exc:
+    with pytest.raises(CoxeterMatrixError,
+                       match=r"^entries\[0\]\[1\]=1, off-diagonal orders must be >= 2$"):
         validate_matrix([[1, 1], [1, 1]])
-    assert exc.value.indices == (0, 1)
 
 
 def test_tag_codes_roundtrip():

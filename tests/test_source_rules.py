@@ -6,7 +6,9 @@ so no cold start pays for importing the process-pool modules.  Numbers
 are exact: floats appear only where the SVG writer serializes a scene.
 The weak-order module imports nothing of the geometry it checks, and the
 floor table is read only where chambers are built, where the table is
-checked and by the halfspace route, so the other routes do not share it.
+checked, by the halfspace route and by the sweep that feeds the mask
+kernel, so the other routes do not share it; the kernel itself sees
+integer vectors only.
 """
 
 import ast
@@ -73,16 +75,16 @@ def test_float_rule_catches_floats():
 
 
 # The only readers of the floor table: building a chamber, checking the
-# forms, and the halfspace route.  Words, geodesics, point location,
-# intervals, the closure and the weak order fold points instead.
+# forms, the halfspace route, and the sweep, which hands the mask kernel
+# floor vectors.  Words, geodesics, point location, intervals, the
+# closure and the weak order fold points instead.
 _FLOOR_READERS = {
     ("tessellation.py", "Chamber.__init__"),
     ("tessellation.py", "GroupContext._check_floor_forms"),
     ("tessellation.py", "GroupContext.separating_walls"),
     ("tessellation.py", "GroupContext.wall_distance"),
-    ("convexity.py", "_window"),
     ("convexity.py", "halfspace_hull"),
-    ("convexity.py", "_HullTable"),
+    ("convexity.py", "sweep_triples"),
 }
 
 
@@ -120,15 +122,51 @@ def test_floor_rule_catches_planted_reads():
               "class _HullTable:\n"
               "    def offsets(self, c):\n"
               "        return c.floors\n"
-              "def _window(points):\n"
-              "    return [p.floors for p in points]\n"
+              "def sweep_triples(cover):\n"
+              "    return [c.floors for c in cover]\n"
               "floors = GroupContext.floor_forms\n")
     assert _floor_reads("convexity.py", source) == ["convexity.py:3", "convexity.py:5",
-                                                    "convexity.py:11"]
+                                                    "convexity.py:8", "convexity.py:11"]
     assert _floor_reads("tessellation.py", source) == ["tessellation.py:5",
                                                        "tessellation.py:8",
                                                        "tessellation.py:10",
                                                        "tessellation.py:11"]
+
+
+# The mask kernel works on integer vectors alone: it reads no floor and
+# no context, and names no chamber type, so any wall coordinates serve.
+_KERNEL = {"_HullTable", "_row", "_row_sizes"}
+_KERNEL_BANNED = {"floors", "floor_forms", "ctx", "Chamber", "ChamberSet"}
+
+
+def _kernel_reads(source):
+    """(definition, line) of each name or attribute in `_KERNEL_BANNED`
+    inside the kernel's top-level definitions."""
+    return [(top.name, node.lineno)
+            for top in ast.parse(source).body if getattr(top, "name", None) in _KERNEL
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id in _KERNEL_BANNED
+            or isinstance(node, ast.Attribute) and node.attr in _KERNEL_BANNED]
+
+
+def test_hull_kernel_knows_no_chamber():
+    source = (SRC / "convexity.py").read_text(encoding="utf-8")
+    assert _KERNEL <= {getattr(top, "name", None) for top in ast.parse(source).body}
+    assert _kernel_reads(source) == []
+
+
+def test_kernel_rule_catches_planted_reads():
+    source = ("class _HullTable:\n"
+              "    def offsets(self, c):\n"
+              "        return c.floors\n"
+              "def _row(ge, le, lo, hi) -> ChamberSet:\n"
+              "    return ge.ctx.floor_forms\n"
+              "def _row_sizes(table, offsets, i):\n"
+              "    return Chamber\n"
+              "def sweep_triples(ctx, cover):\n"
+              "    return ChamberSet(c.floors for c in cover)\n")
+    assert _kernel_reads(source) == [("_HullTable", 3), ("_row", 4), ("_row", 5),
+                                     ("_row", 5), ("_row_sizes", 7)]
 
 
 def _imported_modules(source):
