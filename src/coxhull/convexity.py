@@ -9,8 +9,9 @@ Three hull routes are kept:
   flood fill from one seed.  A sweep reads the same windows from bit masks
   instead: ``_HullTable`` takes one cover's floor vectors and keeps, per
   family, lists of masks over cover indices by floor offset, and per v one
-  row list of the masks of Conv(v, w) and Conv(u, v, w) over w's offsets,
-  so each pair's two sizes take one lookup per family and one AND.
+  row list of the masks of Conv(v, w) and Conv(u, v, w) over w's offsets.
+  A row's sizes and its verdicts in both orders are `map` scans, so past
+  the oracle's checks Python code runs per pair only in a failing row.
 
 * ``closure_hull`` is an oracle.  It iterates geodesic intervals (the
   sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint.  An interval
@@ -39,7 +40,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, repeat
-from operator import and_, attrgetter, or_, sub
+from operator import and_, attrgetter, lt, mul, or_, sub
 
 from .coxeter import TypeTag
 from .group import MixedContext
@@ -323,33 +324,35 @@ def _row(ge, le, lo, hi) -> list:
             *map(and_, repeat(ge[lo]), le[hi:])]
 
 
-def _row_sizes(table: _HullTable, offsets, i: int) -> list:
-    """Sizes (|Conv(v, w)|, |Conv(u, v, w)|) for v = ball[i] and each
-    w = ball[j], j >= i, in order; `offsets` are the ball's table offsets
-    and u = ball[0].  Per family the masks of both hulls are listed by w's
-    floor offset and mapped over that family's column of `offsets[i:]`;
-    the families are ANDed and bit-counted by `map`, with no frame per pair."""
-    v, u = offsets[i], offsets[0]
+def _row_sizes(table: _HullTable, cols, i: int) -> tuple:
+    """Sizes |Conv(v, w)| and |Conv(u, v, w)|, as two lists, for v = ball[i]
+    and each w = ball[j], j >= i, in order; `cols` are the ball's table
+    offsets by coordinate, and u = ball[0].  Per family both hulls' masks
+    are listed by w's offset and mapped over the column from i on; the
+    families are ANDed and bit-counted by `map`, with no frame per pair."""
     pair_cols, triple_cols = [], []
-    for ge, le, a, b, col in zip(table.ge, table.le, v, u, zip(*offsets[i:])):
-        pair_cols.append(map(_row(ge, le, a, a).__getitem__, col))
-        triple_cols.append(map(_row(ge, le, min(a, b), max(a, b)).__getitem__, col))
-    return list(zip(map(int.bit_count, reduce(partial(map, and_), pair_cols)),
-                    map(int.bit_count, reduce(partial(map, and_), triple_cols))))
+    for ge, le, col in zip(table.ge, table.le, cols):
+        a, b, tail = col[i], col[0], col[i:]
+        pair_cols.append(map(_row(ge, le, a, a).__getitem__, tail))
+        triple_cols.append(map(_row(ge, le, min(a, b), max(a, b)).__getitem__, tail))
+    return (list(map(int.bit_count, reduce(partial(map, and_), pair_cols))),
+            list(map(int.bit_count, reduce(partial(map, and_), triple_cols))))
 
 
 class _WeakOrder:
     """The sweep's weak-order route: hulls of ball points, and their sizes,
     from the letters of their canonical words.  The words are folds of the
     chambers' barycenters in base walls, so neither they nor this route
-    read a floor."""
+    read a floor.  Each chamber is folded once: the ball's at construction,
+    any other on first sight in a table hull."""
 
     def __init__(self, ctx: GroupContext, ball) -> None:
         self.ctx, self.ball = ctx, ball
         self.roots = RootSystem(ctx.matrix)
         self.letters = [ctx.letters_of(c) for c in ball]
-        # N(ball[k]) as a mask.
+        # N(ball[k]) as a mask, and each folded chamber's element id.
         self.masks = [self.roots.inversions(word) for word in self.letters]
+        self.ids = {c: self.roots.element(word) for c, word in zip(ball, self.letters)}
 
     def between(self, i: int, j: int) -> int:
         """N(v^-1 w) as a mask, for v = ball[i] and w = ball[j]."""
@@ -362,8 +365,11 @@ class _WeakOrder:
         `points`, and unless a table `hull` given holds its elements, each
         chamber's by a fold that reads no floor."""
         lower = self.roots.lower_set(mask)
-        held = {} if hull is None else {
-            self.roots.element(self.ctx.letters_of(c)): c for c in hull}
+        ids, held = self.ids, {}
+        for c in hull or ():
+            if c not in ids:
+                ids[c] = self.roots.element(self.ctx.letters_of(c))
+            held[ids[c]] = c
         for used in sizes_used:
             if used != len(lower) or held and held.keys() != lower:
                 raise WeakOrderDisagreement(
@@ -379,9 +385,11 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     """Check the strong hull inequality for u = identity and all ordered
     pairs (v, w) in the ball of the given radius, in this process.
 
-    One pass over v = ball[i]: each row of sizes for w = ball[j], j >= i,
-    is checked, sampled and reduced as it arrives, so one row is alive at
-    a time.  One mask table serves the rows and the sampled hull sets.
+    One pass over v = ball[i]: each row's two size lists, for w = ball[j],
+    j >= i, are checked, sampled and scanned for a failing verdict in
+    either order as they arrive, so one row is alive at a time; only a
+    failing row is walked pair by pair, to list its counterexamples in
+    order.  One mask table serves the rows and the sampled hull sets.
 
     With `oracle_samples` > 0 the weak order checks the sweep, and a
     disagreement aborts it; a negative count raises ValueError.  It
@@ -407,6 +415,7 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     cover = halfspace_hull(ball).chambers
     table = _HullTable([c.floors for c in cover])
     offsets = [table.offsets(c.floors) for c in ball]
+    cols = list(zip(*offsets))
     rng = random.Random(seed)
     # Sampled pair numbers, popped from the end in ascending order.
     sampled = sorted({rng.randrange(n * (n + 1) // 2)
@@ -415,32 +424,34 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     counterexamples = []
     first = 0  # the number of the pair (i, i)
     for i in range(n):
-        row = _row_sizes(table, offsets, i)
-        if len(row) != n - i:
-            raise RuntimeError(
-                f"sweep row {i} has {len(row)} sizes, expected {n - i}")
+        vws, uvws = _row_sizes(table, cols, i)
+        if len(vws) != n - i or len(uvws) != n - i:
+            raise RuntimeError(f"sweep row {i} has {len(vws)} pair and "
+                               f"{len(uvws)} triple sizes, expected {n - i}")
         if i == 0:
             # ball[0] is u, so row 0 holds |Conv(u, ball[j])|.
-            usize = [vw for vw, _ in row]
+            usize = vws
         while sampled and sampled[-1] < first + n - i:
             j = i + sampled.pop() - first
-            vw, uvw = row[j - i]
-            weak.check([i, j], weak.between(i, j), vw)
+            weak.check([i, j], weak.between(i, j), vws[j - i])
             mask = table.hull([offsets[0], offsets[i], offsets[j]])
-            weak.check([0, i, j], weak.masks[i] | weak.masks[j], uvw,
+            weak.check([0, i, j], weak.masks[i] | weak.masks[j], uvws[j - i],
                        hull=[c for k, c in enumerate(cover) if mask >> k & 1])
         if i == 0 and weak is not None:
             # Both sizes of row 0 are |Conv(u, w)|, as v = u.
-            for j, (vw, uvw) in enumerate(row):
+            for j, (vw, uvw) in enumerate(zip(vws, uvws)):
                 weak.check([0, j], weak.masks[j], vw, uvw)
         first += n - i
-        for j, (vw, uvw) in enumerate(row, i):
-            # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes.
-            for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
-                if usize[a] * vw < uvw:
-                    counterexamples.append(dict(
-                        v=ctx.word_of(ball[a]), w=ctx.word_of(ball[b]),
-                        size_uv=usize[a], size_vw=vw, size_uvw=uvw))
+        # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes; a row
+        # is walked pair by pair only if a scan finds either order failing.
+        if (any(map(lt, map(mul, repeat(usize[i]), vws), uvws))
+                or any(map(lt, map(mul, usize[i:], vws), uvws))):
+            for j, (vw, uvw) in enumerate(zip(vws, uvws), i):
+                for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
+                    if usize[a] * vw < uvw:
+                        counterexamples.append(dict(
+                            v=ctx.word_of(ball[a]), w=ctx.word_of(ball[b]),
+                            size_uv=usize[a], size_vw=vw, size_uvw=uvw))
     elapsed_ms = int((time.monotonic() - started) * 1000)
     return CheckReport(
         type=tag.code,

@@ -84,7 +84,7 @@ def test_check_hull_disagreement_exits_3(tmp_path, monkeypatch, capsys):
 def test_check_internal_fault_exits_3(tmp_path, monkeypatch, capsys):
     row_sizes = coxhull.convexity._row_sizes
     monkeypatch.setattr(coxhull.convexity, "_row_sizes",
-                        lambda *args: row_sizes(*args)[:-1])
+                        lambda *args: [sizes[:-1] for sizes in row_sizes(*args)])
     report = tmp_path / "report.json"
     assert main(["check", "--type", "a2t", "--radius", "2",
                  "--report", str(report)]) == 3
@@ -93,6 +93,22 @@ def test_check_internal_fault_exits_3(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1
     assert not report.exists()
     assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+def test_check_lost_triple_size_exits_3(tmp_path, monkeypatch, capsys):
+    row_sizes = coxhull.convexity._row_sizes
+
+    def lost(*args):
+        vws, uvws = row_sizes(*args)
+        return vws, uvws[:-1]
+
+    monkeypatch.setattr(coxhull.convexity, "_row_sizes", lost)
+    report = tmp_path / "report.json"
+    assert main(["check", "--type", "a2t", "--radius", "2",
+                 "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep row 0 has ") and "sizes, expected" in err
+    assert not report.exists()
 
 
 def test_check_interrupt_exits_2(tmp_path, monkeypatch, capsys):

@@ -246,7 +246,21 @@ def test_sweep_refuses_negative_oracle_samples():
 def test_sweep_rejects_lost_pair_row(monkeypatch):
     row_sizes = convexity._row_sizes
     monkeypatch.setattr(convexity, "_row_sizes",
-                        lambda *args: row_sizes(*args)[:-1])
+                        lambda *args: [sizes[:-1] for sizes in row_sizes(*args)])
+    with pytest.raises(RuntimeError, match="sizes, expected"):
+        sweep_triples(TypeTag.A2Tilde, 2)
+
+
+def test_sweep_rejects_lost_triple_size(monkeypatch):
+    # Only the last |Conv(u, v, w)| goes: zipped with the pair sizes, the
+    # row would lose its last pair without a word.
+    row_sizes = convexity._row_sizes
+
+    def lost(*args):
+        vws, uvws = row_sizes(*args)
+        return vws, uvws[:-1]
+
+    monkeypatch.setattr(convexity, "_row_sizes", lost)
     with pytest.raises(RuntimeError, match="sizes, expected"):
         sweep_triples(TypeTag.A2Tilde, 2)
 
@@ -266,8 +280,9 @@ def test_sweep_memory_does_not_grow_with_pairs():
 
 
 def test_sweep_memory_with_the_oracle_stays_small():
-    # With the default oracle the weak order's memo holds only the
-    # elements of the hulls it walks and of the sampled table hulls.
+    # With the default oracle the weak order holds one id per chamber it
+    # folds, the ball's and the sampled table hulls' members, each folded
+    # once, and its memo holds only the elements of the hulls it walks.
     build_group(TypeTag.A2Tilde).ball(12)
     tracemalloc.start()
     try:
@@ -306,15 +321,20 @@ def test_hull_table_equals_halfspace_hull(planar_ctx):
         assert table_hull(pts).size == hull.size
 
 
+def _pairs(row):
+    """A row's two size lists as (|Conv(v, w)|, |Conv(u, v, w)|) pairs."""
+    return list(zip(*row, strict=True))
+
+
 def test_pair_sizes_rows_under_any_split(ctx):
     # Every pair and u-triple of the ball, row by row, against the
     # flood-fill hull.
     ball = ctx.ball(6)
     u = ctx.base_chamber
     table, _ = _cover_table(ball)
-    offsets = [table.offsets(c.floors) for c in ball]
+    cols = list(zip(*(table.offsets(c.floors) for c in ball)))
     for i, v in enumerate(ball):
-        assert convexity._row_sizes(table, offsets, i) == [
+        assert _pairs(convexity._row_sizes(table, cols, i)) == [
             (halfspace_hull([v, w]).size, halfspace_hull([u, v, w]).size)
             for w in ball[i:]]
 
@@ -334,11 +354,11 @@ def test_hull_table_on_root_indicator_vectors(orders, order):
     width = max(masks).bit_length()
     vectors = [[m >> b & 1 for b in range(width)] for m in masks]
     table = _HullTable(vectors)
-    offsets = [table.offsets(x) for x in vectors]
+    cols = list(zip(*map(table.offsets, vectors)))
     for i, (v, nv) in enumerate(zip(words, masks)):
         between = [roots.inversions(roots.reduced(roots.element(v[::-1] + w)))
                    for w in words[i:]]
-        assert convexity._row_sizes(table, offsets, i) == [
+        assert _pairs(convexity._row_sizes(table, cols, i)) == [
             (len(roots.lower_set(nvw)), len(roots.lower_set(nv | nw)))
             for nvw, nw in zip(between, masks[i:])]
 
@@ -401,8 +421,12 @@ def test_sweep_oracle_catches_same_size_swap_in_table_hull(monkeypatch):
 
 def test_sweep_oracle_catches_wrong_swept_size(monkeypatch):
     row_sizes = convexity._row_sizes
-    monkeypatch.setattr(convexity, "_row_sizes", lambda *args: [
-        (vw, uvw + 1) for vw, uvw in row_sizes(*args)])
+
+    def inflated(*args):
+        vws, uvws = row_sizes(*args)
+        return vws, [uvw + 1 for uvw in uvws]
+
+    monkeypatch.setattr(convexity, "_row_sizes", inflated)
     with pytest.raises(WeakOrderDisagreement, match="sweep used size") as err:
         sweep_triples(TypeTag.A2Tilde, 3)
     assert err.value.size_used == err.value.size_weak + 1
@@ -425,11 +449,11 @@ def test_sweep_weak_order_checks_every_u_pair(monkeypatch):
     j = max(set(range(1, n)) - touched)
     row_sizes = convexity._row_sizes
 
-    def inflated(table, offsets, i):
-        row = row_sizes(table, offsets, i)
+    def inflated(table, cols, i):
+        vws, uvws = row_sizes(table, cols, i)
         if i == 0:
-            row[j] = (row[j][0] + 1, row[j][1])
-        return row
+            vws[j] += 1
+        return vws, uvws
 
     monkeypatch.setattr(convexity, "_row_sizes", inflated)
     with pytest.raises(WeakOrderDisagreement, match="sweep used size") as err:
@@ -495,11 +519,11 @@ def test_sweep_reports_counterexamples(monkeypatch):
     u, v, w = ctx.base_chamber, ball[1], ball[-1]
     row_sizes = convexity._row_sizes
 
-    def inflated(table, offsets, i):
-        row = row_sizes(table, offsets, i)
+    def inflated(table, cols, i):
+        vws, uvws = row_sizes(table, cols, i)
         if i == 1:
-            row[-1] = (row[-1][0], 100)
-        return row
+            uvws[-1] = 100
+        return vws, uvws
 
     monkeypatch.setattr(convexity, "_row_sizes", inflated)
     report = sweep_triples(TypeTag.A2Tilde, 2, oracle_samples=0)
@@ -512,6 +536,81 @@ def test_sweep_reports_counterexamples(monkeypatch):
     assert [ctx.word_of(v), ctx.word_of(w)] == ["2", "31"]
     assert report.max_ratio == Fraction(100, 2 * 4)
     assert report.ok is False
+
+
+def _mirrored_only(usize, i, vws, uvws):
+    # In the first row with a later w where |Conv(u, w)| < |Conv(u, v)|,
+    # raise the first such pair's |Conv(u, v, w)| to |Conv(u, v)|·|Conv(v, w)|:
+    # then (w, v) fails and (v, w) holds.
+    if i == next(k for k, size in enumerate(usize) if min(usize[k:]) < size):
+        j = next(j for j in range(i, len(usize)) if usize[j] < usize[i])
+        uvws[j - i] = usize[i] * vws[j - i]
+
+
+def _diagonal_only(usize, i, vws, uvws):
+    if i == 5:
+        uvws[0] = usize[i] * vws[0] + 1
+
+
+def _two_in_one_row(usize, i, vws, uvws):
+    if i == 2:
+        uvws[3] = uvws[-1] = 100
+
+
+@pytest.mark.parametrize("corrupt, failing", [
+    pytest.param(_mirrored_only, 1, id="mirrored-only"),
+    pytest.param(_diagonal_only, 1, id="diagonal-only"),
+    pytest.param(_two_in_one_row, 4, id="two-in-one-row")])
+def test_sweep_verdict_scan_lists_what_the_per_pair_loop_lists(monkeypatch, corrupt, failing):
+    # Corrupt some triple sizes, then list the counterexamples of the rows
+    # the sweep used with the per-pair loop: the sweep, which walks only
+    # the rows its scans flag, must list the same, in the same order.
+    ctx = build_group(TypeTag.A2Tilde)
+    words = [ctx.word_of(c) for c in ctx.ball(3)]
+    row_sizes = convexity._row_sizes
+    rows = []
+
+    def corrupted(table, cols, i):
+        vws, uvws = row_sizes(table, cols, i)
+        corrupt(rows[0][0] if rows else vws, i, vws, uvws)
+        rows.append((vws, uvws))
+        return vws, uvws
+
+    monkeypatch.setattr(convexity, "_row_sizes", corrupted)
+    report = sweep_triples(TypeTag.A2Tilde, 3, oracle_samples=0)
+    usize = rows[0][0]
+    expected = []
+    for i, (vws, uvws) in enumerate(rows):
+        for j, (vw, uvw) in enumerate(zip(vws, uvws), i):
+            for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
+                if usize[a] * vw < uvw:
+                    expected.append(dict(v=words[a], w=words[b], size_uv=usize[a],
+                                         size_vw=vw, size_uvw=uvw))
+    assert len(expected) == failing
+    assert report.counterexamples == expected
+    order = [words.index(c["v"]) - words.index(c["w"]) for c in expected]
+    if corrupt is _mirrored_only:
+        assert order[0] > 0
+    if corrupt is _diagonal_only:
+        assert order == [0]
+
+
+def test_sweep_folds_each_chamber_once(monkeypatch):
+    # The weak order folds the ball once and a cover chamber on first
+    # sight, however many sampled table hulls hold it.
+    ctx = build_group(TypeTag.A2Tilde)
+    cover = halfspace_hull(ctx.ball(8))
+    letters_of = GroupContext.letters_of
+    calls = []
+
+    def counted(self, c):
+        calls.append(c)
+        return letters_of(self, c)
+
+    monkeypatch.setattr(GroupContext, "letters_of", counted)
+    assert sweep_triples(TypeTag.A2Tilde, 8).ok
+    assert 0 < len(calls) <= cover.size
+    assert len(set(calls)) == len(calls)
 
 
 def test_sweep_radius_zero(g2):
