@@ -8,10 +8,9 @@ Three hull routes are kept:
   is an integer window test on floor vectors, and the hull is collected by
   flood fill from one seed.  A sweep reads the same windows from bit masks
   instead: ``_HullTable`` takes one cover's floor vectors and keeps, per
-  family, lists of masks over cover indices by floor offset, and per v one
-  row list of the masks of Conv(v, w) and Conv(u, v, w) over w's offsets.
-  A row's sizes and its verdicts in both orders are `map` scans, so past
-  the oracle's checks Python code runs per pair only in a failing row.
+  family, masks over cover indices by floor offset, from which the rows of
+  Conv(v, w) and Conv(u, v, w) by w's offset are built once per offset of
+  v.  A row's sizes and verdicts are `map` scans over them.
 
 * ``closure_hull`` is an oracle.  It iterates geodesic intervals (the
   sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint.  An interval
@@ -318,23 +317,30 @@ class _HullTable:
         return mask
 
 
-def _row(ge, le, lo, hi) -> list:
-    """[ge[min(lo, t)] & le[max(hi, t)] for each offset t], for lo <= hi."""
-    return [*map(and_, ge[:lo], repeat(le[hi])), *repeat(ge[lo] & le[hi], hi - lo),
-            *map(and_, repeat(ge[lo]), le[hi:])]
-
-
-def _row_sizes(table: _HullTable, cols, i: int) -> tuple:
-    """Sizes |Conv(v, w)| and |Conv(u, v, w)|, as two lists, for v = ball[i]
-    and each w = ball[j], j >= i, in order; `cols` are the ball's table
-    offsets by coordinate, and u = ball[0].  Per family both hulls' masks
-    are listed by w's offset and mapped over the column from i on; the
-    families are ANDed and bit-counted by `map`, with no frame per pair."""
-    pair_cols, triple_cols = [], []
+def _offset_rows(table: _HullTable, cols) -> list:
+    """Per coordinate, by v's offset a, the masks of Conv(v, w) and, for
+    u = ball[0], of Conv(u, v, w) by w's offset: rows of shared windows
+    win[s][t] = ge[min(s, t)] & le[max(s, t)], each ANDed once."""
+    rows = []
     for ge, le, col in zip(table.ge, table.le, cols):
-        a, b, tail = col[i], col[0], col[i:]
-        pair_cols.append(map(_row(ge, le, a, a).__getitem__, tail))
-        triple_cols.append(map(_row(ge, le, min(a, b), max(a, b)).__getitem__, tail))
+        win, b = [], col[0]
+        for a in range(len(ge)):
+            win.append([*(row[a] for row in win), *map(and_, repeat(ge[a]), le[a:])])
+        rows.append((win, [[*win[max(a, b)][:min(a, b)], *repeat(win[a][b], abs(a - b)),
+                            *win[min(a, b)][max(a, b):]] for a in range(len(ge))]))
+    return rows
+
+
+def _row_sizes(rows, cols, i: int) -> tuple:
+    """Sizes |Conv(v, w)| and |Conv(u, v, w)|, as two lists, for v = ball[i]
+    and each w = ball[j], j >= i, in order: per coordinate of `cols`, the
+    ball's table offsets, v's two `_offset_rows` are mapped over the column
+    from i on, then ANDed and bit-counted by `map`, with no frame per pair."""
+    pair_cols, triple_cols = [], []
+    for (pairs, triples), col in zip(rows, cols):
+        tail = col[i:]
+        pair_cols.append(map(pairs[col[i]].__getitem__, tail))
+        triple_cols.append(map(triples[col[i]].__getitem__, tail))
     return (list(map(int.bit_count, reduce(partial(map, and_), pair_cols))),
             list(map(int.bit_count, reduce(partial(map, and_), triple_cols))))
 
@@ -344,20 +350,20 @@ class _WeakOrder:
     from the letters of their canonical words.  The words are folds of the
     chambers' barycenters in base walls, so neither they nor this route
     read a floor.  Each chamber is folded once: the ball's at construction,
-    any other on first sight in a table hull."""
+    where `sizes` gets their |[e, x]|, any other on first sight."""
 
     def __init__(self, ctx: GroupContext, ball) -> None:
         self.ctx, self.ball = ctx, ball
         self.roots = RootSystem(ctx.matrix)
         self.letters = [ctx.letters_of(c) for c in ball]
-        # N(ball[k]) as a mask, and each folded chamber's element id.
-        self.masks = [self.roots.inversions(word) for word in self.letters]
-        self.ids = {c: self.roots.element(word) for c, word in zip(ball, self.letters)}
+        ids, self.masks = zip(*map(self.roots.walk, self.letters))
+        self.ids = dict(zip(ball, ids))
+        self.sizes = self.roots.interval_sizes(ids, [len(word) for word in self.letters])
 
     def between(self, i: int, j: int) -> int:
         """N(v^-1 w) as a mask, for v = ball[i] and w = ball[j]."""
         x = self.roots.element(self.letters[i][::-1] + self.letters[j])
-        return self.roots.inversions(self.roots.reduced(x))
+        return self.roots.walk(self.roots.reduced(x))[1]
 
     def check(self, points, mask, *sizes_used, hull=None) -> None:
         """Raise unless each size used is the size of the weak-order hull of
@@ -371,13 +377,13 @@ class _WeakOrder:
                 ids[c] = self.roots.element(self.ctx.letters_of(c))
             held[ids[c]] = c
         for used in sizes_used:
-            if used != len(lower) or held and held.keys() != lower:
+            if used != len(lower) or hull is not None and held.keys() != lower:
                 raise WeakOrderDisagreement(
                     self.ctx.tag, [self.ctx.word_of(self.ball[k]) for k in points],
                     used, len(lower),
                     [self.ctx.word_of(c) for k, c in held.items() if k not in lower],
                     ["".join(str(s + 1) for s in self.roots.reduced(k))
-                     for k in sorted(lower - held.keys())] if held else [])
+                     for k in sorted(lower - held.keys())] if hull is not None else [])
 
 
 def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
@@ -386,19 +392,15 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     pairs (v, w) in the ball of the given radius, in this process.
 
     One pass over v = ball[i]: each row's two size lists, for w = ball[j],
-    j >= i, are checked, sampled and scanned for a failing verdict in
-    either order as they arrive, so one row is alive at a time; only a
-    failing row is walked pair by pair, to list its counterexamples in
-    order.  One mask table serves the rows and the sampled hull sets.
+    j >= i, are gathered from the rows built once per offset, then checked,
+    sampled and scanned for a failing verdict in either order, so one row
+    is alive at a time; only a failing row is walked pair by pair.
 
     With `oracle_samples` > 0 the weak order checks the sweep, and a
-    disagreement aborts it; a negative count raises ValueError.  It
-    checks every |Conv(u, w)| of row 0, and, on a sample of the pairs
-    i <= j (numbered in that order) drawn with `seed`, |Conv(v, w)| by
-    size and Conv(u, v, w) as the table's set of chambers.
-
-    The report lists every counterexample found; its `max_ratio` is read
-    off them, not tracked.
+    disagreement aborts it; a negative count raises ValueError.  It checks
+    both sizes of row 0 against each |[e, w]| of its one pass over the ball,
+    and, on a sample of the pairs i <= j (numbered in that order) drawn with
+    `seed`, |Conv(v, w)| by size and Conv(u, v, w) as the table's chambers.
 
     `jobs` must be 1; any other value raises ValueError.  The slot stays
     only because `bench/worker.py` passes 1 there by position, before the
@@ -416,6 +418,7 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     table = _HullTable([c.floors for c in cover])
     offsets = [table.offsets(c.floors) for c in ball]
     cols = list(zip(*offsets))
+    rows = _offset_rows(table, cols)
     rng = random.Random(seed)
     # Sampled pair numbers, popped from the end in ascending order.
     sampled = sorted({rng.randrange(n * (n + 1) // 2)
@@ -424,7 +427,7 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     counterexamples = []
     first = 0  # the number of the pair (i, i)
     for i in range(n):
-        vws, uvws = _row_sizes(table, cols, i)
+        vws, uvws = _row_sizes(rows, cols, i)
         if len(vws) != n - i or len(uvws) != n - i:
             raise RuntimeError(f"sweep row {i} has {len(vws)} pair and "
                                f"{len(uvws)} triple sizes, expected {n - i}")
@@ -436,11 +439,13 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
             weak.check([i, j], weak.between(i, j), vws[j - i])
             mask = table.hull([offsets[0], offsets[i], offsets[j]])
             weak.check([0, i, j], weak.masks[i] | weak.masks[j], uvws[j - i],
-                       hull=[c for k, c in enumerate(cover) if mask >> k & 1])
+                       hull=[c for c, bit in zip(cover, bin(mask)[:1:-1]) if bit == "1"])
         if i == 0 and weak is not None:
-            # Both sizes of row 0 are |Conv(u, w)|, as v = u.
-            for j, (vw, uvw) in enumerate(zip(vws, uvws)):
-                weak.check([0, j], weak.masks[j], vw, uvw)
+            # Both sizes of row 0 are |Conv(u, w)| = |[e, w]|, as v = u.
+            for j, (vw, uvw, size) in enumerate(zip(vws, uvws, weak.sizes)):
+                if vw != size or uvw != size:
+                    raise WeakOrderDisagreement(tag, [ctx.word_of(ball[0]), ctx.word_of(ball[j])],
+                                                uvw if vw == size else vw, size, [], [])
         first += n - i
         # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes; a row
         # is walked pair by pair only if a scan finds either order failing.

@@ -88,10 +88,10 @@ class RootSystem:
             k = self._step(k, s)
         return k
 
-    def inversions(self, word) -> int:
-        """N(x) as a mask, for the element x of a reduced word.  Each step
-        w -> w s adds the root w(a_s), positive iff the step is an ascent;
-        a descent means the word is not reduced, and raises RuntimeError."""
+    def walk(self, word) -> tuple:
+        """The id of the element x of a reduced word, and N(x) as a mask.
+        Each step w -> w s adds the root w(a_s), positive iff the step is an
+        ascent; a descent means the word is not reduced, and raises RuntimeError."""
         k = mask = 0
         for s in word:
             bit = self._ascents[k][s]
@@ -99,7 +99,7 @@ class RootSystem:
                 raise RuntimeError(f"word {list(word)} is not reduced")
             mask |= bit
             k = self._step(k, s)
-        return mask
+        return k, mask
 
     def reduced(self, k: int) -> list:
         """A reduced word for the element of id k, by peeling right descents
@@ -125,3 +125,22 @@ class RootSystem:
             level = {nxt[x][s] or self._step(x, s) for x in level
                      for s, bit in enumerate(ascents[x]) if bit & mask}
         return found
+
+    def interval_sizes(self, ids, lengths) -> list:
+        """|[e, x]|, the size of {y : N(y) is a subset of N(x)}, for each id x
+        listed with its length: x and the intervals of its lower covers x s,
+        s a right descent, as bits over list positions, one length at a time.
+        An id listed twice, or a lower cover not listed, raises RuntimeError."""
+        sizes, shorter, layer, length = [0] * len(ids), {}, {}, 0
+        for p in sorted(range(len(ids)), key=lengths.__getitem__):
+            if lengths[p] != length:
+                shorter, layer, length = layer, {}, lengths[p]
+            x, bits = ids[p], 1 << p
+            for xs in [self._step(x, s) for s, bit in enumerate(self._ascents[x]) if not bit]:
+                if xs not in shorter:
+                    raise RuntimeError(f"{self.reduced(xs)} below {self.reduced(x)} is not listed")
+                bits |= shorter[xs]
+            if layer.setdefault(x, bits) != bits:
+                raise RuntimeError(f"element {self.reduced(x)} is listed twice")
+            sizes[p] = bits.bit_count()
+        return sizes

@@ -81,6 +81,14 @@ def test_check_hull_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.glob("*.tmp.*")) == []
 
 
+def test_check_empty_table_hull_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(_HullTable, "hull", lambda self, offsets: 0)
+    assert main(["check", "--type", "a2t", "--radius", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: weak-order hull disagrees on a2t")
+    assert "table-only=[]" in err
+
+
 def test_check_internal_fault_exits_3(tmp_path, monkeypatch, capsys):
     row_sizes = coxhull.convexity._row_sizes
     monkeypatch.setattr(coxhull.convexity, "_row_sizes",

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -282,7 +283,8 @@ def test_sweep_memory_does_not_grow_with_pairs():
 def test_sweep_memory_with_the_oracle_stays_small():
     # With the default oracle the weak order holds one id per chamber it
     # folds, the ball's and the sampled table hulls' members, each folded
-    # once, and its memo holds only the elements of the hulls it walks.
+    # once, its memo holds only the elements of the hulls it walks, and its
+    # pass over the ball keeps two lengths' interval bitsets at a time.
     build_group(TypeTag.A2Tilde).ball(12)
     tracemalloc.start()
     try:
@@ -333,10 +335,30 @@ def test_pair_sizes_rows_under_any_split(ctx):
     u = ctx.base_chamber
     table, _ = _cover_table(ball)
     cols = list(zip(*(table.offsets(c.floors) for c in ball)))
+    rows = convexity._offset_rows(table, cols)
     for i, v in enumerate(ball):
-        assert _pairs(convexity._row_sizes(table, cols, i)) == [
+        assert _pairs(convexity._row_sizes(rows, cols, i)) == [
             (halfspace_hull([v, w]).size, halfspace_hull([u, v, w]).size)
             for w in ball[i:]]
+
+
+def _row(ge, le, lo, hi):
+    """The masks ge[min(lo, t)] & le[max(hi, t)] for each offset t."""
+    return [ge[min(lo, t)] & le[max(hi, t)] for t in range(len(ge))]
+
+
+def test_offset_rows_equal_rows_built_per_row(ctx):
+    # The rows built once per offset and shared are, for every v, the rows
+    # a per-row build lists: at v's offset a, and at a with u's offset b.
+    ball = ctx.ball(6)
+    table, _ = _cover_table(ball)
+    cols = list(zip(*(table.offsets(c.floors) for c in ball)))
+    rows = convexity._offset_rows(table, cols)
+    for i in range(len(ball)):
+        for ge, le, col, (pairs, triples) in zip(table.ge, table.le, cols, rows, strict=True):
+            a, b = col[i], col[0]
+            assert pairs[a] == _row(ge, le, a, a)
+            assert triples[a] == _row(ge, le, min(a, b), max(a, b))
 
 
 @pytest.mark.parametrize("orders, order", [
@@ -349,16 +371,17 @@ def test_hull_table_on_root_indicator_vectors(orders, order):
     # through N(v) | N(w).
     roots = RootSystem(validate_matrix(orders))
     words = [roots.reduced(k) for k in sorted(roots.lower_set(-1))]
-    masks = [roots.inversions(word) for word in words]
+    masks = [roots.walk(word)[1] for word in words]
     assert len(words) == order and words[0] == []
     width = max(masks).bit_length()
     vectors = [[m >> b & 1 for b in range(width)] for m in masks]
     table = _HullTable(vectors)
     cols = list(zip(*map(table.offsets, vectors)))
+    rows = convexity._offset_rows(table, cols)
     for i, (v, nv) in enumerate(zip(words, masks)):
-        between = [roots.inversions(roots.reduced(roots.element(v[::-1] + w)))
+        between = [roots.walk(roots.reduced(roots.element(v[::-1] + w)))[1]
                    for w in words[i:]]
-        assert _pairs(convexity._row_sizes(table, cols, i)) == [
+        assert _pairs(convexity._row_sizes(rows, cols, i)) == [
             (len(roots.lower_set(nvw)), len(roots.lower_set(nv | nw)))
             for nvw, nw in zip(between, masks[i:])]
 
@@ -387,6 +410,16 @@ def test_sweep_oracle_catches_wrong_table_hull(monkeypatch):
     with pytest.raises(WeakOrderDisagreement, match="weak-only") as err:
         sweep_triples(TypeTag.C2Tilde, 3)
     assert err.value.table_only == [] and len(err.value.weak_only) == 1
+
+
+def test_sweep_oracle_catches_empty_table_hull(monkeypatch):
+    # A table hull with no chamber still differs from the lower set, which
+    # holds e at least; the sizes used are the table's own and agree.
+    monkeypatch.setattr(_HullTable, "hull", lambda self, offsets: 0)
+    with pytest.raises(WeakOrderDisagreement, match="table-only=\\[\\]") as err:
+        sweep_triples(TypeTag.A2Tilde, 5)
+    assert err.value.size_used == err.value.size_weak == len(err.value.weak_only)
+    assert err.value.table_only == [] and "" in err.value.weak_only
 
 
 def test_sweep_oracle_catches_same_size_swap_in_table_hull(monkeypatch):
@@ -449,8 +482,8 @@ def test_sweep_weak_order_checks_every_u_pair(monkeypatch):
     j = max(set(range(1, n)) - touched)
     row_sizes = convexity._row_sizes
 
-    def inflated(table, cols, i):
-        vws, uvws = row_sizes(table, cols, i)
+    def inflated(offset_rows, cols, i):
+        vws, uvws = row_sizes(offset_rows, cols, i)
         if i == 0:
             vws[j] += 1
         return vws, uvws
@@ -460,6 +493,50 @@ def test_sweep_weak_order_checks_every_u_pair(monkeypatch):
         sweep_triples(TypeTag.A2Tilde, 3)
     assert err.value.size_used == err.value.size_weak + 1
     assert err.value.points[0] == ""
+
+
+def test_sweep_checks_row_zero_against_the_pass_alone(monkeypatch):
+    # Raise the pass's |[e, ball[j]]| for a j that no sampled pair touches:
+    # the table's sizes are right, and a lower set would agree with them,
+    # yet the row-0 check must abort on the pass's size.
+    ctx = build_group(TypeTag.A2Tilde)
+    n = len(ctx.ball(3))
+    touched = {k for pair in _sampled_pairs(n, 0, 32) for k in pair}
+    j = max(set(range(1, n)) - touched)
+    interval_sizes = RootSystem.interval_sizes
+
+    def raised(self, ids, lengths):
+        sizes = interval_sizes(self, ids, lengths)
+        sizes[j] += 1
+        return sizes
+
+    monkeypatch.setattr(RootSystem, "interval_sizes", raised)
+    with pytest.raises(WeakOrderDisagreement, match="sweep used size") as err:
+        sweep_triples(TypeTag.A2Tilde, 3)
+    assert err.value.size_weak == err.value.size_used + 1
+    assert err.value.points == ["", ctx.word_of(ctx.ball(3)[j])]
+    assert err.value.table_only == err.value.weak_only == []
+    roots = RootSystem(ctx.matrix)
+    _, mask = roots.walk(ctx.letters_of(ctx.ball(3)[j]))
+    assert len(roots.lower_set(mask)) == err.value.size_used
+
+
+@pytest.mark.parametrize("bad_ball, k, refusal", [
+    pytest.param(lambda ball: ball[:1] + ball[2:], 1, "{} below ", id="chamber-removed"),
+    pytest.param(lambda ball: ball + ball[3:4], 3, "element {} is listed twice",
+                 id="chamber-duplicated")])
+def test_sweep_refuses_a_bad_ball(monkeypatch, bad_ball, k, refusal):
+    # The weak order's pass over the ball's elements refuses a ball that
+    # lacks ball[1], a lower cover of chambers above it, or holds ball[3]
+    # twice, and names the element by its word.
+    ctx = GroupContext(TypeTag.A2Tilde)
+    ball = ctx.ball(3)
+    monkeypatch.setattr(ctx, "ball", lambda radius: bad_ball(ball))
+    monkeypatch.setattr(convexity, "build_group", lambda _: ctx)
+    word = ctx.letters_of(ball[k])
+    with pytest.raises(RuntimeError, match=re.escape(refusal.format(word))) as err:
+        sweep_triples(TypeTag.A2Tilde, 3)
+    assert type(err.value) is RuntimeError
 
 
 _CODES = ["a2t", "c2t", "g2t", "i2inf"]
@@ -519,8 +596,8 @@ def test_sweep_reports_counterexamples(monkeypatch):
     u, v, w = ctx.base_chamber, ball[1], ball[-1]
     row_sizes = convexity._row_sizes
 
-    def inflated(table, cols, i):
-        vws, uvws = row_sizes(table, cols, i)
+    def inflated(offset_rows, cols, i):
+        vws, uvws = row_sizes(offset_rows, cols, i)
         if i == 1:
             uvws[-1] = 100
         return vws, uvws
@@ -570,8 +647,8 @@ def test_sweep_verdict_scan_lists_what_the_per_pair_loop_lists(monkeypatch, corr
     row_sizes = convexity._row_sizes
     rows = []
 
-    def corrupted(table, cols, i):
-        vws, uvws = row_sizes(table, cols, i)
+    def corrupted(offset_rows, cols, i):
+        vws, uvws = row_sizes(offset_rows, cols, i)
         corrupt(rows[0][0] if rows else vws, i, vws, uvws)
         rows.append((vws, uvws))
         return vws, uvws

@@ -56,10 +56,10 @@ def test_pair_and_u_triple_sizes_equal_halfspace_hull(ctx):
     for _ in range(200):
         v, w = rng.choice(ball), rng.choice(ball)
         lv, lw = _letters(ctx, v), _letters(ctx, w)
-        between = roots.inversions(roots.reduced(roots.element(lv[::-1] + lw)))
+        between = roots.walk(roots.reduced(roots.element(lv[::-1] + lw)))[1]
         assert len(roots.lower_set(between)) == halfspace_hull([v, w]).size
         # The u-triple hull holds e, so it is the lower set itself.
-        assert (roots.lower_set(roots.inversions(lv) | roots.inversions(lw))
+        assert (roots.lower_set(roots.walk(lv)[1] | roots.walk(lw)[1])
                 == {roots.element(_letters(ctx, c))
                     for c in halfspace_hull([ctx.base_chamber, v, w])})
 
@@ -110,8 +110,33 @@ def test_interned_weak_order_equals_memo_free_reference(ctx):
         want = _reference_sizes(shared, lv, lw)
         for roots in (shared, _roots(ctx.tag)):
             x = roots.element(lv[::-1] + lw)
-            assert (len(roots.lower_set(roots.inversions(roots.reduced(x)))),
-                    len(roots.lower_set(roots.inversions(lv) | roots.inversions(lw)))) == want
+            assert (len(roots.lower_set(roots.walk(roots.reduced(x))[1])),
+                    len(roots.lower_set(roots.walk(lv)[1] | roots.walk(lw)[1]))) == want
+
+
+def test_interval_sizes_equal_lower_sets_on_the_ball(ctx):
+    # Every ball element at r8, listed out of length order: the pass orders
+    # the elements by length itself.
+    roots = _roots(ctx.tag)
+    words = [_letters(ctx, c) for c in ctx.ball(8)]
+    random.Random(8).shuffle(words)
+    ids, masks = zip(*map(roots.walk, words))
+    assert (roots.interval_sizes(ids, [len(word) for word in words])
+            == [len(roots.lower_set(mask)) for mask in masks])
+
+
+@pytest.mark.parametrize("orders, order", [
+    pytest.param([[1, 3, 2], [3, 1, 3], [2, 3, 1]], 24, id="A3"),
+    pytest.param([[1, 3, 2], [3, 1, 4], [2, 4, 1]], 48, id="B3")])
+def test_interval_sizes_equal_lower_sets_on_whole_groups(orders, order):
+    # The whole finite group, listed by length; the longest element's
+    # interval is the group.
+    roots = RootSystem(validate_matrix(orders))
+    words = sorted(map(roots.reduced, roots.lower_set(-1)), key=len)
+    ids, masks = zip(*map(roots.walk, words))
+    sizes = roots.interval_sizes(ids, [len(word) for word in words])
+    assert sizes == [len(roots.lower_set(mask)) for mask in masks]
+    assert len(sizes) == sizes[-1] == order
 
 
 def test_element_without_descent_raises():
@@ -137,4 +162,4 @@ def test_reduced_word_spells_the_element(ctx):
                                         ("c2t", [0, 1, 0]), ("i2inf", [0, 1, 1])])
 def test_non_reduced_word_raises(code, word):
     with pytest.raises(RuntimeError, match="not reduced"):
-        _roots(TypeTag.from_code(code)).inversions(word)
+        _roots(TypeTag.from_code(code)).walk(word)

@@ -135,7 +135,7 @@ def test_floor_rule_catches_planted_reads():
 
 # The mask kernel works on integer vectors alone: it reads no floor and
 # no context, and names no chamber type, so any wall coordinates serve.
-_KERNEL = {"_HullTable", "_row", "_row_sizes"}
+_KERNEL = {"_HullTable", "_offset_rows", "_row_sizes"}
 _KERNEL_BANNED = {"floors", "floor_forms", "ctx", "Chamber", "ChamberSet"}
 
 
@@ -159,14 +159,15 @@ def test_kernel_rule_catches_planted_reads():
     source = ("class _HullTable:\n"
               "    def offsets(self, c):\n"
               "        return c.floors\n"
-              "def _row(ge, le, lo, hi) -> ChamberSet:\n"
-              "    return ge.ctx.floor_forms\n"
-              "def _row_sizes(table, offsets, i):\n"
+              "def _offset_rows(table, cols) -> ChamberSet:\n"
+              "    return table.ctx.floor_forms\n"
+              "def _row_sizes(rows, cols, i):\n"
               "    return Chamber\n"
               "def sweep_triples(ctx, cover):\n"
               "    return ChamberSet(c.floors for c in cover)\n")
-    assert _kernel_reads(source) == [("_HullTable", 3), ("_row", 4), ("_row", 5),
-                                     ("_row", 5), ("_row_sizes", 7)]
+    assert _kernel_reads(source) == [("_HullTable", 3), ("_offset_rows", 4),
+                                     ("_offset_rows", 5), ("_offset_rows", 5),
+                                     ("_row_sizes", 7)]
 
 
 def _imported_modules(source):
