@@ -10,7 +10,8 @@ Three hull routes are kept:
   instead: ``_HullTable`` takes one cover's floor vectors and keeps, per
   family, masks over cover indices by floor offset, from which the rows of
   Conv(v, w) and Conv(u, v, w) by w's offset are built once per offset of
-  v.  A row's sizes and verdicts are `map` scans over them.
+  v.  A row's sizes and verdicts are `map` scans over them, made only for
+  the v least in their orbit under the diagram automorphisms.
 
 * ``closure_hull`` is an oracle.  It iterates geodesic intervals (the
   sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint.  An interval
@@ -35,11 +36,12 @@ from __future__ import annotations
 import json
 import random
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, repeat
-from operator import and_, attrgetter, lt, mul, or_, sub
+from operator import and_, attrgetter, itemgetter, lt, mul, or_, sub
 
 from .coxeter import TypeTag
 from .group import MixedContext
@@ -345,6 +347,35 @@ def _row_sizes(rows, cols, i: int) -> tuple:
             list(map(int.bit_count, reduce(partial(map, and_), triple_cols))))
 
 
+def _orbit_maps(ball, perms) -> list:
+    """Per generator permutation p, the ball index of each ball chamber's
+    image under s_i -> s_p(i), by one walk over the ball's edges: the image
+    of c s_i is the image of c, times s_p(i).  `_check_map` checks each."""
+    index = {c: k for k, c in enumerate(ball)}
+    edges = [[index.get(nb) for nb in c.neighbors()] for c in ball]
+    maps = []
+    for p in perms:
+        img = [0] + [None] * (len(ball) - 1)
+        for k, row in enumerate(edges):
+            for s, j in enumerate(row):
+                if j is not None and img[j] is None and img[k] is not None:
+                    img[j] = edges[img[k]][p[s]]
+        _check_map(edges, p, img)
+        maps.append(img)
+    return maps
+
+
+def _check_map(edges, p, img) -> None:
+    """Raise RuntimeError unless `img` fixes ball[0], permutes the ball and
+    takes each edge c - c s_i to img(c) - img(c) s_p(i), where `edges`
+    gives the ball index of c s_i, or None outside the ball."""
+    if img[0] != 0 or set(img) != set(range(len(img))):
+        raise RuntimeError(f"generator map {p} is no permutation of the ball fixing ball[0]")
+    for k, row in enumerate(edges):
+        if [edges[img[k]][q] for q in p] != [None if j is None else img[j] for j in row]:
+            raise RuntimeError(f"generator map {p} breaks an edge at ball[{k}]")
+
+
 class _WeakOrder:
     """The sweep's weak-order route: hulls of ball points, and their sizes,
     from the letters of their canonical words.  The words are folds of the
@@ -355,35 +386,31 @@ class _WeakOrder:
     def __init__(self, ctx: GroupContext, ball) -> None:
         self.ctx, self.ball = ctx, ball
         self.roots = RootSystem(ctx.matrix)
-        self.letters = [ctx.letters_of(c) for c in ball]
-        ids, self.masks = zip(*map(self.roots.walk, self.letters))
+        ids, self.masks = zip(*(self.roots.walk(ctx.letters_of(c)) for c in ball))
         self.ids = dict(zip(ball, ids))
-        self.sizes = self.roots.interval_sizes(ids, [len(word) for word in self.letters])
+        self.sizes = self.roots.interval_sizes(ids, [mask.bit_count() for mask in self.masks])
 
-    def between(self, i: int, j: int) -> int:
-        """N(v^-1 w) as a mask, for v = ball[i] and w = ball[j]."""
-        x = self.roots.element(self.letters[i][::-1] + self.letters[j])
-        return self.roots.walk(self.roots.reduced(x))[1]
-
-    def check(self, points, mask, *sizes_used, hull=None) -> None:
-        """Raise unless each size used is the size of the weak-order hull of
-        `mask`, the inversions of the hull of the ball points numbered
-        `points`, and unless a table `hull` given holds its elements, each
-        chamber's by a fold that reads no floor."""
-        lower = self.roots.lower_set(mask)
+    def check(self, i: int, j: int, size_vw: int, size_uvw: int, hull) -> None:
+        """Raise unless, for v = ball[i] and w = ball[j], the sizes used are
+        |Conv(v, w)| and |Conv(u, v, w)|, and the table `hull` of u, v and w
+        holds the elements of the lower set of N(v) | N(w), each chamber's by
+        a fold that reads no floor.  Conv(v, w) is read off the same set."""
+        both = self.masks[i] & self.masks[j]
+        lower = self.roots.lower_set(self.masks[i] | self.masks[j])
         ids, held = self.ids, {}
-        for c in hull or ():
+        for c in hull:
             if c not in ids:
                 ids[c] = self.roots.element(self.ctx.letters_of(c))
             held[ids[c]] = c
-        for used in sizes_used:
-            if used != len(lower) or hull is not None and held.keys() != lower:
+        pair = sum(nx & both == both for nx in lower.values())
+        for points, used, size, table in (([i, j], size_vw, pair, None),
+                                          ([0, i, j], size_uvw, len(lower), held)):
+            if used != size or table is not None and table.keys() != lower.keys():
                 raise WeakOrderDisagreement(
-                    self.ctx.tag, [self.ctx.word_of(self.ball[k]) for k in points],
-                    used, len(lower),
-                    [self.ctx.word_of(c) for k, c in held.items() if k not in lower],
+                    self.ctx.tag, [self.ctx.word_of(self.ball[k]) for k in points], used, size,
+                    [self.ctx.word_of(c) for k, c in (table or {}).items() if k not in lower],
                     ["".join(str(s + 1) for s in self.roots.reduced(k))
-                     for k in sorted(lower - held.keys())] if hull is not None else [])
+                     for k in sorted(lower.keys() - table.keys())] if table is not None else [])
 
 
 def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
@@ -391,16 +418,22 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     """Check the strong hull inequality for u = identity and all ordered
     pairs (v, w) in the ball of the given radius, in this process.
 
-    One pass over v = ball[i]: each row's two size lists, for w = ball[j],
-    j >= i, are gathered from the rows built once per offset, then checked,
-    sampled and scanned for a failing verdict in either order, so one row
-    is alive at a time; only a failing row is walked pair by pair.
+    A diagram automorphism s fixes u and keeps hulls, so (a, b) and (sa, sb)
+    share their verdict, and the sizes of (a, b) and (b, a) agree: with m =
+    sa least in a's orbit, and no more than b's orbit's least, (m, sb) covers
+    them.  So one pass over v = ball[m], m least in its orbit: each row's
+    two size lists, for w = ball[j], j >= m, are gathered from the rows
+    built once per offset, then sampled and scanned for a failing verdict
+    in either order, so one row is alive at a time; only a failing row is
+    walked pair by pair, listing each failing pair's images.
 
     With `oracle_samples` > 0 the weak order checks the sweep, and a
     disagreement aborts it; a negative count raises ValueError.  It checks
     both sizes of row 0 against each |[e, w]| of its one pass over the ball,
     and, on a sample of the pairs i <= j (numbered in that order) drawn with
-    `seed`, |Conv(v, w)| by size and Conv(u, v, w) as the table's chambers.
+    `seed`, the sizes read for them from their orbit's row, as |Conv(v, w)|
+    and |Conv(u, v, w)| at their own chambers, and Conv(u, v, w) as the
+    table's chambers.
 
     `jobs` must be 1; any other value raises ValueError.  The slot stays
     only because `bench/worker.py` passes 1 there by position, before the
@@ -419,49 +452,55 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     offsets = [table.offsets(c.floors) for c in ball]
     cols = list(zip(*offsets))
     rows = _offset_rows(table, cols)
-    rng = random.Random(seed)
-    # Sampled pair numbers, popped from the end in ascending order.
-    sampled = sorted({rng.randrange(n * (n + 1) // 2)
-                      for _ in range(oracle_samples)}, reverse=True)
-    weak = _WeakOrder(ctx, ball) if oracle_samples > 0 else None
-    counterexamples = []
-    first = 0  # the number of the pair (i, i)
-    for i in range(n):
+
+    def row_sizes(i):
         vws, uvws = _row_sizes(rows, cols, i)
         if len(vws) != n - i or len(uvws) != n - i:
             raise RuntimeError(f"sweep row {i} has {len(vws)} pair and "
                                f"{len(uvws)} triple sizes, expected {n - i}")
-        if i == 0:
-            # ball[0] is u, so row 0 holds |Conv(u, ball[j])|.
-            usize = vws
-        while sampled and sampled[-1] < first + n - i:
-            j = i + sampled.pop() - first
-            weak.check([i, j], weak.between(i, j), vws[j - i])
+        return vws, uvws
+
+    weak = _WeakOrder(ctx, ball) if oracle_samples > 0 else None
+    # ball[0] is u, so row 0 holds |Conv(u, ball[j])|.
+    usize, uvws = row_sizes(0)
+    if weak is not None:
+        # Both sizes of row 0 are |Conv(u, w)| = |[e, w]|, as v = u.
+        for j, (vw, uvw, size) in enumerate(zip(usize, uvws, weak.sizes)):
+            if vw != size or uvw != size:
+                raise WeakOrderDisagreement(tag, [ctx.word_of(ball[0]), ctx.word_of(ball[j])],
+                                            uvw if vw == size else vw, size, [], [])
+    maps = _orbit_maps(ball, ctx.matrix.automorphisms())
+    # Per ball index, the map that takes it to the least index of its orbit.
+    to_least = [min(maps, key=itemgetter(k)) for k in range(n)]
+    # The sampled pairs i <= j, numbered row by row from (i, i) at starts[i],
+    # grouped by the row m their sizes are read from, with the column sb.
+    starts, samples = list(accumulate(range(n, 0, -1), initial=0)), {}
+    rng = random.Random(seed)
+    for k in sorted({rng.randrange(starts[-1]) for _ in range(oracle_samples)}):
+        i = bisect_right(starts, k) - 1
+        a, b = sorted((i, i + k - starts[i]), key=lambda x: to_least[x][x])
+        samples.setdefault(to_least[a][a], []).append((i, i + k - starts[i], to_least[a][b]))
+    failing = {}
+    for m in [k for k in range(n) if to_least[k][k] == k]:
+        vws, uvws = row_sizes(m) if m else (usize, uvws)
+        for i, j, b in samples.get(m, ()):
             mask = table.hull([offsets[0], offsets[i], offsets[j]])
-            weak.check([0, i, j], weak.masks[i] | weak.masks[j], uvws[j - i],
-                       hull=[c for c, bit in zip(cover, bin(mask)[:1:-1]) if bit == "1"])
-        if i == 0 and weak is not None:
-            # Both sizes of row 0 are |Conv(u, w)| = |[e, w]|, as v = u.
-            for j, (vw, uvw, size) in enumerate(zip(vws, uvws, weak.sizes)):
-                if vw != size or uvw != size:
-                    raise WeakOrderDisagreement(tag, [ctx.word_of(ball[0]), ctx.word_of(ball[j])],
-                                                uvw if vw == size else vw, size, [], [])
-        first += n - i
+            weak.check(i, j, vws[b - m], uvws[b - m],
+                       [c for c, bit in zip(cover, bin(mask)[:1:-1]) if bit == "1"])
         # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes; a row
         # is walked pair by pair only if a scan finds either order failing.
-        if (any(map(lt, map(mul, repeat(usize[i]), vws), uvws))
-                or any(map(lt, map(mul, usize[i:], vws), uvws))):
-            for j, (vw, uvw) in enumerate(zip(vws, uvws), i):
-                for a, b in [(i, j)] if i == j else [(i, j), (j, i)]:
+        if (any(map(lt, map(mul, repeat(usize[m]), vws), uvws))
+                or any(map(lt, map(mul, usize[m:], vws), uvws))):
+            for j, (vw, uvw) in enumerate(zip(vws, uvws), m):
+                for a, b in [(m, j)] if m == j else [(m, j), (j, m)]:
                     if usize[a] * vw < uvw:
-                        counterexamples.append(dict(
-                            v=ctx.word_of(ball[a]), w=ctx.word_of(ball[b]),
-                            size_uv=usize[a], size_vw=vw, size_uvw=uvw))
-    elapsed_ms = int((time.monotonic() - started) * 1000)
-    return CheckReport(
-        type=tag.code,
-        radius=radius,
-        triples_checked=n * n,
-        counterexamples=counterexamples,
-        wall_clock_ms=elapsed_ms,
-    )
+                        for x, y in {(img[a], img[b]) for img in maps} - failing.keys():
+                            failing[x, y] = dict(
+                                v=ctx.word_of(ball[x]), w=ctx.word_of(ball[y]),
+                                size_uv=usize[x], size_vw=vw, size_uvw=uvw)
+    # The unreduced rows list (i, j), then (j, i), for each i < j.
+    counterexamples = [failing[ab] for ab in sorted(
+        failing, key=lambda ab: (min(ab), max(ab), ab[0] > ab[1]))]
+    return CheckReport(type=tag.code, radius=radius, triples_checked=n * n,
+                       counterexamples=counterexamples,
+                       wall_clock_ms=int((time.monotonic() - started) * 1000))

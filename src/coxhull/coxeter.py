@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import permutations
 
 INF = float("inf")
 
@@ -45,6 +46,14 @@ class CoxeterMatrix:
 
     def order(self, i, j):
         return self.entries[i][j]
+
+    def automorphisms(self) -> list:
+        """The permutations p of the generators with m_p(i)p(j) = m_ij, the
+        identity first.  Each extends to the group automorphism s_i -> s_p(i),
+        which fixes e and keeps lengths, so it keeps hulls and their sizes."""
+        n = range(self.rank)
+        return [p for p in permutations(n)
+                if all(self.entries[p[i]][p[j]] == self.entries[i][j] for i in n for j in n)]
 
 
 def _as_order(value):

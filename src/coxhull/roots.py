@@ -7,9 +7,10 @@ between e and x.  For a point set S that holds e,
 
     Conv(S) = {x : N(x) is a subset of the union of N(s), s in S},
 
-and by left translation |Conv(v, w)| = |Conv(e, v^-1 w)|.  So hulls that
-hold e, and all hull sizes, follow from an integer Cartan matrix, with no
-geometry: this module reads nothing but the Coxeter matrix.
+and, as a wall has v and w on one side iff its root is in both or neither
+of N(v) and N(w), Conv(v, w) = {x : N(v) & N(w) <= N(x) <= N(v) | N(w)}.
+So hulls that hold e, and all hull sizes, follow from an integer Cartan
+matrix, with no geometry: this module reads nothing but the Coxeter matrix.
 
 An element w is realized as the tuple of its images w(a_1), ..., w(a_n)
 of the simple roots, each a tuple of integer coefficients over the simple
@@ -114,15 +115,16 @@ class RootSystem:
             k = self._step(k, s)
         return letters[::-1]
 
-    def lower_set(self, mask: int) -> set:
-        """The ids of {x : N(x) is a subset of the mask's roots}.  The set
-        is a lower set of the weak order, so it is enumerated by right
-        ascents from e, one length at a time: x s with x(a_s) in the mask.
-        Such a root is positive, so the step is an ascent, and x s is not e."""
-        level, found, ascents, nxt = {0}, set(), self._ascents, self._next
+    def lower_set(self, mask: int) -> dict:
+        """The ids of {x : N(x) is a subset of the mask's roots}, each mapped
+        to N(x) as a mask.  The set is a lower set of the weak order, so it
+        is enumerated by right ascents from e, one length at a time: x s with
+        x(a_s) in the mask, where N(x s) is N(x) and that root.  Such a root
+        is positive, so the step is an ascent, and x s is not e."""
+        level, found, ascents, nxt = {0: 0}, {}, self._ascents, self._next
         while level:
             found |= level
-            level = {nxt[x][s] or self._step(x, s) for x in level
+            level = {nxt[x][s] or self._step(x, s): nx | bit for x, nx in level.items()
                      for s, bit in enumerate(ascents[x]) if bit & mask}
         return found
 

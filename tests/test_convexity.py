@@ -465,6 +465,47 @@ def test_sweep_oracle_catches_wrong_swept_size(monkeypatch):
     assert err.value.size_used == err.value.size_weak + 1
 
 
+@pytest.mark.parametrize("code", ["a2t", "c2t", "g2t", "i2inf"])
+def test_sweep_oracle_catches_wrong_pair_size_past_row_zero(monkeypatch, code):
+    # Add 1 to every |Conv(v, w)| past row 0.  Products only grow and row 0
+    # is untouched, so the sweep finds no counterexample and only the
+    # sampled pairs, read from their orbit's row, can catch it.
+    row_sizes = convexity._row_sizes
+
+    def inflated(offset_rows, cols, i):
+        vws, uvws = row_sizes(offset_rows, cols, i)
+        return ([vw + 1 for vw in vws] if i else vws), uvws
+
+    monkeypatch.setattr(convexity, "_row_sizes", inflated)
+    tag = TypeTag.from_code(code)
+    assert sweep_triples(tag, 3, oracle_samples=0).ok
+    with pytest.raises(WeakOrderDisagreement, match="sweep used size") as err:
+        sweep_triples(tag, 3)
+    assert err.value.size_used == err.value.size_weak + 1
+    assert len(err.value.points) == 2 and err.value.table_only == err.value.weak_only == []
+
+
+def test_weak_order_reads_pair_sizes_off_the_triple_lower_set(ctx):
+    # The weak order counts |Conv(v, w)| in the lower set of N(v) | N(w),
+    # as the x with N(v) & N(w) in N(x).  The translation route is the
+    # reference: |Conv(v, w)| = |Conv(e, v^-1 w)|, the lower set of N(v^-1 w).
+    ball = ctx.ball(6)
+    weak = convexity._WeakOrder(ctx, ball)
+    roots = RootSystem(ctx.matrix)
+    rng = random.Random(29)
+    for _ in range(100):
+        i, j = sorted(rng.randrange(len(ball)) for _ in range(2))
+        lv, lw = ctx.letters_of(ball[i]), ctx.letters_of(ball[j])
+        between = roots.walk(roots.reduced(roots.element(lv[::-1] + lw)))[1]
+        size_vw = len(roots.lower_set(between))
+        hull = halfspace_hull([ctx.base_chamber, ball[i], ball[j]]).chambers
+        weak.check(i, j, size_vw, len(hull), hull)
+        for wrong in (size_vw - 1, size_vw + 1):
+            with pytest.raises(WeakOrderDisagreement) as err:
+                weak.check(i, j, wrong, len(hull), hull)
+            assert (err.value.size_used, err.value.size_weak) == (wrong, size_vw)
+
+
 def _sampled_pairs(n, seed, samples):
     """The pairs (i, j), i <= j, that a sweep over n ball chambers samples:
     pair numbers drawn as in `sweep_triples`, counted row by row."""
@@ -589,14 +630,18 @@ def test_disagreement_report_survives_corrupted_floor_table(code):
 
 def test_sweep_reports_counterexamples(monkeypatch):
     # Inflate |Conv(u,v,w)| of the one pair v = ball[1] (distance 1) and
-    # w = ball[-1] (distance 2), the last of row 1; both orders of (v, w)
-    # then fail.
+    # w = ball[-1] (distance 2), the last of row 1, the first row after
+    # u's.  Both orders of (v, w) then fail, and so do both orders of each
+    # of its images under S3, the pairs (s_a, s_b s_c) with a, b, c
+    # distinct, listed in the order of the unreduced rows.
     ctx = build_group(TypeTag.A2Tilde)
     ball = ctx.ball(2)
     u, v, w = ctx.base_chamber, ball[1], ball[-1]
     row_sizes = convexity._row_sizes
+    swept = []
 
     def inflated(offset_rows, cols, i):
+        swept.append(i)
         vws, uvws = row_sizes(offset_rows, cols, i)
         if i == 1:
             uvws[-1] = 100
@@ -606,56 +651,143 @@ def test_sweep_reports_counterexamples(monkeypatch):
     report = sweep_triples(TypeTag.A2Tilde, 2, oracle_samples=0)
     sizes = [halfspace_hull(p).size for p in ([u, v], [u, w], [v, w])]
     assert sizes == [2, 3, 4]
-    assert report.counterexamples == [
-        {"v": "2", "w": "31", "size_uv": 2, "size_vw": 4, "size_uvw": 100},
-        {"v": "31", "w": "2", "size_uv": 3, "size_vw": 4, "size_uvw": 100},
-    ]
     assert [ctx.word_of(v), ctx.word_of(w)] == ["2", "31"]
+    # One row per orbit: {e}, the generators, and the six of length 2.
+    assert swept == [0, 1, 4]
+    pairs = [("2", "13"), ("2", "31"), ("1", "23"), ("1", "32"), ("3", "21"), ("3", "12")]
+    assert report.counterexamples == [
+        dict(v=x, w=y, size_uv=len(x) + 1, size_vw=4, size_uvw=100)
+        for pair in pairs for x, y in (pair, pair[::-1])]
     assert report.max_ratio == Fraction(100, 2 * 4)
     assert report.ok is False
 
 
+def _word_images(ctx, ball):
+    """Per diagram automorphism p, the index of each ball chamber's image,
+    from words: the chamber of i1 i2 ... goes to that of p(i1) p(i2) ..."""
+    index = {c: k for k, c in enumerate(ball)}
+    return [[index[ctx.chamber_from_word([p[s] for s in ctx.letters_of(c)])] for c in ball]
+            for p in ctx.matrix.automorphisms()]
+
+
+@pytest.mark.parametrize("code, order, n, swept_rows", [
+    ("a2t", 6, 64, 14), ("c2t", 2, 57, 33), ("g2t", 1, 52, 52), ("i2inf", 2, 13, 7)])
+def test_orbit_rows_give_every_pair_its_sizes(monkeypatch, code, order, n, swept_rows):
+    # The sweep's rows are those of the v least in their orbit.  Expanded
+    # through the maps, they give every ordered pair of ball(6) both sizes
+    # of the unreduced rows, whichever rows and images reach it.  The maps
+    # are those the words give, and there are as many as the group orders.
+    tag = TypeTag.from_code(code)
+    ctx = build_group(tag)
+    ball = ctx.ball(6)
+    assert len(ball) == n and len(ctx.matrix.automorphisms()) == order
+    maps = convexity._orbit_maps(ball, ctx.matrix.automorphisms())
+    assert maps == _word_images(ctx, ball)
+    least = sorted({min(img[k] for img in maps) for k in range(n)})
+    table, _ = _cover_table(ball)
+    cols = list(zip(*(table.offsets(c.floors) for c in ball)))
+    rows = convexity._offset_rows(table, cols)
+    full = [_pairs(convexity._row_sizes(rows, cols, i)) for i in range(n)]
+    expanded = {}
+    for m in least:
+        for j, sizes in enumerate(full[m], m):
+            for img in maps:
+                for a, b in [(img[m], img[j]), (img[j], img[m])]:
+                    expanded.setdefault((a, b), set()).add(sizes)
+    assert expanded.keys() == {(a, b) for a in range(n) for b in range(n)}
+    for (a, b), sizes in expanded.items():
+        assert sizes == {full[min(a, b)][abs(a - b)]}
+    row_sizes = convexity._row_sizes
+    swept = []
+    monkeypatch.setattr(convexity, "_row_sizes",
+                        lambda *args: swept.append(args[2]) or row_sizes(*args))
+    assert sweep_triples(tag, 6).triples_checked == n * n
+    assert swept == least and len(least) == swept_rows
+
+
+@pytest.mark.parametrize("swap, refusal", [((4, 5), "breaks an edge"),
+                                           ((0, 4), "fixing ball\\[0\\]")])
+def test_orbit_maps_refuse_a_planted_image(monkeypatch, swap, refusal):
+    # Two images of each map but the identity swapped: the maps' check
+    # refuses it before the sweep reads a row through it.
+    check_map = convexity._check_map
+
+    def planted(edges, p, img):
+        if p != tuple(range(len(p))):
+            a, b = swap
+            img[a], img[b] = img[b], img[a]
+        check_map(edges, p, img)
+
+    monkeypatch.setattr(convexity, "_check_map", planted)
+    with pytest.raises(RuntimeError, match=refusal) as err:
+        sweep_triples(TypeTag.A2Tilde, 3)
+    assert type(err.value) is RuntimeError
+
+
+def test_orbit_maps_refuse_a_permutation_that_moves_an_order():
+    # c2t's m_01 = 2 and m_12 = 4: swapping generators 0 and 2 is no
+    # diagram automorphism, and its walk breaks the ball.
+    ctx = build_group(TypeTag.C2Tilde)
+    assert ctx.matrix.automorphisms() == [(0, 1, 2), (1, 0, 2)]
+    with pytest.raises(RuntimeError, match="generator map \\(2, 1, 0\\)"):
+        convexity._orbit_maps(ctx.ball(4), [(2, 1, 0)])
+
+
 def _mirrored_only(usize, i, vws, uvws):
-    # In the first row with a later w where |Conv(u, w)| < |Conv(u, v)|,
+    # In a row with a later w where |Conv(u, w)| < |Conv(u, v)|,
     # raise the first such pair's |Conv(u, v, w)| to |Conv(u, v)|·|Conv(v, w)|:
     # then (w, v) fails and (v, w) holds.
-    if i == next(k for k, size in enumerate(usize) if min(usize[k:]) < size):
+    if min(usize[i:]) < usize[i]:
         j = next(j for j in range(i, len(usize)) if usize[j] < usize[i])
         uvws[j - i] = usize[i] * vws[j - i]
 
 
 def _diagonal_only(usize, i, vws, uvws):
-    if i == 5:
+    if i == 4:
         uvws[0] = usize[i] * vws[0] + 1
 
 
 def _two_in_one_row(usize, i, vws, uvws):
-    if i == 2:
+    if i == 1:
         uvws[3] = uvws[-1] = 100
 
 
 @pytest.mark.parametrize("corrupt, failing", [
-    pytest.param(_mirrored_only, 1, id="mirrored-only"),
-    pytest.param(_diagonal_only, 1, id="diagonal-only"),
-    pytest.param(_two_in_one_row, 4, id="two-in-one-row")])
+    pytest.param(_mirrored_only, 6, id="mirrored-only"),
+    pytest.param(_diagonal_only, 6, id="diagonal-only"),
+    pytest.param(_two_in_one_row, 24, id="two-in-one-row")])
 def test_sweep_verdict_scan_lists_what_the_per_pair_loop_lists(monkeypatch, corrupt, failing):
-    # Corrupt some triple sizes, then list the counterexamples of the rows
-    # the sweep used with the per-pair loop: the sweep, which walks only
-    # the rows its scans flag, must list the same, in the same order.
+    # Corrupt some triple sizes in the rows the sweep reads, put the same
+    # sizes on every image of each corrupted pair in the unreduced rows, and
+    # list their counterexamples with the per-pair loop: the sweep, which
+    # walks only the rows its scans flag, must list the same, in the same
+    # order.
     ctx = build_group(TypeTag.A2Tilde)
-    words = [ctx.word_of(c) for c in ctx.ball(3)]
+    ball = ctx.ball(3)
+    words = [ctx.word_of(c) for c in ball]
     row_sizes = convexity._row_sizes
-    rows = []
+    corrupted = {}
 
-    def corrupted(offset_rows, cols, i):
+    def corrupting(offset_rows, cols, i):
+        # Each corruption applies once, in the first swept row it fits.
         vws, uvws = row_sizes(offset_rows, cols, i)
-        corrupt(rows[0][0] if rows else vws, i, vws, uvws)
-        rows.append((vws, uvws))
+        before = list(uvws)
+        if not corrupted:
+            corrupt(usize, i, vws, uvws)
+        corrupted.update({(i, j): uvw for j, (was, uvw) in enumerate(zip(before, uvws), i)
+                          if uvw != was})
         return vws, uvws
 
-    monkeypatch.setattr(convexity, "_row_sizes", corrupted)
-    report = sweep_triples(TypeTag.A2Tilde, 3, oracle_samples=0)
+    table, _ = _cover_table(ball)
+    cols = list(zip(*(table.offsets(c.floors) for c in ball)))
+    rows = [row_sizes(convexity._offset_rows(table, cols), cols, i) for i in range(len(ball))]
     usize = rows[0][0]
+    monkeypatch.setattr(convexity, "_row_sizes", corrupting)
+    report = sweep_triples(TypeTag.A2Tilde, 3, oracle_samples=0)
+    for (i, j), uvw in corrupted.items():
+        for img in _word_images(ctx, ball):
+            a, b = sorted((img[i], img[j]))
+            rows[a][1][b - a] = uvw
     expected = []
     for i, (vws, uvws) in enumerate(rows):
         for j, (vw, uvw) in enumerate(zip(vws, uvws), i):
@@ -663,13 +795,13 @@ def test_sweep_verdict_scan_lists_what_the_per_pair_loop_lists(monkeypatch, corr
                 if usize[a] * vw < uvw:
                     expected.append(dict(v=words[a], w=words[b], size_uv=usize[a],
                                          size_vw=vw, size_uvw=uvw))
+    assert len(corrupted) == (2 if corrupt is _two_in_one_row else 1)
     assert len(expected) == failing
     assert report.counterexamples == expected
-    order = [words.index(c["v"]) - words.index(c["w"]) for c in expected]
     if corrupt is _mirrored_only:
-        assert order[0] > 0
+        assert all(c["size_uv"] < usize[words.index(c["w"])] for c in expected)
     if corrupt is _diagonal_only:
-        assert order == [0]
+        assert all(c["v"] == c["w"] for c in expected)
 
 
 def test_sweep_folds_each_chamber_once(monkeypatch):

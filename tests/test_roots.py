@@ -58,10 +58,12 @@ def test_pair_and_u_triple_sizes_equal_halfspace_hull(ctx):
         lv, lw = _letters(ctx, v), _letters(ctx, w)
         between = roots.walk(roots.reduced(roots.element(lv[::-1] + lw)))[1]
         assert len(roots.lower_set(between)) == halfspace_hull([v, w]).size
-        # The u-triple hull holds e, so it is the lower set itself.
-        assert (roots.lower_set(roots.walk(lv)[1] | roots.walk(lw)[1])
-                == {roots.element(_letters(ctx, c))
-                    for c in halfspace_hull([ctx.base_chamber, v, w])})
+        # The u-triple hull holds e, so it is the lower set itself, and the
+        # lower set carries each member's inversion set.
+        lower = roots.lower_set(roots.walk(lv)[1] | roots.walk(lw)[1])
+        assert lower.keys() == {roots.element(_letters(ctx, c))
+                                for c in halfspace_hull([ctx.base_chamber, v, w])}
+        assert all(roots.walk(roots.reduced(x))[1] == nx for x, nx in lower.items())
 
 
 def _reference_sizes(roots, lv, lw):
