@@ -129,8 +129,15 @@ def _enumerated(checks) -> int:
     return sum(want != have for _, want, have in checks)
 
 
+# The coordinate option of each type with closed forms.
+_FORMULA_OPTIONS = {TypeTag.I2Infinity: "d", TypeTag.A2Tilde: "xy", TypeTag.C2Tilde: "abxy"}
+
+
 def cmd_formula(args) -> int:
     tag = TypeTag.from_code(args.type)
+    for owner, name in _FORMULA_OPTIONS.items():
+        if owner is not tag and getattr(args, name) is not None:
+            raise ConfigError(f"--{name} is an option of {owner.code}, not of {args.type}")
     mismatches = 0
     if tag is TypeTag.I2Infinity:
         if args.d is None:
@@ -263,6 +270,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # An empty output path names no file: refused before any work.
+        for name in ("report", "svg"):
+            if getattr(args, name, None) == "":
+                raise ConfigError(f"--{name} wants a file path, got ''")
         return args.func(args)
     except (ConfigError, CoordinateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

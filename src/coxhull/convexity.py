@@ -7,11 +7,12 @@ Three hull routes are kept:
   on one side, the chamber lies on that same side.  Per wall family this
   is an integer window test on floor vectors, and the hull is collected by
   flood fill from one seed.  A sweep reads the same windows from bit masks
-  instead: ``_HullTable`` takes one cover's floor vectors and keeps, per
-  family, masks over cover indices by floor offset, from which the rows of
-  Conv(v, w) and Conv(u, v, w) by w's offset are built once per offset of
-  v.  A row's sizes and verdicts are `map` scans over them, made only for
-  the v least in their orbit under the diagram automorphisms.
+  instead: ``_offset_rows`` takes one cover's floor vectors and builds,
+  per family and offset of v, the rows of Conv(v, w) and Conv(u, v, w)
+  masks by w's offset.  Every mask a sweep counts or decodes is ANDed from
+  them: a row's sizes and verdicts are `map` scans, made only for the v
+  least in their orbit under the diagram automorphisms, and a sampled
+  pair's two hulls are one lookup per family (``_hull_masks``).
 
 * ``closure_hull`` is an oracle.  It iterates geodesic intervals (the
   sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint.  An interval
@@ -40,7 +41,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from operator import and_, attrgetter, itemgetter, lt, mul, or_, sub
 
 from .coxeter import TypeTag
@@ -279,64 +280,47 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-class _HullTable:
-    """Hulls of points of a convex cover, as bit masks over the cover's
-    integer vectors: bit k stands for cover[k].
+def _offset_rows(cover, u) -> tuple:
+    """The sweep's hull table over a convex cover's integer vectors, as rows
+    of bit masks: bit k stands for cover[k].
 
     Each coordinate places a chamber among one family of parallel walls
     (a floor, or the 0/1 side of one wall), so by Tits' theorem the hull
     of cover points is the set of cover vectors inside their window: per
-    coordinate, between the points' least and greatest value.  Per
-    coordinate the table keeps two lists indexed by value minus the least
-    cover value (the offset): at offset t, the mask of cover vectors at
-    or above it (`ge`) and of those at or below it (`le`).  A hull is the
-    AND of two entries per coordinate."""
-
-    def __init__(self, cover) -> None:
-        self.least, self.ge, self.le = [], [], []
-        for col in zip(*cover):
-            least = min(col)
-            at = [0] * (max(col) - least + 1)
-            for k, x in enumerate(col):
-                at[x - least] |= 1 << k
-            self.least.append(least)
-            self.ge.append(list(accumulate(reversed(at), or_))[::-1])
-            self.le.append(list(accumulate(at, or_)))
-
-    def offsets(self, vector) -> tuple:
-        """The vector minus each coordinate's least cover value."""
-        return tuple(map(sub, vector, self.least))
-
-    def hull(self, offsets) -> int:
-        """The mask of the hull of the points with these offsets; an offset
-        outside its coordinate's range on the cover raises ValueError."""
-        mask = -1
-        for ge, le, col in zip(self.ge, self.le, zip(*offsets)):
-            lo, hi = min(col), max(col)
-            if lo < 0 or hi >= len(ge):
-                raise ValueError(f"offsets {list(col)} outside the cover's 0..{len(ge) - 1}")
-            mask &= ge[lo] & le[hi]
-        return mask
-
-
-def _offset_rows(table: _HullTable, cols) -> list:
-    """Per coordinate, by v's offset a, the masks of Conv(v, w) and, for
-    u = ball[0], of Conv(u, v, w) by w's offset: rows of shared windows
-    win[s][t] = ge[min(s, t)] & le[max(s, t)], each ANDed once."""
-    rows = []
-    for ge, le, col in zip(table.ge, table.le, cols):
-        win, b = [], col[0]
+    coordinate, between the points' least and greatest value.  Returns
+    each coordinate's least cover value and, by v's offset (its value
+    minus that least one), the rows of Conv(v, w) and, with u's vector
+    `u`, of Conv(u, v, w) masks by w's offset.  The rows share windows
+    win[s][t] = ge[min(s, t)] & le[max(s, t)], each ANDed once, where `ge`
+    and `le` mask the vectors at or above and at or below an offset."""
+    least, rows = [min(col) for col in zip(*cover)], []
+    for col, lo, b in zip(zip(*cover), least, u):
+        at = [0] * (max(col) - lo + 1)
+        for k, x in enumerate(col):
+            at[x - lo] |= 1 << k
+        ge, le = list(accumulate(reversed(at), or_))[::-1], list(accumulate(at, or_))
+        win, b = [], b - lo
         for a in range(len(ge)):
             win.append([*(row[a] for row in win), *map(and_, repeat(ge[a]), le[a:])])
         rows.append((win, [[*win[max(a, b)][:min(a, b)], *repeat(win[a][b], abs(a - b)),
                             *win[min(a, b)][max(a, b):]] for a in range(len(ge))]))
-    return rows
+    return least, rows
+
+
+def _hull_masks(rows, v, w) -> tuple:
+    """The masks of Conv(v, w) and Conv(u, v, w) for the points with offset
+    vectors v and w: per coordinate, one lookup in each of v's two rows."""
+    pair = triple = -1
+    for (pairs, triples), a, b in zip(rows, v, w):
+        pair &= pairs[a][b]
+        triple &= triples[a][b]
+    return pair, triple
 
 
 def _row_sizes(rows, cols, i: int) -> tuple:
     """Sizes |Conv(v, w)| and |Conv(u, v, w)|, as two lists, for v = ball[i]
     and each w = ball[j], j >= i, in order: per coordinate of `cols`, the
-    ball's table offsets, v's two `_offset_rows` are mapped over the column
+    ball's offsets, v's two `_offset_rows` are mapped over the column
     from i on, then ANDed and bit-counted by `map`, with no frame per pair."""
     pair_cols, triple_cols = [], []
     for (pairs, triples), col in zip(rows, cols):
@@ -390,27 +374,29 @@ class _WeakOrder:
         self.ids = dict(zip(ball, ids))
         self.sizes = self.roots.interval_sizes(ids, [mask.bit_count() for mask in self.masks])
 
-    def check(self, i: int, j: int, size_vw: int, size_uvw: int, hull) -> None:
+    def check(self, i: int, j: int, size_vw: int, size_uvw: int, hull_vw, hull_uvw) -> None:
         """Raise unless, for v = ball[i] and w = ball[j], the sizes used are
-        |Conv(v, w)| and |Conv(u, v, w)|, and the table `hull` of u, v and w
-        holds the elements of the lower set of N(v) | N(w), each chamber's by
-        a fold that reads no floor.  Conv(v, w) is read off the same set."""
+        |Conv(v, w)| and |Conv(u, v, w)|, and the chambers `hull_uvw` hold
+        the elements of the lower set of N(v) | N(w), and `hull_vw` those of
+        its x with N(v) & N(w) in N(x), each chamber's by a fold that reads
+        no floor."""
         both = self.masks[i] & self.masks[j]
         lower = self.roots.lower_set(self.masks[i] | self.masks[j])
-        ids, held = self.ids, {}
-        for c in hull:
-            if c not in ids:
-                ids[c] = self.roots.element(self.ctx.letters_of(c))
-            held[ids[c]] = c
-        pair = sum(nx & both == both for nx in lower.values())
-        for points, used, size, table in (([i, j], size_vw, pair, None),
-                                          ([0, i, j], size_uvw, len(lower), held)):
-            if used != size or table is not None and table.keys() != lower.keys():
+        pair = {k: nx for k, nx in lower.items() if nx & both == both}
+        ids = self.ids
+        for points, used, weak, hull in (([i, j], size_vw, pair, hull_vw),
+                                         ([0, i, j], size_uvw, lower, hull_uvw)):
+            held = {}
+            for c in hull:
+                if c not in ids:
+                    ids[c] = self.roots.element(self.ctx.letters_of(c))
+                held[ids[c]] = c
+            if used != len(weak) or held.keys() != weak.keys():
                 raise WeakOrderDisagreement(
-                    self.ctx.tag, [self.ctx.word_of(self.ball[k]) for k in points], used, size,
-                    [self.ctx.word_of(c) for k, c in (table or {}).items() if k not in lower],
+                    self.ctx.tag, [self.ctx.word_of(self.ball[k]) for k in points], used,
+                    len(weak), [self.ctx.word_of(c) for k, c in held.items() if k not in weak],
                     ["".join(str(s + 1) for s in self.roots.reduced(k))
-                     for k in sorted(lower.keys() - table.keys())] if table is not None else [])
+                     for k in sorted(weak.keys() - held.keys())])
 
 
 def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
@@ -432,8 +418,8 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     both sizes of row 0 against each |[e, w]| of its one pass over the ball,
     and, on a sample of the pairs i <= j (numbered in that order) drawn with
     `seed`, the sizes read for them from their orbit's row, as |Conv(v, w)|
-    and |Conv(u, v, w)| at their own chambers, and Conv(u, v, w) as the
-    table's chambers.
+    and |Conv(u, v, w)| at their own chambers, and both hulls as sets of
+    the cover chambers their masks, looked up in the same rows, hold.
 
     `jobs` must be 1; any other value raises ValueError.  The slot stays
     only because `bench/worker.py` passes 1 there by position, before the
@@ -448,10 +434,9 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
     ball = ctx.ball(radius)
     n = len(ball)
     cover = halfspace_hull(ball).chambers
-    table = _HullTable([c.floors for c in cover])
-    offsets = [table.offsets(c.floors) for c in ball]
+    least, rows = _offset_rows([c.floors for c in cover], ball[0].floors)
+    offsets = [tuple(map(sub, c.floors, least)) for c in ball]
     cols = list(zip(*offsets))
-    rows = _offset_rows(table, cols)
 
     def row_sizes(i):
         vws, uvws = _row_sizes(rows, cols, i)
@@ -480,13 +465,14 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
         i = bisect_right(starts, k) - 1
         a, b = sorted((i, i + k - starts[i]), key=lambda x: to_least[x][x])
         samples.setdefault(to_least[a][a], []).append((i, i + k - starts[i], to_least[a][b]))
-    failing = {}
+    # A mask's binary digits, lowest first, as 0/1 bytes select its chambers.
+    failing, bits = {}, bytes.maketrans(b"01", b"\0\1")
     for m in [k for k in range(n) if to_least[k][k] == k]:
         vws, uvws = row_sizes(m) if m else (usize, uvws)
         for i, j, b in samples.get(m, ()):
-            mask = table.hull([offsets[0], offsets[i], offsets[j]])
-            weak.check(i, j, vws[b - m], uvws[b - m],
-                       [c for c, bit in zip(cover, bin(mask)[:1:-1]) if bit == "1"])
+            weak.check(i, j, vws[b - m], uvws[b - m], *(
+                compress(cover, bin(mask)[:1:-1].encode().translate(bits))
+                for mask in _hull_masks(rows, offsets[i], offsets[j])))
         # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes; a row
         # is walked pair by pair only if a scan finds either order failing.
         if (any(map(lt, map(mul, repeat(usize[m]), vws), uvws))

@@ -10,7 +10,7 @@ import coxhull.cli
 import coxhull.convexity
 import coxhull.propcheck
 from coxhull.cli import main
-from coxhull.convexity import CheckReport, _HullTable
+from coxhull.convexity import CheckReport
 from coxhull.formulas import c2_case2_counts
 
 
@@ -63,14 +63,15 @@ def test_check_counterexample_exits_1(monkeypatch, capsys):
 
 
 def test_check_hull_disagreement_exits_3(tmp_path, monkeypatch, capsys):
-    # Drop the table hull's lowest bit, its member first in barycenter order.
-    hull = _HullTable.hull
+    # Drop the lowest bit of the table's Conv(u, v, w), its member first in
+    # barycenter order.
+    hull_masks = coxhull.convexity._hull_masks
 
-    def drop_one(self, offsets):
-        mask = hull(self, offsets)
-        return mask & mask - 1
+    def drop_one(*args):
+        pair, triple = hull_masks(*args)
+        return pair, triple & triple - 1
 
-    monkeypatch.setattr(_HullTable, "hull", drop_one)
+    monkeypatch.setattr(coxhull.convexity, "_hull_masks", drop_one)
     report = tmp_path / "report.json"
     assert main(["check", "--type", "c2t", "--radius", "3",
                  "--report", str(report)]) == 3
@@ -82,7 +83,9 @@ def test_check_hull_disagreement_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_check_empty_table_hull_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(_HullTable, "hull", lambda self, offsets: 0)
+    hull_masks = coxhull.convexity._hull_masks
+    monkeypatch.setattr(coxhull.convexity, "_hull_masks",
+                        lambda *args: (hull_masks(*args)[0], 0))
     assert main(["check", "--type", "a2t", "--radius", "5"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: weak-order hull disagrees on a2t")
@@ -117,6 +120,23 @@ def test_check_lost_triple_size_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: sweep row 0 has ") and "sizes, expected" in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--type", "a2t", "--radius", "2", "--report", ""],
+    ["hull", "--type", "a2t", "--v", "12", "--svg", ""]])
+def test_empty_output_path_refused_before_any_work(monkeypatch, tmp_path, capsys, args):
+    def unreached(*args, **kwargs):
+        pytest.fail("work ran before the empty path was refused")
+
+    monkeypatch.setattr(coxhull.cli, "sweep_triples", unreached)
+    monkeypatch.setattr(coxhull.cli, "build_group", unreached)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {args[-2]} wants a file path, got ''\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_interrupt_exits_2(tmp_path, monkeypatch, capsys):
@@ -237,6 +257,19 @@ def test_formula_usage_refused(args, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("code, option, owner", [
+    ("a2t", ["--abxy", "1,2,3,4"], "c2t"), ("c2t", ["--xy", "7,3"], "a2t"),
+    ("g2t", ["--d", "5"], "i2inf"), ("i2inf", ["--xy", "7,3"], "a2t")])
+def test_formula_refuses_another_types_option(capsys, code, option, owner):
+    # Each type's own option is given too where it has one, so only the
+    # foreign option is wrong.
+    own = {"a2t": ["--xy", "7,3"], "c2t": ["--abxy", "2,2,5,4"], "i2inf": ["--d", "5"]}
+    assert main(["formula", "--type", code, *own.get(code, []), *option]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {option[0]} is an option of {owner}, not of {code}\n"
 
 
 def test_prove_a2(capsys):

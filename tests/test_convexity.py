@@ -2,12 +2,13 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
 from coxhull import convexity
 from coxhull.convexity import (ChamberSet, HullDisagreement, HullVerdict,
-                               WeakOrderDisagreement, _HullTable, checked_hull,
+                               WeakOrderDisagreement, checked_hull,
                                closure_hull, g2_diagnostic, halfspace_hull,
                                interval, strong_hull_check, sweep_triples)
 from coxhull.coxeter import TypeTag, matrix_for, validate_matrix
@@ -297,30 +298,29 @@ def test_sweep_memory_with_the_oracle_stays_small():
 
 
 def _cover_table(ball):
-    """The sweep's table over the halfspace hull of the ball, and its hull
-    of some chambers decoded back to cover chambers."""
+    """The sweep's rows over the halfspace hull of the ball, the columns of
+    the ball's offsets, and the two hulls `_hull_masks` gives for a pair of
+    ball indices, decoded back to cover chambers."""
     cover = halfspace_hull(ball).chambers
-    table = _HullTable([c.floors for c in cover])
+    least, rows = convexity._offset_rows([c.floors for c in cover], ball[0].floors)
+    offsets = [tuple(map(sub, c.floors, least)) for c in ball]
 
-    def hull(points):
-        mask = table.hull([table.offsets(p.floors) for p in points])
-        return ChamberSet(c for k, c in enumerate(cover) if mask >> k & 1)
+    def hulls(i, j):
+        return [ChamberSet(c for k, c in enumerate(cover) if mask >> k & 1)
+                for mask in convexity._hull_masks(rows, offsets[i], offsets[j])]
 
-    return table, hull
+    return rows, list(zip(*offsets)), hulls
 
 
-def test_hull_table_equals_halfspace_hull(planar_ctx):
-    ball = planar_ctx.ball(6)
-    _, table_hull = _cover_table(ball)
+def test_hull_table_equals_halfspace_hull(ctx):
+    # Every pair and u-triple of the ball: both masks one lookup per
+    # coordinate gives, as chamber sets, against the flood-fill hull.
+    ball = ctx.ball(6)
+    u = ctx.base_chamber
+    _, _, hulls = _cover_table(ball)
     for i, v in enumerate(ball):
-        for w in ball[i:]:
-            assert table_hull([v, w]) == halfspace_hull([v, w])
-    rng = random.Random(12)
-    for _ in range(1000):
-        pts = [rng.choice(ball) for _ in range(3)]
-        hull = halfspace_hull(pts)
-        assert table_hull(pts) == hull
-        assert table_hull(pts).size == hull.size
+        for j, w in enumerate(ball):
+            assert hulls(i, j) == [halfspace_hull([v, w]), halfspace_hull([u, v, w])]
 
 
 def _pairs(row):
@@ -333,32 +333,33 @@ def test_pair_sizes_rows_under_any_split(ctx):
     # flood-fill hull.
     ball = ctx.ball(6)
     u = ctx.base_chamber
-    table, _ = _cover_table(ball)
-    cols = list(zip(*(table.offsets(c.floors) for c in ball)))
-    rows = convexity._offset_rows(table, cols)
+    rows, cols, _ = _cover_table(ball)
     for i, v in enumerate(ball):
         assert _pairs(convexity._row_sizes(rows, cols, i)) == [
             (halfspace_hull([v, w]).size, halfspace_hull([u, v, w]).size)
             for w in ball[i:]]
 
 
-def _row(ge, le, lo, hi):
-    """The masks ge[min(lo, t)] & le[max(hi, t)] for each offset t."""
-    return [ge[min(lo, t)] & le[max(hi, t)] for t in range(len(ge))]
+def _row(col, lo, hi):
+    """The masks of the vectors whose coordinate `col` lies between
+    min(lo, t) and max(hi, t), for each offset t of the column."""
+    return [sum(1 << k for k, x in enumerate(col) if min(lo, t) <= x <= max(hi, t))
+            for t in range(max(col) + 1)]
 
 
 def test_offset_rows_equal_rows_built_per_row(ctx):
     # The rows built once per offset and shared are, for every v, the rows
     # a per-row build lists: at v's offset a, and at a with u's offset b.
+    # Offsets are counted from each coordinate's least cover value.
     ball = ctx.ball(6)
-    table, _ = _cover_table(ball)
-    cols = list(zip(*(table.offsets(c.floors) for c in ball)))
-    rows = convexity._offset_rows(table, cols)
+    rows, cols, _ = _cover_table(ball)
+    cover_cols = [[x - min(col) for x in col]
+                  for col in zip(*(c.floors for c in halfspace_hull(ball).chambers))]
     for i in range(len(ball)):
-        for ge, le, col, (pairs, triples) in zip(table.ge, table.le, cols, rows, strict=True):
+        for cover_col, col, (pairs, triples) in zip(cover_cols, cols, rows, strict=True):
             a, b = col[i], col[0]
-            assert pairs[a] == _row(ge, le, a, a)
-            assert triples[a] == _row(ge, le, min(a, b), max(a, b))
+            assert pairs[a] == _row(cover_col, a, a)
+            assert triples[a] == _row(cover_col, min(a, b), max(a, b))
 
 
 @pytest.mark.parametrize("orders, order", [
@@ -375,9 +376,8 @@ def test_hull_table_on_root_indicator_vectors(orders, order):
     assert len(words) == order and words[0] == []
     width = max(masks).bit_length()
     vectors = [[m >> b & 1 for b in range(width)] for m in masks]
-    table = _HullTable(vectors)
-    cols = list(zip(*map(table.offsets, vectors)))
-    rows = convexity._offset_rows(table, cols)
+    least, rows = convexity._offset_rows(vectors, vectors[0])
+    cols = list(zip(*(map(sub, vector, least) for vector in vectors)))
     for i, (v, nv) in enumerate(zip(words, masks)):
         between = [roots.walk(roots.reduced(roots.element(v[::-1] + w)))[1]
                    for w in words[i:]]
@@ -386,68 +386,91 @@ def test_hull_table_on_root_indicator_vectors(orders, order):
             for nvw, nw in zip(between, masks[i:])]
 
 
-def test_hull_table_rejects_points_outside_cover(a2):
-    # A chamber outside the cover has a floor outside the cover's window,
-    # so some offset below 0 or past its coordinate's range.
-    table, _ = _cover_table(a2.ball(2))
-    with pytest.raises(ValueError, match="cover"):
-        table.hull([table.offsets(a2.ball(4)[-1].floors)])
-    inside = table.offsets(a2.base_chamber.floors)
-    for t in (-1, len(table.ge[0])):
-        with pytest.raises(ValueError, match="cover"):
-            table.hull([inside, (t, *inside[1:])])
-
-
 def test_sweep_oracle_catches_wrong_table_hull(monkeypatch):
-    # Drop the table hull's lowest bit, its member first in barycenter order.
-    hull = _HullTable.hull
+    # Drop the lowest bit of the table's Conv(u, v, w), its member first in
+    # barycenter order.
+    hull_masks = convexity._hull_masks
 
-    def drop_one(self, offsets):
-        mask = hull(self, offsets)
-        return mask & mask - 1
+    def drop_one(*args):
+        pair, triple = hull_masks(*args)
+        return pair, triple & triple - 1
 
-    monkeypatch.setattr(_HullTable, "hull", drop_one)
+    monkeypatch.setattr(convexity, "_hull_masks", drop_one)
     with pytest.raises(WeakOrderDisagreement, match="weak-only") as err:
         sweep_triples(TypeTag.C2Tilde, 3)
     assert err.value.table_only == [] and len(err.value.weak_only) == 1
 
 
 def test_sweep_oracle_catches_empty_table_hull(monkeypatch):
-    # A table hull with no chamber still differs from the lower set, which
-    # holds e at least; the sizes used are the table's own and agree.
-    monkeypatch.setattr(_HullTable, "hull", lambda self, offsets: 0)
+    # A table Conv(u, v, w) with no chamber still differs from the lower
+    # set, which holds e at least; the sizes used are the table's own and
+    # agree.
+    hull_masks = convexity._hull_masks
+    monkeypatch.setattr(convexity, "_hull_masks", lambda *args: (hull_masks(*args)[0], 0))
     with pytest.raises(WeakOrderDisagreement, match="table-only=\\[\\]") as err:
         sweep_triples(TypeTag.A2Tilde, 5)
     assert err.value.size_used == err.value.size_weak == len(err.value.weak_only)
     assert err.value.table_only == [] and "" in err.value.weak_only
 
 
-def test_sweep_oracle_catches_same_size_swap_in_table_hull(monkeypatch):
-    # Swap one member of each table hull for a cover chamber outside it:
-    # the size is unchanged, so only the set comparison catches it, and it
-    # names the word each side holds alone.
-    hull = _HullTable.hull
-    ctx = build_group(TypeTag.G2Tilde)
-    cover = halfspace_hull(ctx.ball(3)).chambers
+def _swapping_hull_masks(monkeypatch, ctx, radius, half):
+    """Make `_hull_masks` swap one member of half `half` (0 for Conv(v, w),
+    1 for Conv(u, v, w)) of each sampled pair's masks for a cover chamber
+    outside it; return the list it appends (v, w, dropped, outside) to."""
+    hull_masks = convexity._hull_masks
+    ball = ctx.ball(radius)
+    cover = halfspace_hull(ball).chambers
+    least, _ = convexity._offset_rows([c.floors for c in cover], ball[0].floors)
+    at = {tuple(map(sub, c.floors, least)): c for c in ball}
     swaps = []
 
-    def swap_one(self, offsets):
-        mask = hull(self, offsets)
-        members = [c for k, c in enumerate(cover) if mask >> k & 1]
+    def swap_one(rows, v, w):
+        masks = list(hull_masks(rows, v, w))
+        members = [c for k, c in enumerate(cover) if masks[half] >> k & 1]
         outside = next(nb for c in members for nb in c.neighbors()
                        if nb in cover and nb not in members)
-        swaps.append((members[-1], outside))
-        return mask ^ 1 << cover.index(members[-1]) | 1 << cover.index(outside)
+        swaps.append((at[v], at[w], members[-1], outside))
+        masks[half] ^= 1 << cover.index(members[-1]) | 1 << cover.index(outside)
+        return tuple(masks)
 
-    monkeypatch.setattr(_HullTable, "hull", swap_one)
+    monkeypatch.setattr(convexity, "_hull_masks", swap_one)
+    return swaps
+
+
+def test_sweep_oracle_catches_same_size_swap_in_table_hull(monkeypatch):
+    # Swap one member of each table Conv(u, v, w) for a cover chamber
+    # outside it: the size is unchanged, so only the set comparison catches
+    # it, and it names the word each side holds alone.
+    ctx = build_group(TypeTag.G2Tilde)
+    swaps = _swapping_hull_masks(monkeypatch, ctx, 3, 1)
     with pytest.raises(WeakOrderDisagreement, match="table-only") as err:
         sweep_triples(TypeTag.G2Tilde, 3)
-    dropped, outside = swaps[-1]
+    _, _, dropped, outside = swaps[-1]
     assert err.value.size_used == err.value.size_weak
     assert err.value.table_only == [ctx.word_of(outside)]
     # The weak order spells the dropped member by a reduced word of its own.
     [weak_word] = err.value.weak_only
     roots = RootSystem(matrix_for(TypeTag.G2Tilde))
+    assert (roots.element([int(d) - 1 for d in weak_word])
+            == roots.element(ctx.letters_of(dropped)))
+
+
+@pytest.mark.parametrize("code", ["a2t", "c2t", "g2t", "i2inf"])
+def test_sweep_oracle_catches_same_size_swap_in_pair_hull(monkeypatch, code):
+    # The same swap in the table's Conv(v, w): its size is the counted one,
+    # so only the set comparison catches it, on the first sampled pair,
+    # and it names that pair (v, w) and the chamber each side holds alone.
+    tag = TypeTag.from_code(code)
+    ctx = build_group(tag)
+    swaps = _swapping_hull_masks(monkeypatch, ctx, 3, 0)
+    with pytest.raises(WeakOrderDisagreement, match="table-only") as err:
+        sweep_triples(tag, 3)
+    [(v, w, dropped, outside)] = swaps
+    assert err.value.points == [ctx.word_of(v), ctx.word_of(w)]
+    assert err.value.size_used == err.value.size_weak
+    assert err.value.table_only == [ctx.word_of(outside)]
+    [weak_word] = err.value.weak_only
+    roots = RootSystem(ctx.matrix)
     assert (roots.element([int(d) - 1 for d in weak_word])
             == roots.element(ctx.letters_of(dropped)))
 
@@ -498,11 +521,12 @@ def test_weak_order_reads_pair_sizes_off_the_triple_lower_set(ctx):
         lv, lw = ctx.letters_of(ball[i]), ctx.letters_of(ball[j])
         between = roots.walk(roots.reduced(roots.element(lv[::-1] + lw)))[1]
         size_vw = len(roots.lower_set(between))
+        pair = halfspace_hull([ball[i], ball[j]]).chambers
         hull = halfspace_hull([ctx.base_chamber, ball[i], ball[j]]).chambers
-        weak.check(i, j, size_vw, len(hull), hull)
+        weak.check(i, j, size_vw, len(hull), pair, hull)
         for wrong in (size_vw - 1, size_vw + 1):
             with pytest.raises(WeakOrderDisagreement) as err:
-                weak.check(i, j, wrong, len(hull), hull)
+                weak.check(i, j, wrong, len(hull), pair, hull)
             assert (err.value.size_used, err.value.size_weak) == (wrong, size_vw)
 
 
@@ -684,9 +708,7 @@ def test_orbit_rows_give_every_pair_its_sizes(monkeypatch, code, order, n, swept
     maps = convexity._orbit_maps(ball, ctx.matrix.automorphisms())
     assert maps == _word_images(ctx, ball)
     least = sorted({min(img[k] for img in maps) for k in range(n)})
-    table, _ = _cover_table(ball)
-    cols = list(zip(*(table.offsets(c.floors) for c in ball)))
-    rows = convexity._offset_rows(table, cols)
+    rows, cols, _ = _cover_table(ball)
     full = [_pairs(convexity._row_sizes(rows, cols, i)) for i in range(n)]
     expanded = {}
     for m in least:
@@ -778,9 +800,8 @@ def test_sweep_verdict_scan_lists_what_the_per_pair_loop_lists(monkeypatch, corr
                           if uvw != was})
         return vws, uvws
 
-    table, _ = _cover_table(ball)
-    cols = list(zip(*(table.offsets(c.floors) for c in ball)))
-    rows = [row_sizes(convexity._offset_rows(table, cols), cols, i) for i in range(len(ball))]
+    offset_rows, cols, _ = _cover_table(ball)
+    rows = [row_sizes(offset_rows, cols, i) for i in range(len(ball))]
     usize = rows[0][0]
     monkeypatch.setattr(convexity, "_row_sizes", corrupting)
     report = sweep_triples(TypeTag.A2Tilde, 3, oracle_samples=0)
@@ -806,7 +827,8 @@ def test_sweep_verdict_scan_lists_what_the_per_pair_loop_lists(monkeypatch, corr
 
 def test_sweep_folds_each_chamber_once(monkeypatch):
     # The weak order folds the ball once and a cover chamber on first
-    # sight, however many sampled table hulls hold it.
+    # sight, however many sampled table hulls, of pairs or of u-triples,
+    # hold it.
     ctx = build_group(TypeTag.A2Tilde)
     cover = halfspace_hull(ctx.ball(8))
     letters_of = GroupContext.letters_of

@@ -8,7 +8,8 @@ The weak-order module imports nothing of the geometry it checks, and the
 floor table is read only where chambers are built, where the table is
 checked, by the halfspace route and by the sweep that feeds the mask
 kernel, so the other routes do not share it; the kernel itself sees
-integer vectors only.
+integer vectors only, and the weak order that checks it calls neither the
+kernel nor the orbit maps.
 """
 
 import ast
@@ -119,8 +120,8 @@ def test_floor_rule_catches_planted_reads():
               "        self.floors = ctx.floor_forms\n"
               "def interval(u, v):\n"
               "    return v.floors\n"
-              "class _HullTable:\n"
-              "    def offsets(self, c):\n"
+              "class _WeakOrder:\n"
+              "    def check(self, c):\n"
               "        return c.floors\n"
               "def sweep_triples(cover):\n"
               "    return [c.floors for c in cover]\n"
@@ -135,18 +136,31 @@ def test_floor_rule_catches_planted_reads():
 
 # The mask kernel works on integer vectors alone: it reads no floor and
 # no context, and names no chamber type, so any wall coordinates serve.
-_KERNEL = {"_HullTable", "_offset_rows", "_row_sizes"}
+_KERNEL = {"_offset_rows", "_hull_masks", "_row_sizes"}
 _KERNEL_BANNED = {"floors", "floor_forms", "ctx", "Chamber", "ChamberSet"}
+
+# The weak order checks what the kernel and the orbit maps give, so it
+# names neither: its hulls come from the Cartan matrix and the folds.
+_ORACLE = {"_WeakOrder"}
+_ORACLE_BANNED = {"_offset_rows", "_hull_masks", "_row_sizes", "_orbit_maps", "_check_map"}
+
+
+def _names_in(source, tops, banned):
+    """(definition, line) of each name or attribute in `banned` inside the
+    top-level definitions named in `tops`."""
+    return [(top.name, node.lineno)
+            for top in ast.parse(source).body if getattr(top, "name", None) in tops
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id in banned
+            or isinstance(node, ast.Attribute) and node.attr in banned]
 
 
 def _kernel_reads(source):
-    """(definition, line) of each name or attribute in `_KERNEL_BANNED`
-    inside the kernel's top-level definitions."""
-    return [(top.name, node.lineno)
-            for top in ast.parse(source).body if getattr(top, "name", None) in _KERNEL
-            for node in ast.walk(top)
-            if isinstance(node, ast.Name) and node.id in _KERNEL_BANNED
-            or isinstance(node, ast.Attribute) and node.attr in _KERNEL_BANNED]
+    return _names_in(source, _KERNEL, _KERNEL_BANNED)
+
+
+def _oracle_reads(source):
+    return _names_in(source, _ORACLE, _ORACLE_BANNED)
 
 
 def test_hull_kernel_knows_no_chamber():
@@ -156,18 +170,36 @@ def test_hull_kernel_knows_no_chamber():
 
 
 def test_kernel_rule_catches_planted_reads():
-    source = ("class _HullTable:\n"
-              "    def offsets(self, c):\n"
-              "        return c.floors\n"
-              "def _offset_rows(table, cols) -> ChamberSet:\n"
-              "    return table.ctx.floor_forms\n"
+    source = ("def _hull_masks(rows, v, w):\n"
+              "    return v.floors\n"
+              "def _offset_rows(cover, u) -> ChamberSet:\n"
+              "    return u.ctx.floor_forms\n"
               "def _row_sizes(rows, cols, i):\n"
               "    return Chamber\n"
               "def sweep_triples(ctx, cover):\n"
               "    return ChamberSet(c.floors for c in cover)\n")
-    assert _kernel_reads(source) == [("_HullTable", 3), ("_offset_rows", 4),
-                                     ("_offset_rows", 5), ("_offset_rows", 5),
-                                     ("_row_sizes", 7)]
+    assert _kernel_reads(source) == [("_hull_masks", 2), ("_offset_rows", 3),
+                                     ("_offset_rows", 4), ("_offset_rows", 4),
+                                     ("_row_sizes", 6)]
+
+
+def test_weak_order_names_no_kernel_or_orbit_map():
+    source = (SRC / "convexity.py").read_text(encoding="utf-8")
+    names = {getattr(top, "name", None) for top in ast.parse(source).body}
+    assert _ORACLE | _ORACLE_BANNED <= names
+    assert _oracle_reads(source) == []
+
+
+def test_oracle_rule_catches_planted_reads():
+    source = ("class _WeakOrder:\n"
+              "    def check(self, rows, v, w):\n"
+              "        return _hull_masks(rows, v, w)\n"
+              "    def sizes(self, ball):\n"
+              "        return convexity._orbit_maps(ball, []), self._row_sizes\n"
+              "def sweep_triples(rows, ball):\n"
+              "    return _offset_rows(rows), _check_map\n")
+    assert _oracle_reads(source) == [("_WeakOrder", 3), ("_WeakOrder", 5),
+                                     ("_WeakOrder", 5)]
 
 
 def _imported_modules(source):
