@@ -46,8 +46,8 @@ def _word_chamber(ctx: GroupContext, word: str):
 
 
 def _write_atomic(path: str, content: str) -> None:
-    """Write, flush and fsync a temp file, then rename it over `path`; on
-    any failure remove the temp file and leave `path` as it was."""
+    """Write, flush and fsync a temp file, then rename it over `path`; on any
+    failure remove it and leave `path` as it was (an OSError names `path`)."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -55,9 +55,11 @@ def _write_atomic(path: str, content: str) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"{path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -270,10 +272,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # An empty output path names no file: refused before any work.
+        # An output path naming no file or a missing directory is refused first.
         for name in ("report", "svg"):
-            if getattr(args, name, None) == "":
-                raise ConfigError(f"--{name} wants a file path, got ''")
+            path = getattr(args, name, None)
+            if path is not None and (path == "" or os.path.isdir(path)):
+                raise ConfigError(f"--{name} wants a file path, got {path!r}")
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigError(f"--{name} {path}: no directory {os.path.dirname(path)}")
         return args.func(args)
     except (ConfigError, CoordinateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -224,28 +224,6 @@ def strong_hull_check(u: Chamber, v: Chamber, w: Chamber) -> HullVerdict:
     )
 
 
-@dataclass(frozen=True)
-class CoarseningDiagnostic:
-    """Both sides of the coarse-triangulation comparison: twice the coarse
-    triple-hull size against the fine triple-hull size."""
-
-    coarse_doubled: int
-    fine_size: int
-
-    @property
-    def holds(self) -> bool:
-        return self.coarse_doubled >= self.fine_size
-
-
-def g2_diagnostic(u1: Chamber, v: Chamber, w1: Chamber) -> CoarseningDiagnostic:
-    ctx = _shared_ctx(u1, v, w1)
-    coarse = [ctx.coarsen(u1), ctx.coarsen(v), ctx.coarsen(w1)]
-    return CoarseningDiagnostic(
-        coarse_doubled=2 * halfspace_hull(coarse).size,
-        fine_size=halfspace_hull([u1, v, w1]).size,
-    )
-
-
 # -- exhaustive sweep ------------------------------------------------------
 
 @dataclass

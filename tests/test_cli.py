@@ -139,6 +139,26 @@ def test_empty_output_path_refused_before_any_work(monkeypatch, tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["check", "--type", "g2t", "--radius", "24", "--radius-cap", "24", "--report"],
+    ["hull", "--type", "a2t", "--v", "12", "--svg"]])
+@pytest.mark.parametrize("target", ["missing/out", "folder"])
+def test_unusable_output_path_refused_before_any_work(monkeypatch, tmp_path, capsys,
+                                                      args, target):
+    def unreached(*args, **kwargs):
+        pytest.fail("work ran before the output path was refused")
+
+    monkeypatch.setattr(coxhull.cli, "sweep_triples", unreached)
+    monkeypatch.setattr(coxhull.cli, "build_group", unreached)
+    (tmp_path / "folder").mkdir()
+    path = str(tmp_path / target)
+    assert main([*args, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {args[-1]} ") and path in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.rglob("*")] == ["folder"]
+
+
 def test_check_interrupt_exits_2(tmp_path, monkeypatch, capsys):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
@@ -344,6 +364,16 @@ def test_failed_report_write_leaves_no_temp_and_old_report(tmp_path, monkeypatch
     assert list(tmp_path.glob("*.tmp.*")) == []
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "folder"])
+def test_failed_write_names_the_given_path(tmp_path, target):
+    (tmp_path / "folder").mkdir()
+    path = str(tmp_path / target)
+    with pytest.raises(OSError) as exc:
+        coxhull.cli._write_atomic(path, "report\n")
+    assert str(exc.value).startswith(f"{path}: ") and ".tmp." not in str(exc.value)
+    assert [p.name for p in tmp_path.rglob("*")] == ["folder"]
+
+
 # -- golden outputs -------------------------------------------------------------
 # sha256 digests of outputs that depend on chamber order; they are unchanged
 # since integer order keys replaced the Fraction barycenter as sort key.
@@ -414,7 +444,7 @@ def test_formula_outputs_golden(command, capsys):
     assert _sha256(capsys.readouterr().out.encode()) == FORMULA_GOLDEN[command]
 
 
-@pytest.mark.parametrize("flag", ["--radius", "--samples"])
+@pytest.mark.parametrize("flag", ["--radius"])
 def test_coarsening_diagnostics_rejects_negative_counts(flag, monkeypatch, capsys):
     script = Path(__file__).parents[1] / "scripts" / "coarsening_diagnostics.py"
     main_of_script = runpy.run_path(str(script))["main"]

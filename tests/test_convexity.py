@@ -1,16 +1,19 @@
 import random
 import re
+import runpy
+import sys
 import tracemalloc
 from fractions import Fraction
 from operator import sub
+from pathlib import Path
 
 import pytest
 
 from coxhull import convexity
 from coxhull.convexity import (ChamberSet, HullDisagreement, HullVerdict,
                                WeakOrderDisagreement, checked_hull,
-                               closure_hull, g2_diagnostic, halfspace_hull,
-                               interval, strong_hull_check, sweep_triples)
+                               closure_hull, halfspace_hull, interval,
+                               strong_hull_check, sweep_triples)
 from coxhull.coxeter import TypeTag, matrix_for, validate_matrix
 from coxhull.formulas import C2CaseParams, c2_case2_chambers, i2_cell
 from coxhull.group import MixedContext
@@ -850,27 +853,58 @@ def test_sweep_radius_zero(g2):
     assert report.ok
 
 
-def test_g2_diagnostic_examples(g2):
-    base = g2.base_chamber
-    d = g2_diagnostic(base, base, base)
-    assert d.coarse_doubled == 2 and d.fine_size == 1 and d.holds
+# -- the G~2 coarsening lemma (scripts/coarsening_diagnostics.py) --------------
 
-    rng = random.Random(77)
-    ball = g2.ball(4)
-    outcomes = [g2_diagnostic(*(rng.choice(ball) for _ in range(3))).holds
-                for _ in range(60)]
-    # Diagnostic only: record the tally, no universal claim intended.
-    assert len(outcomes) == 60
-    assert any(outcomes)
+COARSENING = runpy.run_path(
+    str(Path(__file__).parents[1] / "scripts" / "coarsening_diagnostics.py"))
 
 
-def test_g2_diagnostic_hand_built_instance(g2):
-    # A spread-out triple: u1 lower left, v above the middle, w1 far right,
+def test_coarsening_certificate_covers_the_r16_cover(g2):
+    assert COARSENING["certify"](g2, 16) == halfspace_hull(g2.ball(16)).size == 392
+
+
+def test_coarsening_certificate_catches_a_planted_coarsening(g2, monkeypatch):
+    # One chamber is sent to a neighbour of its coarse chamber, which has
+    # another floor on the family of the panel between them.
+    moved = g2.ball(4)[-1]
+    coarsen = GroupContext.coarsen
+    monkeypatch.setattr(GroupContext, "coarsen", lambda ctx, x: (
+        coarsen(ctx, x).neighbors()[0] if x is moved else coarsen(ctx, x)))
+    with pytest.raises(RuntimeError, match=re.escape(f"{g2.word_of(moved)!r} differs on family")):
+        COARSENING["certify"](g2, 8)
+    monkeypatch.setattr(sys, "argv", ["coarsening_diagnostics.py", "--radius", "8"])
+    with pytest.raises(SystemExit) as exit_:
+        COARSENING["main"]()
+    # A string exit code is printed on stderr as it stands, and exits 1.
+    assert exit_.value.code.startswith("error: coarse floor of ")
+    assert "\n" not in exit_.value.code
+
+
+def _coarse_image_in_coarse_hull(g2, points):
+    fine = halfspace_hull(points)
+    coarse = halfspace_hull([g2.coarsen(p) for p in points])
+    assert {g2.coarsen(x) for x in fine} <= coarse
+    assert fine.size <= 2 * coarse.size
+    return fine.size, coarse.size
+
+
+def test_coarse_image_of_a_fine_hull_lies_in_the_coarse_hull(g2):
+    # A spread-out triple: u lower left, v above the middle, w far right,
     # the chambers holding the Cartesian points (-23/10, 3/7), (2/5, 31/8)
     # and (41/7, 5/9).
-    u1, v, w1 = (g2.chamber_from_word(int(d) - 1 for d in word)
-                 for word in ("21212312123", "2131212131212", "31212312123121231"))
-    d = g2_diagnostic(u1, v, w1)
-    assert d.fine_size > 1
-    assert d.holds
-    assert (d.coarse_doubled, d.fine_size) == (148, 128)
+    triple = [g2.chamber_from_word(int(d) - 1 for d in word)
+              for word in ("21212312123", "2131212131212", "31212312123121231")]
+    assert _coarse_image_in_coarse_hull(g2, triple) == (128, 74)
+    rng = random.Random(16)
+    ball = g2.ball(16)
+    for _ in range(200):
+        _coarse_image_in_coarse_hull(g2, [g2.base_chamber, rng.choice(ball), rng.choice(ball)])
+
+
+def test_coarsening_pair_side_counts_at_r8(g2):
+    # The pair side is no lemma: it fails 2,313 of the 7,744 u-triples of
+    # B(8), the first at u = v = w = e, where 1*1 < 2*1*1.
+    failures = COARSENING["pair_side"](g2, 8)
+    assert len(g2.ball(8)) ** 2 == 7744
+    assert sum(map(len, failures.values())) == 2313
+    assert min(failures[0, 0]) == ("", "", 1, 2)
