@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import astuple
 
 from .convexity import HullVerdict, halfspace_hull, strong_hull_check, sweep_triples
 from .coxeter import TypeTag
@@ -175,7 +174,7 @@ def cmd_formula(args) -> int:
         print(f"strong hull product: {counts[0]}*{counts[1]} = "
               f"{verdict.product} {rel} {counts[2]}")
         if args.verify:
-            got = astuple(strong_hull_check(*c2_case2_chambers(build_group(tag), params)))
+            got = strong_hull_check(*c2_case2_chambers(build_group(tag), params))
             mismatches = _enumerated(
                 list(zip(("size_uv=", "size_vw=", "size_uvw="), counts, got)))
     else:

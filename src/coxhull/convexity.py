@@ -38,7 +38,7 @@ import json
 import random
 import time
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, compress, repeat
@@ -85,11 +85,8 @@ class ChamberSet(frozenset):
         return f"ChamberSet(size={self.size})"
 
 
-@dataclass(frozen=True)
-class HullVerdict:
-    size_uv: int
-    size_vw: int
-    size_uvw: int
+class HullVerdict(namedtuple("HullVerdict", "size_uv size_vw size_uvw")):
+    __slots__ = ()
 
     @property
     def product(self) -> int:
@@ -146,8 +143,7 @@ def halfspace_hull(points) -> ChamberSet:
                     seen.add(nb)
                     nxt.append(nb)
         frontier = nxt
-    missing = [p for p in points if p not in seen]
-    if missing:
+    if not seen.issuperset(points):
         raise RuntimeError("halfspace flood fill failed to reach a seed point")
     return ChamberSet(seen)
 
@@ -217,26 +213,25 @@ def checked_hull(points) -> ChamberSet:
 
 def strong_hull_check(u: Chamber, v: Chamber, w: Chamber) -> HullVerdict:
     """Exact sizes for the hull inequality |C(u,v)|*|C(v,w)| >= |C(u,v,w)|."""
-    return HullVerdict(
-        size_uv=halfspace_hull([u, v]).size,
-        size_vw=halfspace_hull([v, w]).size,
-        size_uvw=halfspace_hull([u, v, w]).size,
-    )
+    return HullVerdict(*(halfspace_hull(p).size for p in ([u, v], [v, w], [u, v, w])))
 
 
 # -- exhaustive sweep ------------------------------------------------------
 
-@dataclass
 class CheckReport:
     """One sweep's result: the counterexamples among `triples_checked`
     ordered triples of the ball of `radius`, and the sweep's wall time.
     `ok` and `max_ratio` are read off the counterexamples."""
 
-    type: str
-    radius: int
-    triples_checked: int
-    counterexamples: list
-    wall_clock_ms: int
+    __slots__ = ("type", "radius", "triples_checked", "counterexamples", "wall_clock_ms")
+
+    def __init__(self, type: str, radius: int, triples_checked: int,
+                 counterexamples: list, wall_clock_ms: int) -> None:
+        self.type, self.radius, self.triples_checked = type, radius, triples_checked
+        self.counterexamples, self.wall_clock_ms = counterexamples, wall_clock_ms
+
+    def __repr__(self) -> str:
+        return f"CheckReport({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
     @property
     def ok(self) -> bool:
@@ -252,7 +247,9 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         ratio = self.max_ratio
-        return {**asdict(self), "max_ratio": {"num": ratio.numerator, "den": ratio.denominator}}
+        return {**{k: getattr(self, k) for k in self.__slots__},
+                "counterexamples": [dict(c) for c in self.counterexamples],
+                "max_ratio": {"num": ratio.numerator, "den": ratio.denominator}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

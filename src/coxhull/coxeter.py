@@ -10,7 +10,7 @@ the rank-2 group with an infinite order, which acts on the real line.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 
 INF = float("inf")
@@ -39,10 +39,8 @@ class TypeTag(enum.Enum):
                          f"{[t.value for t in cls]}")
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
-    rank: int
-    entries: tuple  # rank x rank tuple of tuples; entries are ints or INF
+class CoxeterMatrix(namedtuple("CoxeterMatrix", "rank entries")):
+    __slots__ = ()  # entries: a rank x rank tuple of tuples of ints or INF
 
     def order(self, i, j):
         return self.entries[i][j]
@@ -57,9 +55,7 @@ class CoxeterMatrix:
 
 
 def _as_order(value):
-    if value == "inf":
-        return INF
-    if isinstance(value, float) and value == INF:
+    if value == "inf" or isinstance(value, float) and value == INF:
         return INF
     if isinstance(value, int) and not isinstance(value, bool):
         return value

@@ -38,7 +38,7 @@ Input outside the domain of a form raises ``CoordinateError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .coxeter import TypeTag
@@ -49,19 +49,19 @@ class CoordinateError(ValueError):
     """Closed-form coordinates outside the domain of their forms."""
 
 
-@dataclass(frozen=True)
-class A2Coord:
+class A2Coord(namedtuple("A2Coord", "x y")):
     """Target chamber address (x, y) relative to the base chamber its
     parity fixes; x counts half-steps right, y counts rows up."""
 
-    x: int
-    y: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self):
-        if self.x < 0 or self.y < 0:
-            raise CoordinateError(f"coordinates must be non-negative, got {(self.x, self.y)}")
-        if self.x + self.y == 0:
+    def __new__(cls, x: int, y: int):
+        if x < 0 or y < 0:
+            raise CoordinateError(f"coordinates must be non-negative, got {(x, y)}")
+        if x + y == 0:
             raise CoordinateError("x+y must be positive")
+        return super().__new__(cls, x, y)
 
     @property
     def down(self) -> bool:
@@ -109,22 +109,20 @@ def a2_strong_hull_sides(x: int, y: int, a: int, b: int) -> tuple[int, int]:
     return a2_sides_forms(x, y, a, b)
 
 
-@dataclass(frozen=True)
-class C2CaseParams:
-    a: int
-    b: int
-    x: int
-    y: int
+class C2CaseParams(namedtuple("C2CaseParams", "a b x y")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self):
-        if self.a % 4 != 2:
-            raise CoordinateError(f"a must be 2 mod 4, got {self.a}")
-        if self.x % 4 != 1:
-            raise CoordinateError(f"x must be 1 mod 4, got {self.x}")
-        if not (self.y > self.b >= 2):
-            raise CoordinateError(f"need y > b >= 2, got b={self.b}, y={self.y}")
-        if self.x < self.a + 3:
-            raise CoordinateError(f"need x >= a+3, got a={self.a}, x={self.x}")
+    def __new__(cls, a: int, b: int, x: int, y: int):
+        if a % 4 != 2:
+            raise CoordinateError(f"a must be 2 mod 4, got {a}")
+        if x % 4 != 1:
+            raise CoordinateError(f"x must be 1 mod 4, got {x}")
+        if not (y > b >= 2):
+            raise CoordinateError(f"need y > b >= 2, got b={b}, y={y}")
+        if x < a + 3:
+            raise CoordinateError(f"need x >= a+3, got a={a}, x={x}")
+        return super().__new__(cls, a, b, x, y)
 
 
 def c2_case2_forms(a, b, x, y):

@@ -31,7 +31,7 @@ to draw it, not to walk it.  A ball is kept as its list of layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -42,12 +42,10 @@ from .group import (GroupElement, MixedContext, Vec, element_order,
                     reflection_across, vec)
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(namedtuple("Wall", "family offset")):
     """The wall at `offset` spacings from the family's reference line."""
 
-    family: int
-    offset: int
+    __slots__ = ()
 
 
 class Chamber:
@@ -105,11 +103,23 @@ class Chamber:
         return [self.element.apply(v) for v in self.ctx.base_vertices]
 
 
-@dataclass(frozen=True)
 class Gallery:
-    """A sequence of pairwise-adjacent chambers."""
+    """A sequence of pairwise-adjacent chambers; frozen, equal by value."""
 
-    chambers: tuple
+    __slots__ = ("_chambers",)
+    chambers = property(attrgetter("_chambers"))
+
+    def __init__(self, chambers: tuple) -> None:
+        self._chambers = chambers
+
+    def __eq__(self, other):
+        return self.chambers == other.chambers if type(other) is Gallery else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.chambers)
+
+    def __repr__(self) -> str:
+        return f"Gallery(chambers={self.chambers!r})"
 
     def __len__(self) -> int:
         return len(self.chambers) - 1
@@ -180,7 +190,7 @@ def _scaled(point):
     """(q1, q2, m): the rational point as the integer point q over the
     least common denominator m of its coordinates."""
     x, y = point
-    if not all(isinstance(t, (int, Fraction)) for t in point):
+    if any(isinstance(t, bool) or not isinstance(t, (int, Fraction)) for t in point):
         raise TypeError(f"point {point!r}: coordinates must be ints or Fractions")
     m = math.lcm(x.denominator, y.denominator)
     return x.numerator * (m // x.denominator), y.numerator * (m // y.denominator), m
@@ -321,12 +331,8 @@ class GroupContext:
     def separating_walls(self, c1: Chamber, c2: Chamber):
         """All walls with c1 and c2 strictly on opposite sides."""
         self._check(c1, c2)
-        walls = set()
-        for f in range(len(self.families)):
-            lo, hi = sorted((c1.floors[f], c2.floors[f]))
-            for k in range(lo + 1, hi + 1):
-                walls.add(Wall(f, k))
-        return walls
+        return {Wall(f, k) for f, (a, b) in enumerate(zip(c1.floors, c2.floors))
+                for k in range(min(a, b) + 1, max(a, b) + 1)}
 
     def wall_distance(self, c1: Chamber, c2: Chamber) -> int:
         """Number of separating walls; equals the Cayley-graph distance."""

@@ -10,15 +10,15 @@ from pathlib import Path
 import pytest
 
 from coxhull import convexity
-from coxhull.convexity import (ChamberSet, HullDisagreement, HullVerdict,
+from coxhull.convexity import (ChamberSet, CheckReport, HullDisagreement, HullVerdict,
                                WeakOrderDisagreement, checked_hull,
                                closure_hull, halfspace_hull, interval,
                                strong_hull_check, sweep_triples)
 from coxhull.coxeter import TypeTag, matrix_for, validate_matrix
-from coxhull.formulas import C2CaseParams, c2_case2_chambers, i2_cell
+from coxhull.formulas import A2Coord, C2CaseParams, c2_case2_chambers, i2_cell
 from coxhull.group import MixedContext
 from coxhull.roots import RootSystem
-from coxhull.tessellation import GroupContext, build_group
+from coxhull.tessellation import Gallery, GroupContext, Wall, build_group
 
 
 def test_distance_examples(a2, i2):
@@ -213,6 +213,44 @@ def test_hull_verdict_fields():
     assert v.product == 12
     assert v.holds
     assert not HullVerdict(2, 2, 5).holds
+
+
+def _i2_gallery(*cells):
+    i2 = build_group(TypeTag.I2Infinity)
+    return Gallery(tuple(i2_cell(i2, n) for n in cells))
+
+
+@pytest.mark.parametrize("make, other, field, text", [
+    (lambda: validate_matrix([[1, 3], [3, 1]]), lambda: validate_matrix([[1, 4], [4, 1]]),
+     "rank", "CoxeterMatrix(rank=2, entries=((1, 3), (3, 1)))"),
+    (lambda: Wall(1, -2), lambda: Wall(1, 2), "offset", "Wall(family=1, offset=-2)"),
+    (lambda: _i2_gallery(0), lambda: _i2_gallery(0, 1), "chambers",
+     "Gallery(chambers=(Chamber(i2inf, word='', at=(1/2, 1/2)),))"),
+    (lambda: HullVerdict(3, 4, 6), lambda: HullVerdict(3, 4, 7), "size_uvw",
+     "HullVerdict(size_uv=3, size_vw=4, size_uvw=6)"),
+    (lambda: A2Coord(7, 3), lambda: A2Coord(7, 4), "x", "A2Coord(x=7, y=3)"),
+    (lambda: C2CaseParams(2, 2, 5, 4), lambda: C2CaseParams(2, 3, 5, 4), "a",
+     "C2CaseParams(a=2, b=2, x=5, y=4)"),
+], ids=["CoxeterMatrix", "Wall", "Gallery", "HullVerdict", "A2Coord", "C2CaseParams"])
+def test_value_types_frozen_and_equal_by_value(make, other, field, text):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and a != other()
+    assert repr(a) == text
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other(), field))
+    assert a == b
+
+
+def test_check_report_dict_holds_fresh_containers():
+    ce = dict(v="2", w="31", size_uv=2, size_vw=4, size_uvw=9)
+    report = CheckReport("a2t", 2, 100, [ce], 5)
+    data = report.to_dict()
+    assert data == dict(type="a2t", radius=2, triples_checked=100, counterexamples=[ce],
+                        wall_clock_ms=5, max_ratio={"num": 9, "den": 8})
+    assert data["counterexamples"] is not report.counterexamples
+    assert data["counterexamples"][0] is not ce
+    assert repr(report) == ("CheckReport(type='a2t', radius=2, triples_checked=100, "
+                            f"counterexamples=[{ce!r}], wall_clock_ms=5)")
 
 
 def test_chamber_set_determinism(a2):

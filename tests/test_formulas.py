@@ -23,6 +23,8 @@ def test_shape_enforced():
         a2_pair_count(A2Coord(0, 2))
     with pytest.raises(CoordinateError, match="coordinates must be non-negative"):
         A2Coord(-1, 1)
+    with pytest.raises(CoordinateError, match="coordinates must be non-negative"):
+        A2Coord(7, 3)._replace(x=-1)
 
 
 def test_base_orientation_follows_parity():
@@ -90,6 +92,8 @@ def test_case2_counts_examples():
 def test_case2_params_constraints():
     with pytest.raises(CoordinateError, match="a must be 2 mod 4"):
         C2CaseParams(3, 2, 5, 4)
+    with pytest.raises(CoordinateError, match="a must be 2 mod 4"):
+        C2CaseParams(2, 2, 5, 4)._replace(a=3)
     with pytest.raises(CoordinateError, match="x must be 1 mod 4"):
         C2CaseParams(2, 2, 6, 4)
     with pytest.raises(CoordinateError, match="need y > b >= 2, got b=1"):

@@ -2,7 +2,9 @@
 
 Invariants are checks that raise, never `assert` statements: `python -O`
 strips those, and the check goes with them.  Sweeps run in one process,
-so no cold start pays for importing the process-pool modules.  Numbers
+so no cold start pays for importing the process-pool modules, and no
+module imports `dataclasses`, which loads `inspect`, `ast`, `dis` and
+`tokenize` and builds each decorated class by `exec`.  Numbers
 are exact: floats appear only where the SVG writer serializes a scene.
 The weak-order module imports nothing of the geometry it checks, and the
 floor table is read only where chambers are built, where the table is
@@ -230,10 +232,31 @@ def test_import_rule_catches_geometry_imports():
                                          "bench"]
 
 
+def _dataclass_imports(source):
+    """Each import of the stdlib `dataclasses` in the source."""
+    return [m for m in _imported_modules(source) if m.split(".")[0] == "dataclasses"]
+
+
+def test_package_imports_no_dataclasses():
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if _dataclass_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_dataclass_rule_catches_planted_imports():
+    source = ("import collections, dataclasses\n"
+              "from .dataclasses import Record\n"
+              "def f():\n    from dataclasses import asdict\n"
+              "    import dataclasses.fields\n")
+    assert _dataclass_imports(source) == ["dataclasses", "dataclasses", "dataclasses.fields"]
+
+
 def test_cold_import_loads_no_process_pool():
-    probe = ("import sys, coxhull.cli, coxhull.formulas; "
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    # Counted against the modules loaded before the import, so whatever
+    # `site` loads at start-up does not count.
+    probe = ("import sys; before = set(sys.modules); import coxhull.cli, coxhull.formulas; "
+             "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in "
+             "('multiprocessing', 'concurrent', 'dataclasses', 'inspect')))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout

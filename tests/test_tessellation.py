@@ -502,6 +502,14 @@ def test_inexact_point_refused(ctx):
         ctx.chamber_containing((0.5, 0.25))
 
 
+def test_bool_coordinate_refused(ctx):
+    # A bool is an int to isinstance: i2inf would read (1/2, True) as the
+    # point (1/2, 1) of its cell 0.
+    for point in [(Fraction(1, 2), True), (True, Fraction(1, 3))]:
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            ctx.chamber_containing(point)
+
+
 def test_vertices_map_with_element(ctx):
     c = ctx.chamber_from_word([0, 1, 0])
     assert c.vertices() == [c.element.apply(v) for v in ctx.base_vertices]
