@@ -6,13 +6,10 @@ Three hull routes are kept:
   the hull of a point set iff, for every wall with all the points strictly
   on one side, the chamber lies on that same side.  Per wall family this
   is an integer window test on floor vectors, and the hull is collected by
-  flood fill from one seed.  A sweep reads the same windows from bit masks
-  instead: ``_offset_rows`` takes one cover's floor vectors and builds,
-  per family and offset of v, the rows of Conv(v, w) and Conv(u, v, w)
-  masks by w's offset.  Every mask a sweep counts or decodes is ANDed from
-  them: a row's sizes and verdicts are `map` scans, made only for the v
-  least in their orbit under the diagram automorphisms, and a sampled
-  pair's two hulls are one lookup per family (``_hull_masks``).
+  flood fill from one seed.  A sweep reads the same windows from the bit
+  masks of ``_offset_rows`` over one cover's floor vectors, in a core,
+  ``_sweep``, that sees integer vectors, an edge table and generator
+  permutations, never a chamber; ``sweep_triples`` adapts it to the plane.
 
 * ``closure_hull`` is an oracle.  It iterates geodesic intervals (the
   sets {c : d(a,c) + d(c,b) = d(a,b)}) to a least fixpoint.  An interval
@@ -22,12 +19,13 @@ Three hull routes are kept:
 
 * The weak order (``roots.RootSystem``) is the oracle that shares nothing
   with the geometry: it finds a hull as a lower set of inversion sets,
-  from the Cartan matrix alone.  It sees a chamber only through the word
-  that ``word_of`` folds for it, which reads no floor either.
+  from the Cartan matrix alone.  It sees words, not chambers, folded
+  without a floor; it certifies a sweep's cover as the weak-order hull of
+  the ball, then checks hull masks over it, cover position by position.
 
 The first two return a `ChamberSet`, a frozenset in barycenter order,
 and agree on pairs and on random triples in the acceptance suite.  A
-sweep checks its sizes, and the hull sets of its sampled pairs, against
+sweep checks its sizes, and the hull masks of its sampled pairs, against
 the weak order; a disagreement aborts with a structured report since it
 would mean an implementation bug, not new mathematics.
 """
@@ -38,10 +36,10 @@ import json
 import random
 import time
 from bisect import bisect_right
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from operator import and_, attrgetter, itemgetter, lt, mul, or_, sub
 
 from .coxeter import TypeTag
@@ -186,19 +184,19 @@ class HullDisagreement(RuntimeError):
 
 
 class WeakOrderDisagreement(RuntimeError):
-    """A sweep used a hull size, or a table hull, other than the weak
-    order's; `table_only` and `weak_only` name the chambers one side lacks."""
+    """A sweep used a hull size, table hull or cover other than the weak
+    order's.  It takes words as lists of 0-based letters, and spells the
+    points and what only one side holds as `GroupContext.word_of` does."""
 
-    def __init__(self, tag, words, size_used, size_weak, table_only, weak_only):
+    def __init__(self, code, words, size_used, size_weak, table_only, weak_only):
+        words, table_only, weak_only = (["".join(str(s + 1) for s in word) for word in group]
+                                        for group in (words, table_only, weak_only))
         super().__init__(
-            f"weak-order hull disagrees on {tag.code} points {words}: "
+            f"weak-order hull disagrees on {code} points {words}: "
             f"sweep used size {size_used}, weak order gives {size_weak}, "
             f"table-only={table_only}, weak-only={weak_only}")
-        self.points = words
-        self.size_used = size_used
-        self.size_weak = size_weak
-        self.table_only = table_only
-        self.weak_only = weak_only
+        self.points, self.size_used, self.size_weak = words, size_used, size_weak
+        self.table_only, self.weak_only = table_only, weak_only
 
 
 def checked_hull(points) -> ChamberSet:
@@ -306,15 +304,14 @@ def _row_sizes(rows, cols, i: int) -> tuple:
             list(map(int.bit_count, reduce(partial(map, and_), triple_cols))))
 
 
-def _orbit_maps(ball, perms) -> list:
-    """Per generator permutation p, the ball index of each ball chamber's
-    image under s_i -> s_p(i), by one walk over the ball's edges: the image
-    of c s_i is the image of c, times s_p(i).  `_check_map` checks each."""
-    index = {c: k for k, c in enumerate(ball)}
-    edges = [[index.get(nb) for nb in c.neighbors()] for c in ball]
+def _orbit_maps(edges, perms) -> list:
+    """Per generator permutation p, the ball index of each ball element's
+    image under s_i -> s_p(i), by one walk over the edge table, whose
+    edges[k][s] is the ball index of ball[k] s_s, or None outside the ball:
+    the image of c s_i is that of c, times s_p(i).  `_check_map` checks each."""
     maps = []
     for p in perms:
-        img = [0] + [None] * (len(ball) - 1)
+        img = [0] + [None] * (len(edges) - 1)
         for k, row in enumerate(edges):
             for s, j in enumerate(row):
                 if j is not None and img[j] is None and img[k] is not None:
@@ -336,81 +333,68 @@ def _check_map(edges, p, img) -> None:
 
 
 class _WeakOrder:
-    """The sweep's weak-order route: hulls of ball points, and their sizes,
-    from the letters of their canonical words.  The words are folds of the
-    chambers' barycenters in base walls, so neither they nor this route
-    read a floor.  Each chamber is folded once: the ball's at construction,
-    where `sizes` gets their |[e, x]|, any other on first sight."""
+    """The sweep's weak-order route from the Coxeter matrix and a cover's
+    reduced words, each walked once for its element and N_k.  It certifies
+    that they are distinct and form the weak-order hull of the ball, at
+    cover positions `ball`, e first; `sizes` gets each ball one's |[e, x]|."""
 
-    def __init__(self, ctx: GroupContext, ball) -> None:
-        self.ctx, self.ball = ctx, ball
-        self.roots = RootSystem(ctx.matrix)
-        ids, self.masks = zip(*(self.roots.walk(ctx.letters_of(c)) for c in ball))
-        self.ids = dict(zip(ball, ids))
-        self.sizes = self.roots.interval_sizes(ids, [mask.bit_count() for mask in self.masks])
+    def __init__(self, code: str, matrix, words, ball) -> None:
+        self.code, self.words, self.ball = code, words, ball
+        roots = RootSystem(matrix)
+        ids, self.masks = zip(*map(roots.walk, words))
+        lower = roots.lower_set(reduce(or_, (self.masks[p] for p in ball)))
+        if len(set(ids)) != len(ids) or set(ids) != lower.keys():
+            raise WeakOrderDisagreement(
+                code, [words[p] for p in ball], len(ids), len(lower),
+                [w for k, (x, w) in enumerate(zip(ids, words))
+                 if ids.index(x) != k or x not in lower],
+                list(map(roots.reduced, sorted(lower.keys() - set(ids)))))
+        self.sizes = roots.interval_sizes([ids[p] for p in ball],
+                                          [self.masks[p].bit_count() for p in ball])
+        self.held = defaultdict(int)  # per root's bit, the cover positions k with it in N_k
+        for k, nk in enumerate(self.masks):
+            while nk:
+                self.held[nk & -nk] |= 1 << k
+                nk &= nk - 1
+
+    def check_row(self, vws, uvws) -> None:
+        """Raise unless both sizes of row 0 are |Conv(u, w)| = |[e, w]|."""
+        for j, (vw, uvw, size) in enumerate(zip(vws, uvws, self.sizes)):
+            if vw != size or uvw != size:
+                raise WeakOrderDisagreement(self.code, [self.words[self.ball[k]] for k in (0, j)],
+                                            uvw if vw == size else vw, size, [], [])
 
     def check(self, i: int, j: int, size_vw: int, size_uvw: int, hull_vw, hull_uvw) -> None:
         """Raise unless, for v = ball[i] and w = ball[j], the sizes used are
-        |Conv(v, w)| and |Conv(u, v, w)|, and the chambers `hull_uvw` hold
-        the elements of the lower set of N(v) | N(w), and `hull_vw` those of
-        its x with N(v) & N(w) in N(x), each chamber's by a fold that reads
-        no floor."""
-        both = self.masks[i] & self.masks[j]
-        lower = self.roots.lower_set(self.masks[i] | self.masks[j])
-        pair = {k: nx for k, nx in lower.items() if nx & both == both}
-        ids = self.ids
-        for points, used, weak, hull in (([i, j], size_vw, pair, hull_vw),
-                                         ([0, i, j], size_uvw, lower, hull_uvw)):
-            held = {}
-            for c in hull:
-                if c not in ids:
-                    ids[c] = self.roots.element(self.ctx.letters_of(c))
-                held[ids[c]] = c
-            if used != len(weak) or held.keys() != weak.keys():
+        |Conv(v, w)| and |Conv(u, v, w)|, and the masks over cover positions
+        are {k : N_k <= N(v) | N(w)} and its part with N(v) & N(w) <= N_k."""
+        nv, nw = self.masks[self.ball[i]], self.masks[self.ball[j]]
+        uvw = (1 << len(self.masks)) - 1 & ~reduce(
+            or_, [ks for bit, ks in self.held.items() if not bit & (nv | nw)], 0)
+        vw = reduce(and_, [ks for bit, ks in self.held.items() if bit & nv & nw], uvw)
+        for points, used, weak, hull in (([i, j], size_vw, vw, hull_vw),
+                                         ([0, i, j], size_uvw, uvw, hull_uvw)):
+            if used != weak.bit_count() or hull != weak:
                 raise WeakOrderDisagreement(
-                    self.ctx.tag, [self.ctx.word_of(self.ball[k]) for k in points], used,
-                    len(weak), [self.ctx.word_of(c) for k, c in held.items() if k not in weak],
-                    ["".join(str(s + 1) for s in self.roots.reduced(k))
-                     for k in sorted(weak.keys() - held.keys())])
+                    self.code, [self.words[self.ball[k]] for k in points], used,
+                    weak.bit_count(), *([w for k, w in enumerate(self.words) if mask >> k & 1]
+                                        for mask in (hull & ~weak, weak & ~hull)))
 
 
-def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
-                  seed: int = 0, oracle_samples: int = 32) -> CheckReport:
-    """Check the strong hull inequality for u = identity and all ordered
-    pairs (v, w) in the ball of the given radius, in this process.
-
-    A diagram automorphism s fixes u and keeps hulls, so (a, b) and (sa, sb)
-    share their verdict, and the sizes of (a, b) and (b, a) agree: with m =
-    sa least in a's orbit, and no more than b's orbit's least, (m, sb) covers
-    them.  So one pass over v = ball[m], m least in its orbit: each row's
-    two size lists, for w = ball[j], j >= m, are gathered from the rows
-    built once per offset, then sampled and scanned for a failing verdict
-    in either order, so one row is alive at a time; only a failing row is
-    walked pair by pair, listing each failing pair's images.
-
-    With `oracle_samples` > 0 the weak order checks the sweep, and a
-    disagreement aborts it; a negative count raises ValueError.  It checks
-    both sizes of row 0 against each |[e, w]| of its one pass over the ball,
-    and, on a sample of the pairs i <= j (numbered in that order) drawn with
-    `seed`, the sizes read for them from their orbit's row, as |Conv(v, w)|
-    and |Conv(u, v, w)| at their own chambers, and both hulls as sets of
-    the cover chambers their masks, looked up in the same rows, hold.
-
-    `jobs` must be 1; any other value raises ValueError.  The slot stays
-    only because `bench/worker.py` passes 1 there by position, before the
-    seed; it goes once the benchmark stops passing it.
-    """
-    if jobs != 1:
-        raise ValueError(f"jobs must be 1, got {jobs}: sweeps run in one process")
-    if oracle_samples < 0:
-        raise ValueError(f"oracle_samples must be non-negative, got {oracle_samples}")
-    started = time.monotonic()
-    ctx = build_group(tag)
-    ball = ctx.ball(radius)
+def _sweep(vectors, ball, edges, perms, weak, seed: int, samples: int) -> list:
+    """The sweep over a convex cover's integer vectors, u = ball[0] and v, w
+    over the ball at cover positions `ball`: the failing (x, y, |Conv(u, v)|,
+    |Conv(v, w)|, |Conv(u, v, w)|), v = ball[x] and w = ball[y], in the
+    unreduced rows' order.  A permutation in `perms` fixes u and keeps hulls,
+    so (a, b) and (sa, sb) share their verdict, and the sizes of (a, b) and
+    (b, a) agree: with m = sa least in a's orbit, and no more than b's
+    orbit's least, (m, sb) covers them.  So only rows of v = ball[m], m least
+    in its orbit, are swept, one at a time, and only a failing one pair by
+    pair.  `weak`, a `_WeakOrder` over the cover, checks row 0's sizes, and
+    both sizes and hull masks of `samples` pairs i <= j drawn with `seed`."""
     n = len(ball)
-    cover = halfspace_hull(ball).chambers
-    least, rows = _offset_rows([c.floors for c in cover], ball[0].floors)
-    offsets = [tuple(map(sub, c.floors, least)) for c in ball]
+    least, rows = _offset_rows(vectors, vectors[ball[0]])
+    offsets = [tuple(map(sub, vectors[p], least)) for p in ball]
     cols = list(zip(*offsets))
 
     def row_sizes(i):
@@ -420,34 +404,26 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
                                f"{len(uvws)} triple sizes, expected {n - i}")
         return vws, uvws
 
-    weak = _WeakOrder(ctx, ball) if oracle_samples > 0 else None
     # ball[0] is u, so row 0 holds |Conv(u, ball[j])|.
     usize, uvws = row_sizes(0)
     if weak is not None:
-        # Both sizes of row 0 are |Conv(u, w)| = |[e, w]|, as v = u.
-        for j, (vw, uvw, size) in enumerate(zip(usize, uvws, weak.sizes)):
-            if vw != size or uvw != size:
-                raise WeakOrderDisagreement(tag, [ctx.word_of(ball[0]), ctx.word_of(ball[j])],
-                                            uvw if vw == size else vw, size, [], [])
-    maps = _orbit_maps(ball, ctx.matrix.automorphisms())
+        weak.check_row(usize, uvws)
+    maps = _orbit_maps(edges, perms)
     # Per ball index, the map that takes it to the least index of its orbit.
     to_least = [min(maps, key=itemgetter(k)) for k in range(n)]
     # The sampled pairs i <= j, numbered row by row from (i, i) at starts[i],
     # grouped by the row m their sizes are read from, with the column sb.
-    starts, samples = list(accumulate(range(n, 0, -1), initial=0)), {}
+    starts, sampled = list(accumulate(range(n, 0, -1), initial=0)), {}
     rng = random.Random(seed)
-    for k in sorted({rng.randrange(starts[-1]) for _ in range(oracle_samples)}):
+    for k in sorted({rng.randrange(starts[-1]) for _ in range(samples)}):
         i = bisect_right(starts, k) - 1
         a, b = sorted((i, i + k - starts[i]), key=lambda x: to_least[x][x])
-        samples.setdefault(to_least[a][a], []).append((i, i + k - starts[i], to_least[a][b]))
-    # A mask's binary digits, lowest first, as 0/1 bytes select its chambers.
-    failing, bits = {}, bytes.maketrans(b"01", b"\0\1")
+        sampled.setdefault(to_least[a][a], []).append((i, i + k - starts[i], to_least[a][b]))
+    failing = {}
     for m in [k for k in range(n) if to_least[k][k] == k]:
         vws, uvws = row_sizes(m) if m else (usize, uvws)
-        for i, j, b in samples.get(m, ()):
-            weak.check(i, j, vws[b - m], uvws[b - m], *(
-                compress(cover, bin(mask)[:1:-1].encode().translate(bits))
-                for mask in _hull_masks(rows, offsets[i], offsets[j])))
+        for i, j, b in sampled.get(m, ()):
+            weak.check(i, j, vws[b - m], uvws[b - m], *_hull_masks(rows, offsets[i], offsets[j]))
         # Ordered verdicts (v, w) and (w, v) share the vw and uvw sizes; a row
         # is walked pair by pair only if a scan finds either order failing.
         if (any(map(lt, map(mul, repeat(usize[m]), vws), uvws))
@@ -456,12 +432,36 @@ def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
                 for a, b in [(m, j)] if m == j else [(m, j), (j, m)]:
                     if usize[a] * vw < uvw:
                         for x, y in {(img[a], img[b]) for img in maps} - failing.keys():
-                            failing[x, y] = dict(
-                                v=ctx.word_of(ball[x]), w=ctx.word_of(ball[y]),
-                                size_uv=usize[x], size_vw=vw, size_uvw=uvw)
+                            failing[x, y] = usize[x], vw, uvw
     # The unreduced rows list (i, j), then (j, i), for each i < j.
-    counterexamples = [failing[ab] for ab in sorted(
+    return [(*ab, *failing[ab]) for ab in sorted(
         failing, key=lambda ab: (min(ab), max(ab), ab[0] > ab[1]))]
-    return CheckReport(type=tag.code, radius=radius, triples_checked=n * n,
-                       counterexamples=counterexamples,
+
+
+def sweep_triples(tag: TypeTag, radius: int, jobs: int = 1,
+                  seed: int = 0, oracle_samples: int = 32) -> CheckReport:
+    """Check the strong hull inequality for u = identity and all ordered
+    pairs (v, w) in the ball of the given radius, by `_sweep` over the floor
+    vectors of the ball's halfspace hull: the one place a sweep reads
+    chambers.  With `oracle_samples` > 0 the weak order checks it on the
+    cover's folded words; a negative count raises ValueError, and so does
+    `jobs` other than 1, a slot kept as `bench/worker.py` passes it."""
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}: sweeps run in one process")
+    if oracle_samples < 0:
+        raise ValueError(f"oracle_samples must be non-negative, got {oracle_samples}")
+    started = time.monotonic()
+    ctx = build_group(tag)
+    ball = ctx.ball(radius)
+    cover = halfspace_hull(ball).chambers
+    at, index = {c: k for k, c in enumerate(cover)}, {c: k for k, c in enumerate(ball)}
+    weak = _WeakOrder(tag.code, ctx.matrix, [ctx.letters_of(c) for c in cover],
+                      [at[c] for c in ball]) if oracle_samples > 0 else None
+    found = _sweep([c.floors for c in cover], [at[c] for c in ball],
+                   [[index.get(nb) for nb in c.neighbors()] for c in ball],
+                   ctx.matrix.automorphisms(), weak, seed, oracle_samples)
+    return CheckReport(type=tag.code, radius=radius, triples_checked=len(ball) ** 2,
+                       counterexamples=[dict(v=ctx.word_of(ball[x]), w=ctx.word_of(ball[y]),
+                                             size_uv=uv, size_vw=vw, size_uvw=uvw)
+                                        for x, y, uv, vw, uvw in found],
                        wall_clock_ms=int((time.monotonic() - started) * 1000))

@@ -49,6 +49,13 @@ class CoordinateError(ValueError):
     """Closed-form coordinates outside the domain of their forms."""
 
 
+def _check_ints(**values) -> None:
+    """Raise CoordinateError unless each value is an int and not a bool."""
+    for name, val in values.items():
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise CoordinateError(f"{name} must be an int, got {val!r}")
+
+
 class A2Coord(namedtuple("A2Coord", "x y")):
     """Target chamber address (x, y) relative to the base chamber its
     parity fixes; x counts half-steps right, y counts rows up."""
@@ -57,6 +64,7 @@ class A2Coord(namedtuple("A2Coord", "x y")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     def __new__(cls, x: int, y: int):
+        _check_ints(x=x, y=y)
         if x < 0 or y < 0:
             raise CoordinateError(f"coordinates must be non-negative, got {(x, y)}")
         if x + y == 0:
@@ -95,6 +103,7 @@ def a2_pair_count(coord: A2Coord) -> int:
 def a2_strong_hull_sides(x: int, y: int, a: int, b: int) -> tuple[int, int]:
     """Both sides of the product inequality for the reduced triple
     configuration u = (0,0), v = (x,y), w = (x+a, y+b)."""
+    _check_ints(x=x, y=y, a=a, b=b)
     for name, val in (("x", x), ("y", y), ("a", a), ("b", b)):
         if val < 0:
             raise CoordinateError(f"{name} must be non-negative, got {val}")
@@ -114,6 +123,7 @@ class C2CaseParams(namedtuple("C2CaseParams", "a b x y")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     def __new__(cls, a: int, b: int, x: int, y: int):
+        _check_ints(a=a, b=b, x=x, y=y)
         if a % 4 != 2:
             raise CoordinateError(f"a must be 2 mod 4, got {a}")
         if x % 4 != 1:
@@ -154,6 +164,7 @@ def c2_case2_counts(p: C2CaseParams) -> tuple[int, int, int]:
 
 def dihedral_pair_count(dist: int) -> int:
     """Interval size on the line: a path graph interval has d+1 cells."""
+    _check_ints(distance=dist)
     if dist < 0:
         raise CoordinateError("distance must be non-negative")
     return dist + 1

@@ -2,6 +2,7 @@ import random
 import re
 import runpy
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from operator import sub
@@ -323,10 +324,10 @@ def test_sweep_memory_does_not_grow_with_pairs():
 
 
 def test_sweep_memory_with_the_oracle_stays_small():
-    # With the default oracle the weak order holds one id per chamber it
-    # folds, the ball's and the sampled table hulls' members, each folded
-    # once, its memo holds only the elements of the hulls it walks, and its
-    # pass over the ball keeps two lengths' interval bitsets at a time.
+    # With the default oracle the weak order holds one word, id and N(x)
+    # per cover chamber, each folded once, its memo holds only the cover's
+    # elements, and its pass over the ball keeps two lengths' interval
+    # bitsets at a time.
     build_group(TypeTag.A2Tilde).ball(12)
     tracemalloc.start()
     try:
@@ -425,6 +426,85 @@ def test_hull_table_on_root_indicator_vectors(orders, order):
         assert _pairs(convexity._row_sizes(rows, cols, i)) == [
             (len(roots.lower_set(nvw)), len(roots.lower_set(nv | nw)))
             for nvw, nw in zip(between, masks[i:])]
+
+
+def _whole_group(matrix):
+    """A whole finite Coxeter group as `_sweep` takes it: the reduced words
+    by element id, e first, the 0/1 vectors of their inversion sets, and
+    the ascent graph's edges x -> x s by the same index."""
+    roots = RootSystem(matrix)
+    ids = sorted(roots.lower_set(-1))
+    words = [roots.reduced(k) for k in ids]
+    masks = [roots.walk(word)[1] for word in words]
+    vectors = [[m >> b & 1 for b in range(max(masks).bit_length())] for m in masks]
+    index = {k: p for p, k in enumerate(ids)}
+    edges = [[index[roots._step(k, s)] for s in range(matrix.rank)] for k in ids]
+    return words, vectors, edges
+
+
+@pytest.mark.parametrize("orders, order, symmetries", [
+    pytest.param([[1, 3, 2], [3, 1, 3], [2, 3, 1]], 24, 2, id="A3"),
+    pytest.param([[1, 3, 2], [3, 1, 4], [2, 4, 1]], 48, 1, id="B3")])
+def test_sweep_core_on_whole_finite_groups(monkeypatch, orders, order, symmetries):
+    # The whole sweep loop knows no chamber: over a finite group's
+    # root-indicator vectors, its ascent graph and its diagram
+    # automorphisms, checked by a weak order built on reduced words, it
+    # finds no counterexample; sizes inflated past row 0 are caught by
+    # the sampled pairs; and a planted failing pair is listed alike with
+    # the automorphisms as with the identity alone.
+    started = time.monotonic()
+    matrix = validate_matrix(orders)
+    words, vectors, edges = _whole_group(matrix)
+    ball, perms = list(range(order)), matrix.automorphisms()
+    assert len(words) == order and len(perms) == symmetries
+
+    def sweep(perms, weak=True, samples=32):
+        checker = convexity._WeakOrder("x", matrix, words, ball) if weak else None
+        return convexity._sweep(vectors, ball, edges, perms, checker, 0, samples)
+
+    assert sweep(perms) == []
+    row_sizes = convexity._row_sizes
+
+    def inflated(rows, cols, i):
+        vws, uvws = row_sizes(rows, cols, i)
+        return ([vw + 1 for vw in vws] if i else vws), uvws
+
+    with monkeypatch.context() as patch:
+        patch.setattr(convexity, "_row_sizes", inflated)
+        assert sweep(perms, weak=False, samples=0) == []
+        with pytest.raises(WeakOrderDisagreement, match="on x points") as err:
+            sweep(perms)
+        assert err.value.size_used == err.value.size_weak + 1
+    # Plant |Conv(u, v, w)| = 1000 on (s_1, s_1 s_2) and its images.
+    a, b = words.index([0]), words.index([0, 1])
+    planted = {tuple(sorted((img[a], img[b]))) for img in convexity._orbit_maps(edges, perms)}
+    assert len(planted) == symmetries
+
+    def planting(rows, cols, i):
+        vws, uvws = row_sizes(rows, cols, i)
+        for x, y in planted:
+            if x == i:
+                uvws[y - i] = 1000
+        return vws, uvws
+
+    monkeypatch.setattr(convexity, "_row_sizes", planting)
+    found = sweep(perms, weak=False, samples=0)
+    assert found == sweep([tuple(range(matrix.rank))], weak=False, samples=0)
+    assert {(x, y) for x, y, *_ in found} == {p for xy in planted for p in (xy, xy[::-1])}
+    assert len(found) == 2 * symmetries and {c[-1] for c in found} == {1000}
+    assert time.monotonic() - started < 1
+
+
+def test_weak_order_refuses_a_cover_with_a_repeated_element():
+    # s1 s3 = s3 s1 in A3: a cover that spells that element twice is
+    # refused, and the second spelling is named as the table's alone.
+    matrix = validate_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    words, _, _ = _whole_group(matrix)
+    assert [2, 0] in words and [0, 2] not in words
+    with pytest.raises(WeakOrderDisagreement) as err:
+        convexity._WeakOrder("a3", matrix, words + [[0, 2]], list(range(len(words))))
+    assert (err.value.size_used, err.value.size_weak) == (25, 24)
+    assert err.value.table_only == ["13"] and err.value.weak_only == []
 
 
 def test_sweep_oracle_catches_wrong_table_hull(monkeypatch):
@@ -553,8 +633,12 @@ def test_weak_order_reads_pair_sizes_off_the_triple_lower_set(ctx):
     # The weak order counts |Conv(v, w)| in the lower set of N(v) | N(w),
     # as the x with N(v) & N(w) in N(x).  The translation route is the
     # reference: |Conv(v, w)| = |Conv(e, v^-1 w)|, the lower set of N(v^-1 w).
+    # The hulls are handed over as masks over the cover's positions.
     ball = ctx.ball(6)
-    weak = convexity._WeakOrder(ctx, ball)
+    cover = halfspace_hull(ball).chambers
+    at = {c: k for k, c in enumerate(cover)}
+    weak = convexity._WeakOrder(ctx.tag.code, ctx.matrix, [ctx.letters_of(c) for c in cover],
+                                [at[c] for c in ball])
     roots = RootSystem(ctx.matrix)
     rng = random.Random(29)
     for _ in range(100):
@@ -562,12 +646,12 @@ def test_weak_order_reads_pair_sizes_off_the_triple_lower_set(ctx):
         lv, lw = ctx.letters_of(ball[i]), ctx.letters_of(ball[j])
         between = roots.walk(roots.reduced(roots.element(lv[::-1] + lw)))[1]
         size_vw = len(roots.lower_set(between))
-        pair = halfspace_hull([ball[i], ball[j]]).chambers
-        hull = halfspace_hull([ctx.base_chamber, ball[i], ball[j]]).chambers
-        weak.check(i, j, size_vw, len(hull), pair, hull)
+        pair, hull = (sum(1 << at[c] for c in halfspace_hull(points))
+                      for points in ([ball[i], ball[j]], [ctx.base_chamber, ball[i], ball[j]]))
+        weak.check(i, j, size_vw, hull.bit_count(), pair, hull)
         for wrong in (size_vw - 1, size_vw + 1):
             with pytest.raises(WeakOrderDisagreement) as err:
-                weak.check(i, j, wrong, len(hull), pair, hull)
+                weak.check(i, j, wrong, hull.bit_count(), pair, hull)
             assert (err.value.size_used, err.value.size_weak) == (wrong, size_vw)
 
 
@@ -648,17 +732,21 @@ def test_sweep_refuses_a_bad_ball(monkeypatch, bad_ball, k, refusal):
 _CODES = ["a2t", "c2t", "g2t", "i2inf"]
 
 
-@pytest.mark.parametrize("code,before_ball", [
-    *(pytest.param(code, False, id=code) for code in _CODES),
-    *(pytest.param(code, True, id=f"{code}-before-ball") for code in _CODES)])
-def test_sweep_weak_order_catches_corrupted_family_table(monkeypatch, code, before_ball):
+@pytest.mark.parametrize("code,before_ball,check", [
+    *(pytest.param(code, False, "cover", id=code) for code in _CODES),
+    *(pytest.param(code, True, "row 0" if code == "g2t" else "cover", id=f"{code}-before-ball")
+      for code in _CODES)])
+def test_sweep_weak_order_catches_corrupted_family_table(monkeypatch, code, before_ball, check):
     # Double one family's spacing, after or before the ball is built.
     # After: the ball's chambers keep their exact floors, and the chambers
     # first met past the ball, on the rim of the table's cover, take wrong
-    # floors that change the table's hull sizes; the weak order aborts the
-    # sweep.  Before: every chamber past the base's neighbours takes wrong
+    # floors.  Before: every chamber past the base's neighbours takes wrong
     # floors.  Words are folds that read no floor, so the sweep reaches
-    # the weak order, which aborts it.
+    # the weak order, which aborts it.  The flood fill then takes in
+    # chambers outside the weak-order hull of the ball, and the cover
+    # certificate aborts before any row is swept; only g2t's cover,
+    # corrupted before the ball, still comes out right as a set of
+    # elements, and row 0's sizes, read off the wrong floors, catch it.
     tag = TypeTag.from_code(code)
     ctx = GroupContext(tag)
     if not before_ball:
@@ -666,8 +754,45 @@ def test_sweep_weak_order_catches_corrupted_family_table(monkeypatch, code, befo
     n1, n2, r, s = ctx.floor_forms[0]
     ctx.floor_forms = [(n1, n2, r, 2 * s), *ctx.floor_forms[1:]]
     monkeypatch.setattr(convexity, "build_group", lambda _: ctx)
-    with pytest.raises(WeakOrderDisagreement, match=f"on {code} points"):
+    row_sizes, swept = convexity._row_sizes, []
+    monkeypatch.setattr(convexity, "_row_sizes",
+                        lambda *args: swept.append(args[2]) or row_sizes(*args))
+    with pytest.raises(WeakOrderDisagreement, match=f"on {code} points") as err:
         sweep_triples(tag, 4)
+    if check == "cover":
+        assert swept == []
+        assert err.value.points == [ctx.word_of(c) for c in ctx.ball(4)]
+        assert err.value.size_used > err.value.size_weak
+        assert len(err.value.table_only) == err.value.size_used - err.value.size_weak
+    else:
+        assert swept == [0]
+        assert len(err.value.points) == 2 and err.value.points[0] == ""
+        assert err.value.table_only == err.value.weak_only == []
+
+
+@pytest.mark.parametrize("code", ["a2t", "c2t", "g2t"])
+def test_sweep_certifies_its_cover_before_any_row(monkeypatch, code):
+    # Drop one chamber outside the ball from the cover the sweep builds:
+    # the cover is then no longer the weak-order hull of the ball, and the
+    # certificate aborts the sweep before any row is swept, naming the
+    # dropped chamber as the one the weak order holds alone.
+    tag = TypeTag.from_code(code)
+    ctx = build_group(tag)
+    ball = ctx.ball(3)
+    hull = halfspace_hull(ball)
+    dropped = [c for c in hull.chambers if c not in set(ball)][-1]
+    monkeypatch.setattr(convexity, "halfspace_hull",
+                        lambda points: ChamberSet(halfspace_hull(points) - {dropped}))
+    row_sizes, swept = convexity._row_sizes, []
+    monkeypatch.setattr(convexity, "_row_sizes",
+                        lambda *args: swept.append(args[2]) or row_sizes(*args))
+    with pytest.raises(WeakOrderDisagreement, match=f"on {code} points") as err:
+        sweep_triples(tag, 3)
+    assert swept == []
+    assert (err.value.size_used, err.value.size_weak) == (hull.size - 1, hull.size)
+    assert err.value.table_only == [] and err.value.weak_only == [ctx.word_of(dropped)]
+    # Without the oracle the sweep runs on the short cover and sees nothing.
+    assert sweep_triples(tag, 3, oracle_samples=0).ok and swept
 
 
 @pytest.mark.parametrize("code", _CODES)
@@ -727,6 +852,13 @@ def test_sweep_reports_counterexamples(monkeypatch):
     assert report.ok is False
 
 
+def _edges(ball):
+    """The sweep's edge table: per ball chamber, the ball index of each
+    neighbour, or None outside the ball."""
+    index = {c: k for k, c in enumerate(ball)}
+    return [[index.get(nb) for nb in c.neighbors()] for c in ball]
+
+
 def _word_images(ctx, ball):
     """Per diagram automorphism p, the index of each ball chamber's image,
     from words: the chamber of i1 i2 ... goes to that of p(i1) p(i2) ..."""
@@ -746,7 +878,7 @@ def test_orbit_rows_give_every_pair_its_sizes(monkeypatch, code, order, n, swept
     ctx = build_group(tag)
     ball = ctx.ball(6)
     assert len(ball) == n and len(ctx.matrix.automorphisms()) == order
-    maps = convexity._orbit_maps(ball, ctx.matrix.automorphisms())
+    maps = convexity._orbit_maps(_edges(ball), ctx.matrix.automorphisms())
     assert maps == _word_images(ctx, ball)
     least = sorted({min(img[k] for img in maps) for k in range(n)})
     rows, cols, _ = _cover_table(ball)
@@ -793,7 +925,7 @@ def test_orbit_maps_refuse_a_permutation_that_moves_an_order():
     ctx = build_group(TypeTag.C2Tilde)
     assert ctx.matrix.automorphisms() == [(0, 1, 2), (1, 0, 2)]
     with pytest.raises(RuntimeError, match="generator map \\(2, 1, 0\\)"):
-        convexity._orbit_maps(ctx.ball(4), [(2, 1, 0)])
+        convexity._orbit_maps(_edges(ctx.ball(4)), [(2, 1, 0)])
 
 
 def _mirrored_only(usize, i, vws, uvws):
@@ -867,9 +999,9 @@ def test_sweep_verdict_scan_lists_what_the_per_pair_loop_lists(monkeypatch, corr
 
 
 def test_sweep_folds_each_chamber_once(monkeypatch):
-    # The weak order folds the ball once and a cover chamber on first
-    # sight, however many sampled table hulls, of pairs or of u-triples,
-    # hold it.
+    # The weak order folds every cover chamber exactly once, the ball's
+    # among them, however many sampled table hulls, of pairs or of
+    # u-triples, hold it.
     ctx = build_group(TypeTag.A2Tilde)
     cover = halfspace_hull(ctx.ball(8))
     letters_of = GroupContext.letters_of
@@ -881,7 +1013,7 @@ def test_sweep_folds_each_chamber_once(monkeypatch):
 
     monkeypatch.setattr(GroupContext, "letters_of", counted)
     assert sweep_triples(TypeTag.A2Tilde, 8).ok
-    assert 0 < len(calls) <= cover.size
+    assert 0 < len(calls) == cover.size
     assert len(set(calls)) == len(calls)
 
 

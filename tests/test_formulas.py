@@ -89,6 +89,24 @@ def test_case2_counts_examples():
     assert uv * vw >= uvw
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: a2_pair_count(A2Coord(2.5, 0.5)), id="a2-coord-float"),
+    pytest.param(lambda: A2Coord(True, 2), id="a2-coord-bool"),
+    pytest.param(lambda: A2Coord(7, 3)._replace(y=3.0), id="a2-coord-replace"),
+    pytest.param(lambda: c2_case2_counts(C2CaseParams(2.0, 2, 5.0, 4)), id="c2-params-float"),
+    pytest.param(lambda: C2CaseParams(2, True, 5, 4), id="c2-params-bool"),
+    pytest.param(lambda: C2CaseParams(2, 2, 5, 4)._replace(x=5.0), id="c2-params-replace"),
+    pytest.param(lambda: dihedral_pair_count(2.5), id="dihedral-float"),
+    pytest.param(lambda: dihedral_pair_count(False), id="dihedral-bool"),
+    pytest.param(lambda: a2_strong_hull_sides(1.0, 0, 1, 1), id="a2-sides-float"),
+    pytest.param(lambda: a2_strong_hull_sides(1, 0, True, True), id="a2-sides-bool")])
+def test_closed_forms_refuse_non_int_input(call):
+    # Every closed form's domain is the integers: a float or a bool is
+    # refused, where it used to give a float or be read as 0 or 1.
+    with pytest.raises(CoordinateError, match="must be an int, got (True|False|[0-9.]+)$"):
+        call()
+
+
 def test_case2_params_constraints():
     with pytest.raises(CoordinateError, match="a must be 2 mod 4"):
         C2CaseParams(3, 2, 5, 4)

@@ -11,7 +11,8 @@ floor table is read only where chambers are built, where the table is
 checked, by the halfspace route and by the sweep that feeds the mask
 kernel, so the other routes do not share it; the kernel itself sees
 integer vectors only, and the weak order that checks it calls neither the
-kernel nor the orbit maps.
+kernel nor the orbit maps.  The sweep's loop, `_sweep`, is part of that
+kernel, and the weak order sees words, not chambers or their contexts.
 """
 
 import ast
@@ -136,15 +137,18 @@ def test_floor_rule_catches_planted_reads():
                                                        "tessellation.py:11"]
 
 
-# The mask kernel works on integer vectors alone: it reads no floor and
-# no context, and names no chamber type, so any wall coordinates serve.
-_KERNEL = {"_offset_rows", "_hull_masks", "_row_sizes"}
+# The mask kernel and the sweep loop around it work on integer vectors and
+# edge tables alone: they read no floor and no context, and name no
+# chamber type, so any wall coordinates serve.
+_KERNEL = {"_offset_rows", "_hull_masks", "_row_sizes", "_sweep"}
 _KERNEL_BANNED = {"floors", "floor_forms", "ctx", "Chamber", "ChamberSet"}
 
 # The weak order checks what the kernel and the orbit maps give, so it
-# names neither: its hulls come from the Cartan matrix and the folds.
+# names neither: its hulls come from the Cartan matrix and the words it
+# is handed, so it names no context, chamber, neighbour or fold either.
 _ORACLE = {"_WeakOrder"}
-_ORACLE_BANNED = {"_offset_rows", "_hull_masks", "_row_sizes", "_orbit_maps", "_check_map"}
+_ORACLE_BANNED_DEFS = {"_offset_rows", "_hull_masks", "_row_sizes", "_orbit_maps", "_check_map"}
+_ORACLE_BANNED = _ORACLE_BANNED_DEFS | {"ctx", "Chamber", "neighbors", "letters_of"}
 
 
 def _names_in(source, tops, banned):
@@ -178,17 +182,19 @@ def test_kernel_rule_catches_planted_reads():
               "    return u.ctx.floor_forms\n"
               "def _row_sizes(rows, cols, i):\n"
               "    return Chamber\n"
+              "def _sweep(vectors, ball, edges, perms, weak, seed, samples):\n"
+              "    return [ctx.word_of(Chamber(v)) for v in vectors]\n"
               "def sweep_triples(ctx, cover):\n"
               "    return ChamberSet(c.floors for c in cover)\n")
     assert _kernel_reads(source) == [("_hull_masks", 2), ("_offset_rows", 3),
                                      ("_offset_rows", 4), ("_offset_rows", 4),
-                                     ("_row_sizes", 6)]
+                                     ("_row_sizes", 6), ("_sweep", 8), ("_sweep", 8)]
 
 
 def test_weak_order_names_no_kernel_or_orbit_map():
     source = (SRC / "convexity.py").read_text(encoding="utf-8")
     names = {getattr(top, "name", None) for top in ast.parse(source).body}
-    assert _ORACLE | _ORACLE_BANNED <= names
+    assert _ORACLE | _ORACLE_BANNED_DEFS <= names
     assert _oracle_reads(source) == []
 
 
@@ -198,10 +204,15 @@ def test_oracle_rule_catches_planted_reads():
               "        return _hull_masks(rows, v, w)\n"
               "    def sizes(self, ball):\n"
               "        return convexity._orbit_maps(ball, []), self._row_sizes\n"
-              "def sweep_triples(rows, ball):\n"
-              "    return _offset_rows(rows), _check_map\n")
+              "    def __init__(self, ctx, ball):\n"
+              "        self.words = [self.ctx.letters_of(c) for c in ball]\n"
+              "        self.edges = [c.neighbors() for c in ball if isinstance(c, Chamber)]\n"
+              "def sweep_triples(rows, ball, ctx):\n"
+              "    return _offset_rows(rows), _check_map, ctx.letters_of(ball[0])\n")
     assert _oracle_reads(source) == [("_WeakOrder", 3), ("_WeakOrder", 5),
-                                     ("_WeakOrder", 5)]
+                                     ("_WeakOrder", 5), ("_WeakOrder", 7),
+                                     ("_WeakOrder", 8), ("_WeakOrder", 7),
+                                     ("_WeakOrder", 8)]
 
 
 def _imported_modules(source):
