@@ -188,11 +188,12 @@ class WeakOrderDisagreement(RuntimeError):
     order's.  It takes words as lists of 0-based letters, and spells the
     points and what only one side holds as `GroupContext.word_of` does."""
 
-    def __init__(self, code, words, size_used, size_weak, table_only, weak_only):
+    def __init__(self, code, ball_size, words, size_used, size_weak, table_only, weak_only):
         words, table_only, weak_only = (["".join(str(s + 1) for s in word) for word in group]
                                         for group in (words, table_only, weak_only))
         super().__init__(
-            f"weak-order hull disagrees on {code} points {words}: "
+            f"weak-order hull disagrees on {code} points {words} of the cover of a ball "
+            f"of {ball_size} chambers: "
             f"sweep used size {size_used}, weak order gives {size_weak}, "
             f"table-only={table_only}, weak-only={weak_only}")
         self.points, self.size_used, self.size_weak = words, size_used, size_weak
@@ -216,20 +217,13 @@ def strong_hull_check(u: Chamber, v: Chamber, w: Chamber) -> HullVerdict:
 
 # -- exhaustive sweep ------------------------------------------------------
 
-class CheckReport:
+class CheckReport(namedtuple("CheckReport",
+                             "type radius triples_checked counterexamples wall_clock_ms")):
     """One sweep's result: the counterexamples among `triples_checked`
     ordered triples of the ball of `radius`, and the sweep's wall time.
     `ok` and `max_ratio` are read off the counterexamples."""
 
-    __slots__ = ("type", "radius", "triples_checked", "counterexamples", "wall_clock_ms")
-
-    def __init__(self, type: str, radius: int, triples_checked: int,
-                 counterexamples: list, wall_clock_ms: int) -> None:
-        self.type, self.radius, self.triples_checked = type, radius, triples_checked
-        self.counterexamples, self.wall_clock_ms = counterexamples, wall_clock_ms
-
-    def __repr__(self) -> str:
-        return f"CheckReport({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -245,8 +239,7 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         ratio = self.max_ratio
-        return {**{k: getattr(self, k) for k in self.__slots__},
-                "counterexamples": [dict(c) for c in self.counterexamples],
+        return {**self._asdict(), "counterexamples": [dict(c) for c in self.counterexamples],
                 "max_ratio": {"num": ratio.numerator, "den": ratio.denominator}}
 
     def to_json(self) -> str:
@@ -345,7 +338,7 @@ class _WeakOrder:
         lower = roots.lower_set(reduce(or_, (self.masks[p] for p in ball)))
         if len(set(ids)) != len(ids) or set(ids) != lower.keys():
             raise WeakOrderDisagreement(
-                code, [words[p] for p in ball], len(ids), len(lower),
+                code, len(ball), [], len(ids), len(lower),
                 [w for k, (x, w) in enumerate(zip(ids, words))
                  if ids.index(x) != k or x not in lower],
                 list(map(roots.reduced, sorted(lower.keys() - set(ids)))))
@@ -361,7 +354,8 @@ class _WeakOrder:
         """Raise unless both sizes of row 0 are |Conv(u, w)| = |[e, w]|."""
         for j, (vw, uvw, size) in enumerate(zip(vws, uvws, self.sizes)):
             if vw != size or uvw != size:
-                raise WeakOrderDisagreement(self.code, [self.words[self.ball[k]] for k in (0, j)],
+                raise WeakOrderDisagreement(self.code, len(self.ball),
+                                            [self.words[self.ball[k]] for k in (0, j)],
                                             uvw if vw == size else vw, size, [], [])
 
     def check(self, i: int, j: int, size_vw: int, size_uvw: int, hull_vw, hull_uvw) -> None:
@@ -376,7 +370,7 @@ class _WeakOrder:
                                          ([0, i, j], size_uvw, uvw, hull_uvw)):
             if used != weak.bit_count() or hull != weak:
                 raise WeakOrderDisagreement(
-                    self.code, [self.words[self.ball[k]] for k in points], used,
+                    self.code, len(self.ball), [self.words[self.ball[k]] for k in points], used,
                     weak.bit_count(), *([w for k, w in enumerate(self.words) if mask >> k & 1]
                                         for mask in (hull & ~weak, weak & ~hull)))
 

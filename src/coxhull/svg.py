@@ -13,6 +13,7 @@ segments, one per family offset crossing the viewport.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .convexity import ChamberSet
 from .coxeter import TypeTag
@@ -22,17 +23,11 @@ _MARGIN = 0.05
 _ROOT3 = math.sqrt(3.0)
 
 
-class SvgScene:
+class SvgScene(namedtuple("SvgScene", "viewbox polygons lines labels")):
     """A scene in plane coordinates: a viewbox (min_x, min_y, width, height),
     (points, css_class) polygons, ((x1, y1), (x2, y2)) lines, (text, (x, y)) labels."""
 
-    __slots__ = ("viewbox", "polygons", "lines", "labels")
-
-    def __init__(self, viewbox: tuple, polygons: list, lines: list, labels: list) -> None:
-        self.viewbox, self.polygons, self.lines, self.labels = viewbox, polygons, lines, labels
-
-    def __repr__(self) -> str:
-        return f"SvgScene({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
+    __slots__ = ()
 
     def filled_count(self) -> int:
         return sum(1 for _, cls in self.polygons if cls != "plain")

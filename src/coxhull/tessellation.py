@@ -103,37 +103,6 @@ class Chamber:
         return [self.element.apply(v) for v in self.ctx.base_vertices]
 
 
-class Gallery:
-    """A sequence of pairwise-adjacent chambers; frozen, equal by value."""
-
-    __slots__ = ("_chambers",)
-    chambers = property(attrgetter("_chambers"))
-
-    def __init__(self, chambers: tuple) -> None:
-        self._chambers = chambers
-
-    def __eq__(self, other):
-        return self.chambers == other.chambers if type(other) is Gallery else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.chambers)
-
-    def __repr__(self) -> str:
-        return f"Gallery(chambers={self.chambers!r})"
-
-    def __len__(self) -> int:
-        return len(self.chambers) - 1
-
-    def crossed_walls(self):
-        """Panel walls crossed along the gallery, in order."""
-        walls = []
-        for a, b in zip(self.chambers, self.chambers[1:]):
-            if b not in a.neighbors():
-                raise ValueError("gallery steps must be adjacent chambers")
-            walls.append(a.panel_walls()[a.neighbors().index(b)])
-        return walls
-
-
 # Inverse Gram matrices (g11, g12, g22) of the two frames.
 _HEXAGONAL = (Fraction(4, 3), Fraction(-2, 3), Fraction(4, 3))
 _SQUARE = (1, 0, 1)
@@ -305,9 +274,12 @@ class GroupContext:
         return ch
 
     def chamber_from_word(self, word) -> Chamber:
-        """Word is an iterable of generator indices (0-based)."""
+        """Word is an iterable of generator indices (0-based); a letter that
+        is not an int in 0..rank-1, a bool included, raises ValueError."""
         e = GroupElement.identity(self.tag.code)
         for i in word:
+            if type(i) is not int or not 0 <= i < self.rank:
+                raise ValueError(f"letter {i!r} is not a generator index in 0..{self.rank - 1}")
             e = e.compose(self.gens[i])
         return self.chamber_of(e)
 
@@ -365,14 +337,23 @@ class GroupContext:
         a point on a wall raises ValueError.  The fold is exact."""
         return self.chamber_from_word(self._fold(*_scaled(point)))
 
-    def geodesic(self, u: Chamber, v: Chamber) -> Gallery:
-        """Minimal gallery from u to v, lowest generator index first: the
-        fold of u^-1(v) spells it from u."""
+    def geodesic(self, u: Chamber, v: Chamber) -> tuple:
+        """Minimal gallery from u to v as the tuple of its chambers, lowest
+        generator index first: the fold of u^-1(v) spells it from u."""
         self._check(u, v)
         letters = self._fold(*u.element.preimage_scaled(*v.order_key, self.scale),
                              self.scale)
-        return Gallery(tuple(accumulate(letters, lambda c, i: c.neighbors()[i],
-                                        initial=u)))
+        return tuple(accumulate(letters, lambda c, i: c.neighbors()[i], initial=u))
+
+    def crossed_walls(self, gallery) -> list:
+        """Panel walls crossed along a gallery of this context, in order."""
+        self._check(*gallery)
+        walls = []
+        for a, b in zip(gallery, gallery[1:]):
+            if b not in a.neighbors():
+                raise ValueError("gallery steps must be adjacent chambers")
+            walls.append(a.panel_walls()[a.neighbors().index(b)])
+        return walls
 
     def letters_of(self, c: Chamber) -> list:
         """Canonical geodesic word from the base, 0-based: c's fold."""

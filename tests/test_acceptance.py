@@ -218,8 +218,7 @@ def test_criterion_10_invariance_suite():
                 failures["monotonicity"] += 1
 
             x, y = rng.choice(ball), rng.choice(ball)
-            gal = ctx.geodesic(x, y)
-            walls = gal.crossed_walls()
+            walls = ctx.crossed_walls(ctx.geodesic(x, y))
             if len(set(walls)) != len(walls) or set(walls) != ctx.separating_walls(x, y):
                 failures["gallery"] += 1
     ok = not any(failures.values())

@@ -152,13 +152,14 @@ _ORACLE_BANNED = _ORACLE_BANNED_DEFS | {"ctx", "Chamber", "neighbors", "letters_
 
 
 def _names_in(source, tops, banned):
-    """(definition, line) of each name or attribute in `banned` inside the
-    top-level definitions named in `tops`."""
+    """(definition, line) of each name, attribute, parameter or keyword
+    argument in `banned` inside the top-level definitions named in `tops`."""
     return [(top.name, node.lineno)
             for top in ast.parse(source).body if getattr(top, "name", None) in tops
             for node in ast.walk(top)
             if isinstance(node, ast.Name) and node.id in banned
-            or isinstance(node, ast.Attribute) and node.attr in banned]
+            or isinstance(node, ast.Attribute) and node.attr in banned
+            or isinstance(node, (ast.arg, ast.keyword)) and node.arg in banned]
 
 
 def _kernel_reads(source):
@@ -207,9 +208,13 @@ def test_oracle_rule_catches_planted_reads():
               "    def __init__(self, ctx, ball):\n"
               "        self.words = [self.ctx.letters_of(c) for c in ball]\n"
               "        self.edges = [c.neighbors() for c in ball if isinstance(c, Chamber)]\n"
+              "        self.sizes = f(ctx=1)\n"
               "def sweep_triples(rows, ball, ctx):\n"
               "    return _offset_rows(rows), _check_map, ctx.letters_of(ball[0])\n")
-    assert _oracle_reads(source) == [("_WeakOrder", 3), ("_WeakOrder", 5),
+    # ast.walk goes breadth first: the `ctx` parameter of line 6 comes
+    # first, and the `ctx=` keyword of line 9 ahead of the deeper reads.
+    assert _oracle_reads(source) == [("_WeakOrder", 6), ("_WeakOrder", 3),
+                                     ("_WeakOrder", 5), ("_WeakOrder", 9),
                                      ("_WeakOrder", 5), ("_WeakOrder", 7),
                                      ("_WeakOrder", 8), ("_WeakOrder", 7),
                                      ("_WeakOrder", 8)]

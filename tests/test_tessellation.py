@@ -2,14 +2,15 @@ import collections
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from coxhull.convexity import halfspace_hull, sweep_triples
 from coxhull.coxeter import TypeTag
-from coxhull.group import reflection_across
-from coxhull.tessellation import Gallery, GroupContext, _base_data, _derive_families
+from coxhull.group import MixedContext, reflection_across
+from coxhull.tessellation import GroupContext, _base_data, _derive_families
 
 
 def bfs_distances(start, depth):
@@ -427,7 +428,13 @@ def test_gallery_refuses_non_adjacent_steps(ctx):
     base = ctx.base_chamber
     for step in [ctx.chamber_from_word([0, 1]), base]:
         with pytest.raises(ValueError, match="gallery steps must be adjacent chambers"):
-            Gallery((base, step)).crossed_walls()
+            ctx.crossed_walls((base, step))
+
+
+def test_crossed_walls_refuses_another_contexts_chambers(ctx):
+    other = GroupContext(ctx.tag)
+    with pytest.raises(MixedContext):
+        ctx.crossed_walls(other.geodesic(other.base_chamber, other.chamber_from_word([0])))
 
 
 def test_chambers_are_interned(ctx):
@@ -443,6 +450,17 @@ def test_separate_contexts_never_share_chambers():
     assert a.element == b.element
     assert a != b
     assert len({a, b}) == 2
+
+
+@pytest.mark.parametrize("spell", [lambda rank: [-1], lambda rank: [rank],
+                                   lambda rank: [True, 1]], ids=["negative", "rank", "bool"])
+def test_chamber_from_word_refuses_letters_out_of_range(ctx, spell):
+    # -1 would wrap round the generator list and True would read as
+    # generator 1; rank itself is one past the last generator.
+    word = spell(ctx.rank)
+    text = f"letter {word[0]!r} is not a generator index in 0..{ctx.rank - 1}"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        ctx.chamber_from_word(word)
 
 
 def test_word_roundtrip(ctx):
