@@ -5,8 +5,10 @@ list) to nonzero integer coefficients.  The variable list is fixed per
 polynomial and binary operations require the same list, which keeps
 exponent vectors positionally comparable.  Polynomials are built by
 arithmetic on `MultiPoly.var` and integers, so an expression written for
-integers expands unchanged; there is no parser.  Serialization uses
-graded lexicographic term order so printed expansions are reproducible.
+integers expands unchanged as long as no integer stands left of a minus;
+there is no parser.  Serialization uses graded lexicographic term order so
+printed expansions are reproducible.  Polynomials are only built, compared
+and printed: numbers come from the same expressions called on integers.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ class MultiPoly:
     def __sub__(self, other):
         return self + (-self._same_vars(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._same_vars(other)
         terms = {}
@@ -84,71 +83,28 @@ class MultiPoly:
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
-
     # -- structure ----------------------------------------------------------
-
-    def coefficient(self, **powers):
-        """Coefficient of the monomial with the given variable powers."""
-        for name in powers:
-            if name not in self.variables:
-                raise UnknownVariable(f"{name!r} is not among {self.variables}")
-        expo = tuple(powers.get(v, 0) for v in self.variables)
-        return self.terms.get(expo, 0)
 
     def sorted_terms(self):
         """Terms in graded lexicographic order, highest first."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
-    def eval(self, assignment):
-        """Exact integer evaluation; the assignment must cover every variable
-        that actually occurs."""
-        values = []
-        for i, v in enumerate(self.variables):
-            if v in assignment:
-                values.append(assignment[v])
-            elif any(e[i] for e in self.terms):
-                raise UnknownVariable(f"no value for {v!r}")
-            else:
-                values.append(0)
-        total = 0
-        for expo, coeff in self.terms.items():
-            prod = coeff
-            for val, power in zip(values, expo):
-                prod *= val ** power
-            total += prod
-        return total
+    def monomial(self, expo):
+        """The monomial with the given exponent vector as printed, "1" for
+        the constant one."""
+        return "*".join(v if e == 1 else f"{v}^{e}"
+                        for v, e in zip(self.variables, expo) if e) or "1"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for expo, coeff in self.sorted_terms():
-            factors = []
-            for v, e in zip(self.variables, expo):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            mono = "*".join(factors)
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            mono, mag = self.monomial(expo), abs(coeff)
+            body = str(mag) if mono == "1" else mono if mag == 1 else f"{mag}*{mono}"
+            parts.append(f"{'-' if coeff < 0 else '+'} {body}")
+        if not parts:
+            return "0"
+        out = " ".join(parts)
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def __repr__(self):
         return f"MultiPoly({self.variables}, {str(self)!r})"

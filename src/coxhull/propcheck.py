@@ -64,11 +64,7 @@ class MismatchReport(AssertionError):
             want = expected.terms.get(expo, 0)
             have = got.terms.get(expo, 0)
             if want != have:
-                mono = "*".join(
-                    f"{v}^{e}" if e > 1 else v
-                    for v, e in zip(expected.variables, expo) if e
-                ) or "1"
-                self.differences.append((mono, want, have))
+                self.differences.append((expected.monomial(expo), want, have))
         lines = [f"{label}: expansion mismatch"]
         for mono, want, have in self.differences:
             lines.append(f"  {mono}: expected {want}, got {have}")

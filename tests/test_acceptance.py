@@ -156,8 +156,8 @@ def test_criterion_06_c2_case2_formulas():
 def test_criterion_07_case2_expansion():
     diff = verify_c2_expansion()   # raises MismatchReport on any term deviation
     ok = (len(diff.terms) == 16
-          and diff.coefficient(k=1, n=1, p=1, q=1) == 16
-          and diff.coefficient() == 22
+          and diff.terms.get((1, 1, 1, 1)) == 16
+          and diff.terms.get((0, 0, 0, 0)) == 22
           and check_nonneg_coeffs(diff)
           and all(c > 0 for c in diff.terms.values()))
     _report(7, "case-2 difference expands to the pinned 16 positive terms", ok)

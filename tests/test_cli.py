@@ -47,6 +47,8 @@ def test_check_has_no_seed_option(capsys):
 def test_check_radius_cap(capsys):
     assert main(["check", "--type", "a2t", "--radius", "9"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+    assert main(["check", "--type", "a2t", "--radius", "-1"]) == 2
+    assert capsys.readouterr().err == "error: radius must be non-negative\n"
     # explicit override allows it (but keep it tiny here by capping lower)
     assert main(["check", "--type", "a2t", "--radius", "2",
                  "--radius-cap", "2"]) == 0
@@ -271,6 +273,7 @@ def test_formula_constraint_errors(capsys):
     (["--type", "c2t"], "--abxy A,B,X,Y is required for c2t"),
     (["--type", "a2t", "--xy", "7"], "--xy wants 2 comma-separated integers, got '7'"),
     (["--type", "a2t", "--xy", "7,a"], "--xy wants integers, got '7,a'"),
+    (["--type", "i2inf", "--d", "-1"], "distance must be non-negative"),
 ])
 def test_formula_usage_refused(args, message, capsys):
     assert main(["formula", *args]) == 2
@@ -360,6 +363,22 @@ def test_failed_report_write_leaves_no_temp_and_old_report(tmp_path, monkeypatch
     assert main(["check", "--type", "a2t", "--radius", "2",
                  "--report", str(report)]) == 2
     assert "disk full" in capsys.readouterr().err
+    assert report.read_text() == "previous report\n"
+    assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+def test_interrupted_report_write_leaves_no_temp_and_old_report(tmp_path, monkeypatch,
+                                                                capsys):
+    report = tmp_path / "report.json"
+    report.write_text("previous report\n")
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(coxhull.cli.os, "replace", interrupted)
+    assert main(["check", "--type", "a2t", "--radius", "2",
+                 "--report", str(report)]) == 2
+    assert capsys.readouterr().err == "error: interrupted\n"
     assert report.read_text() == "previous report\n"
     assert list(tmp_path.glob("*.tmp.*")) == []
 

@@ -34,6 +34,12 @@ def test_bool_is_not_an_order(raw):
         validate_matrix(raw)
 
 
+@pytest.mark.parametrize("raw", [[], [[1, 3], [3]]])
+def test_empty_or_ragged_matrix_refused(raw):
+    with pytest.raises(CoxeterMatrixError, match="^matrix must be square and nonempty$"):
+        validate_matrix(raw)
+
+
 def test_non_symmetric_names_indices():
     with pytest.raises(CoxeterMatrixError,
                        match=r"^entries\[0\]\[1\]=2 != entries\[1\]\[0\]=3$"):

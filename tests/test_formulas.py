@@ -4,7 +4,8 @@ from coxhull.convexity import halfspace_hull
 from coxhull.formulas import (A2Coord, C2CaseParams, CoordinateError,
                               a2_chamber_pair, a2_pair_count,
                               a2_strong_hull_sides, c2_case2_chambers,
-                              c2_case2_counts, dihedral_pair_count, i2_cell)
+                              c2_case2_counts, c2_triangle, dihedral_pair_count,
+                              i2_cell)
 
 
 def test_pair_count_examples():
@@ -75,6 +76,10 @@ def test_strong_hull_sides_match_enumeration(a2):
 def test_strong_hull_sides_constraints():
     with pytest.raises(CoordinateError, match="need x >= y-1"):
         a2_strong_hull_sides(0, 2, 2, 0)
+    with pytest.raises(CoordinateError, match="^x must be non-negative, got -1$"):
+        a2_strong_hull_sides(-1, 0, 0, 2)
+    with pytest.raises(CoordinateError, match="need a >= b-1, got a=0, b=2"):
+        a2_strong_hull_sides(1, 0, 0, 2)
     with pytest.raises(CoordinateError, match="x\\+y must be positive odd"):
         a2_strong_hull_sides(2, 0, 2, 0)
     with pytest.raises(CoordinateError, match="a\\+b must be positive even, got 1"):
@@ -143,6 +148,18 @@ def test_case2_strong_hull_holds_enumerated(c2):
     svw = halfspace_hull([v, w]).size
     suvw = halfspace_hull([u, v, w]).size
     assert suv * svw >= suvw
+
+
+@pytest.mark.parametrize("address, own", [
+    pytest.param(lambda ctx: a2_chamber_pair(ctx, A2Coord(1, 0)), "a2t", id="a2-pair"),
+    pytest.param(lambda ctx: c2_triangle(ctx, 1, 0, "NE"), "c2t", id="c2-triangle"),
+    pytest.param(lambda ctx: i2_cell(ctx, 0), "i2inf", id="i2-cell")])
+def test_coordinates_refuse_another_types_context(address, own, ctx):
+    if ctx.tag.code == own:
+        address(ctx)
+    else:
+        with pytest.raises(CoordinateError):
+            address(ctx)
 
 
 def test_dihedral_pair_count(i2):

@@ -38,20 +38,7 @@ def test_mul_associates(p, q, r):
 @given(polys())
 def test_zero_coefficients_never_stored(p):
     assert all(c != 0 for c in p.terms.values())
-    assert (p - p).is_zero()
-
-
-@given(polys(), st.tuples(*[st.integers(min_value=-5, max_value=5)] * len(VARS)))
-def test_eval_is_ring_homomorphism(p, point):
-    assignment = dict(zip(VARS, point))
-    direct = p.eval(assignment)
-    total = 0
-    for expo, coeff in p.terms.items():
-        term = coeff
-        for v, e in zip(point, expo):
-            term *= v ** e
-        total += term
-    assert direct == total
+    assert p - p == MultiPoly(VARS)
 
 
 def test_graded_lex_printing():
@@ -70,7 +57,7 @@ def test_exponent_length_mismatch_rejected():
     with pytest.raises(ValueError, match="exponent vector length mismatch"):
         MultiPoly(VARS, {(1, 0): 3})
     # A zero coefficient is dropped before its exponent is checked.
-    assert MultiPoly(VARS, {(1, 0): 0}).is_zero()
+    assert MultiPoly(VARS, {(1, 0): 0}) == MultiPoly(VARS)
 
 
 def test_check_nonneg_coeffs():

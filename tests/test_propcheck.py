@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from coxhull.formulas import C2CaseParams, c2_case2_counts
+from coxhull.formulas import C2CaseParams, a2_sides_forms, c2_case2_counts
 from coxhull.poly import MultiPoly, check_nonneg_coeffs
 from coxhull.propcheck import (MismatchReport, VARS_SUB, a2_box_violations,
                                a2_decomposed_lhs, a2_factored_rhs,
                                a2_sides_poly, c2_box_violations,
                                c2_case2_sides_ints,
-                               c2_corrected_difference_poly,
                                c2_difference_poly, case2_corrected_difference,
                                case2_expected_difference, verify_a2_identities,
                                verify_c2_corrected_expansion,
@@ -21,43 +20,40 @@ def test_identities_hold():
 
 def test_identity_polynomials_are_equal_exactly():
     lhs, rhs = a2_sides_poly()
-    assert (a2_decomposed_lhs() - lhs).is_zero()
-    assert (a2_factored_rhs() - rhs).is_zero()
+    zero = MultiPoly(lhs.variables)
+    assert a2_decomposed_lhs() - lhs == zero
+    assert a2_factored_rhs() - rhs == zero
 
 
 def test_identity_spot_values():
-    lhs, rhs = a2_sides_poly()
-    point = {"x": 2, "y": 1, "a": 1, "b": 1}
-    assert lhs.eval(point) == a2_decomposed_lhs().eval(point) == 18
-    point = {"x": 1, "y": 0, "a": 2, "b": 0}
-    assert rhs.eval(point) == a2_factored_rhs().eval(point) == 4
+    assert a2_sides_forms(2, 1, 1, 1)[0] == 18
+    assert a2_sides_forms(1, 0, 2, 0)[1] == 4
 
 
 def test_expansion_shape():
     diff = verify_c2_expansion()
     assert len(diff.terms) == 16
-    assert diff.coefficient(k=1, n=1, p=1, q=1) == 16
-    assert diff.coefficient() == 22
+    assert diff.terms[1, 1, 1, 1] == 16
+    assert diff.terms[0, 0, 0, 0] == 22
     assert check_nonneg_coeffs(diff)
     assert all(c > 0 for c in diff.terms.values())
 
 
 def test_expansion_spot_value():
-    diff = c2_difference_poly()
-    assert diff.eval({"k": 0, "n": 0, "p": 1, "q": 0}) == 46
+    assert case2_expected_difference(0, 0, 1, 0) == 46
     lhs, rhs = c2_case2_sides_ints(2, 2, 5, 4)
     assert lhs - rhs == 46
 
 
 def test_expansion_agrees_with_integer_route():
-    diff = c2_difference_poly()
+    verify_c2_expansion()
     rng = random.Random(42)
     for _ in range(200):
         k, n, p, q = (rng.randint(0, 10) for _ in range(4))
         a, b = 4 * n + 2, k + 2
         x, y = 4 * n + 4 * q + 5, k + p + 3
         lhs, rhs = c2_case2_sides_ints(a, b, x, y)
-        assert diff.eval({"k": k, "n": n, "p": p, "q": q}) == lhs - rhs
+        assert case2_expected_difference(k, n, p, q) == lhs - rhs
 
 
 def test_corrected_expansion_exceeds_paper_by_size_uv():
@@ -74,7 +70,7 @@ def test_corrected_expansion_shape():
 
 
 def test_corrected_expansion_agrees_with_counts():
-    diff = c2_corrected_difference_poly()
+    verify_c2_corrected_expansion()
     rng = random.Random(43)
     for _ in range(200):
         # p >= 1 keeps y >= b+2, the domain of c2_case2_counts.
@@ -82,7 +78,7 @@ def test_corrected_expansion_agrees_with_counts():
                       rng.randint(1, 10), rng.randint(0, 10))
         params = C2CaseParams(4 * n + 2, k + 2, 4 * n + 4 * q + 5, k + p + 3)
         size_uv, size_vw, size_uvw = c2_case2_counts(params)
-        assert (diff.eval({"k": k, "n": n, "p": p, "q": q})
+        assert (case2_corrected_difference(k, n, p, q)
                 == size_uv * size_vw - size_uvw)
 
 
@@ -93,6 +89,14 @@ def test_mismatch_reporting_lists_terms():
         if c2_difference_poly() != tampered:
             raise MismatchReport("tampered", tampered, c2_difference_poly())
     assert exc.value.differences == [("k*q", 29, 28)]
+
+
+def test_mismatch_reporting_names_the_constant_term():
+    k, n, p, q = (MultiPoly.var(VARS_SUB, v) for v in VARS_SUB)
+    pinned = case2_expected_difference(k, n, p, q)
+    report = MismatchReport("shifted", pinned, pinned + 1)
+    assert report.differences == [("1", 22, 23)]
+    assert str(report).endswith("\n  1: expected 22, got 23")
 
 
 def test_a2_box_clean():

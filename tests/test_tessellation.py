@@ -9,7 +9,7 @@ import pytest
 
 from coxhull.convexity import halfspace_hull, sweep_triples
 from coxhull.coxeter import TypeTag
-from coxhull.group import MixedContext, reflection_across
+from coxhull.group import GroupElement, MixedContext, reflection_across
 from coxhull.tessellation import GroupContext, _base_data, _derive_families
 
 
@@ -435,6 +435,11 @@ def test_crossed_walls_refuses_another_contexts_chambers(ctx):
     other = GroupContext(ctx.tag)
     with pytest.raises(MixedContext):
         ctx.crossed_walls(other.geodesic(other.base_chamber, other.chamber_from_word([0])))
+
+
+def test_chamber_of_refuses_another_types_element(a2):
+    with pytest.raises(MixedContext, match="^element of c2t used in a2t$"):
+        a2.chamber_of(GroupElement.identity("c2t"))
 
 
 def test_chambers_are_interned(ctx):
