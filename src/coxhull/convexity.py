@@ -43,17 +43,9 @@ from itertools import accumulate, repeat
 from operator import and_, attrgetter, itemgetter, lt, mul, or_, sub
 
 from .coxeter import TypeTag
-from .group import MixedContext
+from .group import apply_scaled, preimage_scaled
 from .roots import RootSystem
-from .tessellation import Chamber, GroupContext, build_group
-
-
-def _shared_ctx(*chambers: Chamber) -> GroupContext:
-    ctx = chambers[0].ctx
-    for c in chambers[1:]:
-        if c.ctx is not ctx:
-            raise MixedContext("chambers belong to different group contexts")
-    return ctx
+from .tessellation import Chamber, build_group
 
 
 class ChamberSet(frozenset):
@@ -103,16 +95,17 @@ def interval(u: Chamber, v: Chamber) -> ChamberSet:
     so iff base wall i separates c^-1(v) from the base chamber, so the
     search outward from u carries c^-1 of v's scaled barycenter, reflected
     by generator i with each step."""
-    ctx = _shared_ctx(u, v)
+    ctx = u.ctx
+    ctx._check(v)
     m = ctx.scale
     seen = {u}
-    stack = [(u, u.element.preimage_scaled(*v.order_key, m))]
+    stack = [(u, preimage_scaled(u.element, *v.order_key, m))]
     while stack:
         c, (p1, p2) = stack.pop()
         for (n1, n2, k), g, nb in zip(ctx.base_walls, ctx.gens, c.neighbors()):
             if n1 * p1 + n2 * p2 < k * m and nb not in seen:
                 seen.add(nb)
-                stack.append((nb, g.apply_scaled(p1, p2, m)))
+                stack.append((nb, apply_scaled(g, p1, p2, m)))
     return ChamberSet(seen)
 
 
@@ -124,7 +117,9 @@ def halfspace_hull(points) -> ChamberSet:
     points = list(points)
     if not points:
         raise ValueError("hull of an empty point list")
-    nfam = len(_shared_ctx(*points).families)
+    ctx = points[0].ctx
+    ctx._check(*points)
+    nfam = len(ctx.families)
     cols = list(zip(*(p.floors for p in points)))
     lo, hi = [min(c) for c in cols], [max(c) for c in cols]
     seed = points[0]
@@ -151,7 +146,7 @@ def closure_hull(points) -> ChamberSet:
     points = list(points)
     if not points:
         raise ValueError("hull of an empty point list")
-    _shared_ctx(*points)
+    points[0].ctx._check(*points)
     # Each chamber is paired with the members before it as it joins, so
     # every unordered pair of members is queued exactly once.
     members = set()

@@ -205,19 +205,27 @@ def a2_reduced_triple(ctx: GroupContext, x: int, y: int, a: int, b: int):
 
 
 # Square-grid triangle species: a unit square is cut by one diagonal, and
-# the in-square barycenter offset identifies the triangle.
+# the in-square barycenter offset identifies the triangle.  The diagonal
+# rises when i+j is even and falls when it is odd, so each species lies in
+# squares of one parity of i+j.
 _C2_SPECIES = {
-    "LR": (Fraction(2, 3), Fraction(1, 3)),
-    "SW": (Fraction(1, 3), Fraction(1, 3)),
-    "NE": (Fraction(2, 3), Fraction(2, 3)),
+    "LR": (Fraction(2, 3), Fraction(1, 3), 0),
+    "SW": (Fraction(1, 3), Fraction(1, 3), 1),
+    "NE": (Fraction(2, 3), Fraction(2, 3), 1),
 }
 
 
 def c2_triangle(ctx: GroupContext, i: int, j: int, species: str) -> Chamber:
-    """Triangle of the given species in the unit square [i,i+1] x [j,j+1]."""
+    """Triangle of the given species in the unit square [i,i+1] x [j,j+1]:
+    LR when i+j is even, SW or NE when it is odd."""
     if ctx.tag is not TypeTag.C2Tilde:
         raise CoordinateError("square-grid triangles live in the c2t complex")
-    dx, dy = _C2_SPECIES[species]
+    _check_ints(i=i, j=j)
+    if species not in _C2_SPECIES:
+        raise CoordinateError(f"species must be one of {', '.join(_C2_SPECIES)}, got {species!r}")
+    dx, dy, parity = _C2_SPECIES[species]
+    if (i + j) % 2 != parity:
+        raise CoordinateError(f"square ({i}, {j}) has no {species} triangle")
     return ctx.chamber_containing((i + dx, j + dy))
 
 
@@ -235,4 +243,5 @@ def i2_cell(ctx: GroupContext, n: int) -> Chamber:
     """The n-th unit cell of the line model."""
     if ctx.tag is not TypeTag.I2Infinity:
         raise CoordinateError("cells are addressed on the line model only")
+    _check_ints(n=n)
     return ctx.chamber_containing((n + Fraction(1, 2), Fraction(1, 2)))

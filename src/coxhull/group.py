@@ -7,9 +7,11 @@ matrix, which turns a line's normal covector into a direction.  In such a
 frame every reflection of a crystallographic group is an integer affine
 map p -> A p + t, so composition and equality are integer arithmetic and
 exact, which is what makes chamber identity and wall-side tests
-decidable.  Points are `Fraction`s.  A line {n1*x + n2*y = c} is the
-triple (n1, n2, c); the line map `GroupElement.line_image` keeps the
-number type of its input, so integer lines map to integer lines.
+decidable.  A group element is the tuple (tag, a, b, c, d, tx, ty) of the
+map p -> [[a, b], [c, d]] p + (tx, ty), tagged by the group it belongs to;
+it is its own key.  Points are `Fraction`s.  A line {n1*x + n2*y = c} is
+the triple (n1, n2, c); the line map `line_image` keeps the number type of
+its input, so integer lines map to integer lines.
 """
 
 from __future__ import annotations
@@ -29,78 +31,55 @@ def vec(x, y) -> Vec:
     return (Fraction(x), Fraction(y))
 
 
-class GroupElement:
-    """Integer affine map p -> A p + t, tagged by the group it belongs to."""
-
-    __slots__ = ("tag", "a", "b", "c", "d", "tx", "ty", "key")
-
-    def __init__(self, tag: str, linear, translation) -> None:
-        self.tag = tag
-        self.a, self.b, self.c, self.d = linear
-        self.tx, self.ty = translation
-        self.key = (tag, self.a, self.b, self.c, self.d, self.tx, self.ty)
-
-    @classmethod
-    def identity(cls, tag: str) -> "GroupElement":
-        return cls(tag, (1, 0, 0, 1), (0, 0))
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.key == other.key
-
-    def __repr__(self) -> str:
-        return (f"GroupElement({self.tag}, [[{self.a}, {self.b}], "
-                f"[{self.c}, {self.d}]], ({self.tx}, {self.ty}))")
-
-    def apply(self, point: Vec) -> Vec:
-        x, y = point
-        return (self.a * x + self.b * y + self.tx,
-                self.c * x + self.d * y + self.ty)
-
-    def apply_scaled(self, p1, p2, m):
-        """The image of the point (p1/m, p2/m), scaled by m: integer points
-        map to integer points."""
-        return (self.a * p1 + self.b * p2 + m * self.tx,
-                self.c * p1 + self.d * p2 + m * self.ty)
-
-    def preimage_scaled(self, p1, p2, m):
-        """The point that maps to (p1/m, p2/m), scaled by m: A^-1 is
-        det A * adj A, as det A = +-1."""
-        det = self.a * self.d - self.b * self.c
-        x, y = p1 - m * self.tx, p2 - m * self.ty
-        return det * (self.d * x - self.b * y), det * (self.a * y - self.c * x)
-
-    def line_image(self, n1, n2, c):
-        """Coefficients of the image of the line n1*x + n2*y = c, in the
-        number type of the input: integer lines map to integer lines."""
-        # {n.p = c} maps to {m.q = c + m.t} with m = n A^-1; det A = +-1,
-        # so A^-1 = det A * adj A.
-        det = self.a * self.d - self.b * self.c
-        m1 = det * (n1 * self.d - n2 * self.c)
-        m2 = det * (n2 * self.a - n1 * self.b)
-        return m1, m2, c + m1 * self.tx + m2 * self.ty
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """self after other: (self*other)(p) = self(other(p))."""
-        if self.tag != other.tag:
-            raise MixedContext(f"cannot compose {self.tag} with {other.tag}")
-        a = self.a * other.a + self.b * other.c
-        b = self.a * other.b + self.b * other.d
-        c = self.c * other.a + self.d * other.c
-        d = self.c * other.b + self.d * other.d
-        tx = self.a * other.tx + self.b * other.ty + self.tx
-        ty = self.c * other.tx + self.d * other.ty + self.ty
-        return GroupElement(self.tag, (a, b, c, d), (tx, ty))
-
-    def is_identity(self) -> bool:
-        return self == GroupElement.identity(self.tag)
+def identity(tag: str) -> tuple:
+    return (tag, 1, 0, 0, 1, 0, 0)
 
 
-def reflection_across(tag: str, line, gram_inv) -> GroupElement:
+def apply(g, point: Vec) -> Vec:
+    _, a, b, c, d, tx, ty = g
+    x, y = point
+    return (a * x + b * y + tx, c * x + d * y + ty)
+
+
+def apply_scaled(g, p1, p2, m):
+    """The image under g of the point (p1/m, p2/m), scaled by m: integer
+    points map to integer points."""
+    _, a, b, c, d, tx, ty = g
+    return (a * p1 + b * p2 + m * tx, c * p1 + d * p2 + m * ty)
+
+
+def preimage_scaled(g, p1, p2, m):
+    """The point that g maps to (p1/m, p2/m), scaled by m: A^-1 is
+    det A * adj A, as det A = +-1."""
+    _, a, b, c, d, tx, ty = g
+    det = a * d - b * c
+    x, y = p1 - m * tx, p2 - m * ty
+    return det * (d * x - b * y), det * (a * y - c * x)
+
+
+def line_image(g, n1, n2, k):
+    """Coefficients of the image under g of the line n1*x + n2*y = k, in
+    the number type of the input: integer lines map to integer lines."""
+    # {n.p = k} maps to {m.q = k + m.t} with m = n A^-1; det A = +-1,
+    # so A^-1 = det A * adj A.
+    _, a, b, c, d, tx, ty = g
+    det = a * d - b * c
+    m1 = det * (n1 * d - n2 * c)
+    m2 = det * (n2 * a - n1 * b)
+    return m1, m2, k + m1 * tx + m2 * ty
+
+
+def compose(g, h) -> tuple:
+    """g after h: (g*h)(p) = g(h(p))."""
+    tag, a, b, c, d, tx, ty = g
+    htag, ha, hb, hc, hd, htx, hty = h
+    if tag != htag:
+        raise MixedContext(f"cannot compose {tag} with {htag}")
+    return (tag, a * ha + b * hc, a * hb + b * hd, c * ha + d * hc, c * hb + d * hd,
+            a * htx + b * hty + tx, c * htx + d * hty + ty)
+
+
+def reflection_across(tag: str, line, gram_inv) -> tuple:
     """The reflection fixing the line (n1, n2, c), for the frame whose inverse
     Gram matrix is `gram_inv` = (g11, g12, g22):
     p -> p - 2(n.p - c)/(n.G^-1 n) * G^-1 n.  Raises RuntimeError unless
@@ -114,15 +93,15 @@ def reflection_across(tag: str, line, gram_inv) -> GroupElement:
                f * c * u1, f * c * u2)
     if any(e.denominator != 1 for e in entries):
         raise RuntimeError(f"{tag} reflection is not an integer map in its frame")
-    ints = [int(e) for e in entries]
-    return GroupElement(tag, ints[:4], ints[4:])
+    return (tag, *map(int, entries))
 
 
-def element_order(g: GroupElement) -> int:
+def element_order(g) -> int:
     """Order of g by iterated composition; raises past a fixed cap."""
+    e = identity(g[0])
     acc = g
     for n in range(1, _ORDER_CAP + 1):
-        if acc.is_identity():
+        if acc == e:
             return n
-        acc = acc.compose(g)
+        acc = compose(acc, g)
     raise ValueError(f"order exceeds {_ORDER_CAP}")

@@ -38,7 +38,8 @@ from itertools import accumulate
 from operator import attrgetter
 
 from .coxeter import INF, CoxeterMatrix, TypeTag, matrix_for
-from .group import (GroupElement, MixedContext, Vec, element_order,
+from .group import (MixedContext, Vec, apply, apply_scaled, compose,
+                    element_order, identity, line_image, preimage_scaled,
                     reflection_across, vec)
 
 
@@ -68,10 +69,10 @@ class Chamber:
 
     __slots__ = ("ctx", "element", "order_key", "floors", "_neighbors")
 
-    def __init__(self, ctx: "GroupContext", element: GroupElement) -> None:
+    def __init__(self, ctx: "GroupContext", element: tuple) -> None:
         self.ctx = ctx
         self.element = element
-        self.order_key = q1, q2 = element.apply_scaled(*ctx.base_key, ctx.scale)
+        self.order_key = q1, q2 = apply_scaled(element, *ctx.base_key, ctx.scale)
         self.floors = tuple([(n1 * q1 + n2 * q2 - r) // s
                              for n1, n2, r, s in ctx.floor_forms])
         self._neighbors = None
@@ -90,17 +91,17 @@ class Chamber:
         """The adjacent chambers, one per generator: the i-th lies across
         panel i, the one on the wall `panel_walls()[i]`."""
         if self._neighbors is None:
-            self._neighbors = tuple([self.ctx.chamber_of(self.element.compose(s))
+            self._neighbors = tuple([self.ctx.chamber_of(compose(self.element, s))
                                      for s in self.ctx.gens])
         return self._neighbors
 
     def panel_walls(self):
         """Wall containing the i-th panel, for each generator index i."""
-        return tuple(self.ctx.wall_of_line(self.element.line_image(*w))
+        return tuple(self.ctx.wall_of_line(line_image(self.element, *w))
                      for w in self.ctx.base_walls)
 
     def vertices(self):
-        return [self.element.apply(v) for v in self.ctx.base_vertices]
+        return [apply(self.element, v) for v in self.ctx.base_vertices]
 
 
 # Inverse Gram matrices (g11, g12, g22) of the two frames.
@@ -195,7 +196,7 @@ def _derive_families(gens, base_walls):
             continue
         r = r % g if g else r
         table[n1, n2] = r, g
-        queue += [_primitive(*s.line_image(n1, n2, k)) for s in gens for k in (r, r + g)]
+        queue += [_primitive(*line_image(s, n1, n2, k)) for s in gens for k in (r, r + g)]
     if any(gap == 0 for _, gap in table.values()):
         raise RuntimeError("a wall family has a single wall")
     return sorted(((n1, n2, r, gap) for (n1, n2), (r, gap) in table.items()),
@@ -241,7 +242,7 @@ class GroupContext:
             raise RuntimeError(f"{tag.code} floor form with a non-positive divisor")
         self._family_by_dir = {(n1, n2): f for f, (n1, n2, _, _) in enumerate(self.families)}
         self._chambers: dict = {}
-        self.base_chamber = self.chamber_of(GroupElement.identity(tag.code))
+        self.base_chamber = self.chamber_of(identity(tag.code))
         self._layers = [[self.base_chamber]]
         self._check_floor_forms()
 
@@ -262,25 +263,26 @@ class GroupContext:
 
     # -- chambers ---------------------------------------------------------
 
-    def chamber_of(self, element: GroupElement) -> Chamber:
+    def chamber_of(self, element: tuple) -> Chamber:
         """The one chamber of this context for `element`: the intern table
-        that makes chamber identity equality.  Nothing else builds one."""
-        if element.tag != self.tag.code:
-            raise MixedContext(f"element of {element.tag} used in {self.tag.code}")
-        ch = self._chambers.get(element.key)
+        that makes chamber identity equality.  Nothing else builds one.
+        Another type's element is refused when the lookup misses, as its
+        tag never equals an interned element's."""
+        ch = self._chambers.get(element)
         if ch is None:
-            ch = Chamber(self, element)
-            self._chambers[element.key] = ch
+            if element[0] != self.tag.code:
+                raise MixedContext(f"element of {element[0]} used in {self.tag.code}")
+            ch = self._chambers[element] = Chamber(self, element)
         return ch
 
     def chamber_from_word(self, word) -> Chamber:
         """Word is an iterable of generator indices (0-based); a letter that
         is not an int in 0..rank-1, a bool included, raises ValueError."""
-        e = GroupElement.identity(self.tag.code)
+        e = identity(self.tag.code)
         for i in word:
             if type(i) is not int or not 0 <= i < self.rank:
                 raise ValueError(f"letter {i!r} is not a generator index in 0..{self.rank - 1}")
-            e = e.compose(self.gens[i])
+            e = compose(e, self.gens[i])
         return self.chamber_of(e)
 
     # -- walls ------------------------------------------------------------
@@ -323,7 +325,7 @@ class GroupContext:
         while True:
             for i, (n1, n2, c) in enumerate(self.base_walls):
                 if n1 * p1 + n2 * p2 < c * m:
-                    p1, p2 = self.gens[i].apply_scaled(p1, p2, m)
+                    p1, p2 = apply_scaled(self.gens[i], p1, p2, m)
                     letters.append(i)
                     break
             else:
@@ -341,7 +343,7 @@ class GroupContext:
         """Minimal gallery from u to v as the tuple of its chambers, lowest
         generator index first: the fold of u^-1(v) spells it from u."""
         self._check(u, v)
-        letters = self._fold(*u.element.preimage_scaled(*v.order_key, self.scale),
+        letters = self._fold(*preimage_scaled(u.element, *v.order_key, self.scale),
                              self.scale)
         return tuple(accumulate(letters, lambda c, i: c.neighbors()[i], initial=u))
 
@@ -414,7 +416,7 @@ class GroupContext:
                 m = self.matrix.order(i, j)
                 if m == INF:
                     continue
-                if element_order(self.gens[i].compose(self.gens[j])) != m:
+                if element_order(compose(self.gens[i], self.gens[j])) != m:
                     return False
         return True
 

@@ -20,6 +20,7 @@ from coxhull.coxeter import TypeTag
 from coxhull.formulas import (A2Coord, C2CaseParams, a2_chamber_pair,
                               a2_pair_count, c2_case2_chambers,
                               c2_case2_counts, dihedral_pair_count, i2_cell)
+from coxhull.group import compose
 from coxhull.poly import check_nonneg_coeffs
 from coxhull.propcheck import (a2_box_violations, verify_a2_identities,
                                verify_c2_expansion)
@@ -83,7 +84,7 @@ def test_criterion_03_pair_hull_identity():
             g = rng.choice(moves).element
             v = rng.choice(ball)
             u2 = ctx.chamber_of(g)
-            v2 = ctx.chamber_of(g.compose(v.element))
+            v2 = ctx.chamber_of(compose(g, v.element))
             if interval(u2, v2) != halfspace_hull([u2, v2]):
                 ok = False
     _report(3, "interval equals halfspace hull for all pairs at distance <= 8", ok)
@@ -201,7 +202,7 @@ def test_criterion_10_invariance_suite():
         for _ in range(per_type):
             pts = [rng.choice(ball) for _ in range(3)]
             g = rng.choice(moves).element
-            moved = [ctx.chamber_of(g.compose(p.element)) for p in pts]
+            moved = [ctx.chamber_of(compose(g, p.element)) for p in pts]
             if halfspace_hull(moved).size != halfspace_hull(pts).size:
                 failures["translation"] += 1
 

@@ -17,7 +17,7 @@ from coxhull.convexity import (ChamberSet, CheckReport, HullDisagreement, HullVe
                                strong_hull_check, sweep_triples)
 from coxhull.coxeter import TypeTag, matrix_for, validate_matrix
 from coxhull.formulas import A2Coord, C2CaseParams, c2_case2_chambers, i2_cell
-from coxhull.group import MixedContext
+from coxhull.group import MixedContext, compose
 from coxhull.roots import RootSystem
 from coxhull.tessellation import GroupContext, Wall, build_group
 
@@ -138,7 +138,7 @@ def test_translation_invariance(planar_ctx):
     for _ in range(30):
         pts = [rng.choice(ball) for _ in range(3)]
         g = rng.choice(moves).element
-        moved = [ctx.chamber_of(g.compose(p.element)) for p in pts]
+        moved = [ctx.chamber_of(compose(g, p.element)) for p in pts]
         assert halfspace_hull(moved).size == halfspace_hull(pts).size
 
 

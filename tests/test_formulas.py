@@ -162,6 +162,24 @@ def test_coordinates_refuse_another_types_context(address, own, ctx):
             address(ctx)
 
 
+@pytest.mark.parametrize("address, message", [
+    pytest.param(lambda c2, i2: c2_triangle(c2, 0, 0, "XX"), "species must be one of LR, SW, NE",
+                 id="c2-unknown-species"),
+    pytest.param(lambda c2, i2: c2_triangle(c2, 0, 0, "SW"), r"square \(0, 0\) has no SW",
+                 id="c2-sw-even"),
+    pytest.param(lambda c2, i2: c2_triangle(c2, 2, 0, "NE"), r"square \(2, 0\) has no NE",
+                 id="c2-ne-even"),
+    pytest.param(lambda c2, i2: c2_triangle(c2, 1, 0, "LR"), r"square \(1, 0\) has no LR",
+                 id="c2-lr-odd"),
+    pytest.param(lambda c2, i2: c2_triangle(c2, 1.0, 0, "NE"), "i must be an int", id="c2-float"),
+    pytest.param(lambda c2, i2: c2_triangle(c2, 0, True, "NE"), "j must be an int", id="c2-bool"),
+    pytest.param(lambda c2, i2: i2_cell(i2, 1.5), "n must be an int", id="i2-float"),
+    pytest.param(lambda c2, i2: i2_cell(i2, True), "n must be an int", id="i2-bool")])
+def test_coordinate_views_refuse_bad_addresses(address, message, c2, i2):
+    with pytest.raises(CoordinateError, match=message):
+        address(c2, i2)
+
+
 def test_dihedral_pair_count(i2):
     assert dihedral_pair_count(0) == 1
     assert dihedral_pair_count(5) == 6

@@ -9,7 +9,8 @@ import pytest
 
 from coxhull.convexity import halfspace_hull, sweep_triples
 from coxhull.coxeter import TypeTag
-from coxhull.group import GroupElement, MixedContext, reflection_across
+from coxhull.group import (MixedContext, apply, compose, identity, line_image,
+                           reflection_across)
 from coxhull.tessellation import GroupContext, _base_data, _derive_families
 
 
@@ -167,7 +168,7 @@ def table_faults(ctx, span=20):
     for i, s in enumerate(ctx.gens):
         for f, (n1, n2, r, gap) in enumerate(ctx.families):
             try:
-                images = [ctx.wall_of_line(s.line_image(n1, n2, r + k * gap))
+                images = [ctx.wall_of_line(line_image(s, n1, n2, r + k * gap))
                           for k in range(-span, span + 1)]
             except ValueError as e:
                 faults.append((i, f, str(e)))
@@ -333,8 +334,8 @@ def test_equivariance_of_separating_walls(planar_ctx):
     for _ in range(40):
         c1, c2 = rng.choice(ball), rng.choice(ball)
         g = rng.choice(ball).element
-        g1 = ctx.chamber_of(g.compose(c1.element))
-        g2c = ctx.chamber_of(g.compose(c2.element))
+        g1 = ctx.chamber_of(compose(g, c1.element))
+        g2c = ctx.chamber_of(compose(g, c2.element))
         before = ctx.separating_walls(c1, c2)
         after = ctx.separating_walls(g1, g2c)
         assert len(before) == len(after)
@@ -350,7 +351,7 @@ def test_wall_table_complete_for_short_conjugates(ctx):
     for chamber in ctx.ball(6):
         w = chamber.element
         for line in ctx.base_walls:
-            image = w.line_image(*line)
+            image = line_image(w, *line)
             wall = ctx.wall_of_line(image)  # raises if not on the lattice
             assert line_of_wall(ctx, wall) == canonical(*image)
 
@@ -360,6 +361,7 @@ def test_wall_table_complete_for_short_conjugates(ctx):
     ("a2t", (2, 0, 1), "not on the family's wall lattice"),   # a = 1/2
     ("c2t", (0, 2, 1), "not on the family's wall lattice"),   # y = 1/2
     ("c2t", (1, 2, 0), "matches no wall family"),
+    ("i2inf", (0, 0, 1), "degenerate line"),
 ])
 def test_wall_of_line_refuses_non_walls(code, line, message):
     with pytest.raises(ValueError, match=message):
@@ -374,7 +376,7 @@ def test_chamber_element_bijection(ctx):
 
 def test_identity_chamber_and_products(ctx):
     base = ctx.base_chamber
-    assert base.element.is_identity()
+    assert base.element == identity(ctx.tag.code)
     s1s2 = ctx.chamber_from_word([0, 1])
     dist = bfs_distances(base, 3)
     assert dist[s1s2] == 2
@@ -417,11 +419,10 @@ def test_exact_data_only(ctx):
     for v in ctx.base_vertices:
         assert exact(*v)
     for g in ctx.gens:
-        assert integral(g.a, g.b, g.c, g.d, g.tx, g.ty)
+        assert integral(*g[1:])
     for c in ctx.ball(4):
         assert exact(*c.barycenter)
-        e = c.element
-        assert integral(e.a, e.b, e.c, e.d, e.tx, e.ty)
+        assert integral(*c.element[1:])
 
 
 def test_gallery_refuses_non_adjacent_steps(ctx):
@@ -439,7 +440,7 @@ def test_crossed_walls_refuses_another_contexts_chambers(ctx):
 
 def test_chamber_of_refuses_another_types_element(a2):
     with pytest.raises(MixedContext, match="^element of c2t used in a2t$"):
-        a2.chamber_of(GroupElement.identity("c2t"))
+        a2.chamber_of(identity("c2t"))
 
 
 def test_chambers_are_interned(ctx):
@@ -533,9 +534,13 @@ def test_bool_coordinate_refused(ctx):
             ctx.chamber_containing(point)
 
 
+def test_chamber_repr_names_type_word_and_barycenter(a2):
+    assert repr(a2.chamber_from_word([0, 1])) == "Chamber(a2t, word='12', at=(1/3, -2/3))"
+
+
 def test_vertices_map_with_element(ctx):
     c = ctx.chamber_from_word([0, 1, 0])
-    assert c.vertices() == [c.element.apply(v) for v in ctx.base_vertices]
+    assert c.vertices() == [apply(c.element, v) for v in ctx.base_vertices]
 
 
 # -- coarsening ---------------------------------------------------------------
@@ -559,8 +564,8 @@ def test_coarsen_commutes_with_shared_reflections(g2):
         rg = reflection_across("g2t", line, g2.gram_inv)
         ra = reflection_across("a2t", line, a2.gram_inv)
         for c in g2.ball(4):
-            lhs = g2.coarsen(g2.chamber_of(rg.compose(c.element)))
-            rhs = a2.chamber_of(ra.compose(g2.coarsen(c).element))
+            lhs = g2.coarsen(g2.chamber_of(compose(rg, c.element)))
+            rhs = a2.chamber_of(compose(ra, g2.coarsen(c).element))
             assert lhs == rhs
 
 
