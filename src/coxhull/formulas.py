@@ -30,8 +30,8 @@ All three closed forms agree with enumeration, including at y = b+1 where
 ``c2_case2_counts`` still refuses input.  The middle form carries one
 chamber more than the paper's simplified ``3(x-a+3) + (y-b-2)(x-a+5)``,
 which drops a unit from the row-by-row count it was simplified from; the
-paper's form survives only in ``coxhull.propcheck``, as the expression
-behind its pinned expansion.
+paper's form is written only in ``propcheck.c2_paper_forms``, the
+expression behind its pinned expansion.
 
 Input outside the domain of a form raises ``CoordinateError``.
 """
@@ -141,10 +141,10 @@ def c2_case2_forms(a, b, x, y):
     serves integers and the symbolic route's polynomials.
 
     The middle form is the row-by-row count (x-a+4) + (y-b-2)(x-a+5)
-    + (x-a+4) + (x-a+2), summed.
+    + (x-a+4) + (x-a+2), with its two rows of x-a+4 collected.
     """
     size_uv = 2 * a + (b - 2) * (a + 2)
-    size_vw = 3 * (x - a + 3) + 1 + (y - b - 2) * (x - a + 5)
+    size_vw = 2 * (x - a + 4) + (x - a + 2) + (y - b - 2) * (x - a + 5)
     size_uvw = 3 * (x + 1) + (y - 3) * (x + 3)
     return size_uv, size_vw, size_uvw
 

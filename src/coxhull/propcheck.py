@@ -21,12 +21,12 @@ expansion is pinned term by term as a function of (k, n, p, q), and any
 deviation is reported verbatim rather than corrected, so a transcription
 error stays distinguishable from an implementation bug.
 
-That pinned expansion is the paper's: its middle count
-3(x-a+3) + (y-b-2)(x-a+5) is one chamber short of the enumerated hull.
-The same difference built from the corrected middle count of
-``formulas.c2_case2_counts`` is pinned next to it; it exceeds the paper's
-expansion by |Conv(u,v)| = 4kn + 4k + 8n + 4, so it is again 16 strictly
-positive terms.
+That pinned expansion is the paper's.  ``c2_paper_forms`` is the one place
+its middle count 3(x-a+3) + (y-b-2)(x-a+5) is written, and it is one
+chamber short of the enumerated hull.  The difference of the corrected
+forms of ``formulas.c2_case2_forms`` is pinned next to it and goes through
+the same check; it exceeds the paper's expansion by |Conv(u,v)| =
+4kn + 4k + 8n + 4, so it is again 16 strictly positive terms.
 """
 
 from __future__ import annotations
@@ -125,57 +125,36 @@ def a2_box_violations(limit: int):
 
 # -- square-grid case-2 difference -------------------------------------------
 
-def c2_case2_sides_ints(a, b, x, y) -> tuple[int, int]:
-    """LHS (product of the two pair counts) and RHS (triple count) of the
-    case-2 inequality with the paper's middle count; the expressions serve
-    plain integers and polynomials alike."""
-    lhs = (2 * a + (b - 2) * (a + 2)) * (3 * (x - a + 3) + (y - b - 2) * (x - a + 5))
-    rhs = 3 * (x + 1) + (y - 3) * (x + 3)
-    return lhs, rhs
+def c2_paper_forms(a, b, x, y):
+    """``formulas.c2_case2_forms`` with the paper's middle count, the one
+    place it is written; it serves integers and polynomials alike."""
+    size_uv, _, size_uvw = c2_case2_forms(a, b, x, y)
+    return size_uv, 3 * (x - a + 3) + (y - b - 2) * (x - a + 5), size_uvw
 
 
-def _reparametrized(sides) -> MultiPoly:
-    """LHS - RHS of a function of (a, b, x, y) returning (lhs, rhs), called
-    at a=4n+2, b=k+2, x=4n+4q+5, y=k+p+3 on polynomials over (k, n, p, q)."""
+def _verify_expansion(label, forms, pinned) -> MultiPoly:
+    """uv*vw - uvw of the three-size forms at a=4n+2, b=k+2, x=4n+4q+5,
+    y=k+p+3 on polynomials over (k, n, p, q), checked term by term against
+    the pinned function.  Raises MismatchReport on any deviation."""
     k, n, p, q = _vars(VARS_SUB)
-    lhs, rhs = sides(4 * n + 2, k + 2, 4 * n + 4 * q + 5, k + p + 3)
-    return lhs - rhs
-
-
-def c2_difference_poly() -> MultiPoly:
-    """The reparametrized case-2 difference with the paper's middle count."""
-    return _reparametrized(c2_case2_sides_ints)
-
-
-def c2_corrected_difference_poly() -> MultiPoly:
-    """The reparametrized case-2 difference built from the expressions of
-    ``formulas.c2_case2_counts`` itself."""
-    def sides(a, b, x, y):
-        size_uv, size_vw, size_uvw = c2_case2_forms(a, b, x, y)
-        return size_uv * size_vw, size_uvw
-    return _reparametrized(sides)
-
-
-def _verify_pinned(label, diff, pinned) -> MultiPoly:
-    expected = pinned(*_vars(VARS_SUB))
+    size_uv, size_vw, size_uvw = forms(4 * n + 2, k + 2, 4 * n + 4 * q + 5, k + p + 3)
+    diff = size_uv * size_vw - size_uvw
+    expected = pinned(k, n, p, q)
     if diff != expected:
         raise MismatchReport(label, expected, diff)
     return diff
 
 
 def verify_c2_expansion() -> MultiPoly:
-    """The expanded case-2 difference, checked term by term against the
-    pinned 16-term form.  Raises MismatchReport on any deviation."""
-    return _verify_pinned("case-2 difference", c2_difference_poly(),
-                          case2_expected_difference)
+    """The difference of ``c2_paper_forms``, checked against its pin."""
+    return _verify_expansion("case-2 difference", c2_paper_forms,
+                             case2_expected_difference)
 
 
 def verify_c2_corrected_expansion() -> MultiPoly:
-    """The corrected case-2 difference, checked term by term against its
-    pinned 16-term form.  Raises MismatchReport on any deviation."""
-    return _verify_pinned("corrected case-2 difference",
-                          c2_corrected_difference_poly(),
-                          case2_corrected_difference)
+    """The difference of ``c2_case2_forms``, checked against its pin."""
+    return _verify_expansion("corrected case-2 difference", c2_case2_forms,
+                             case2_corrected_difference)
 
 
 def c2_box_violations(limit: int):
@@ -186,7 +165,7 @@ def c2_box_violations(limit: int):
         for x in range(a + 3, limit + 1, 4):
             for b in range(2, limit + 1):
                 for y in range(b + 1, limit + 1):
-                    lhs, rhs = c2_case2_sides_ints(a, b, x, y)
-                    if lhs < rhs:
-                        bad.append((a, b, x, y, lhs, rhs))
+                    size_uv, size_vw, size_uvw = c2_paper_forms(a, b, x, y)
+                    if size_uv * size_vw < size_uvw:
+                        bad.append((a, b, x, y, size_uv * size_vw, size_uvw))
     return bad

@@ -61,10 +61,10 @@ class Chamber:
     forms evaluated on it.  Sorting by `order_key` is sorting by the exact
     barycenter, and the `Fraction` barycenter is computed only on demand.
 
-    Chambers are interned: only `GroupContext.chamber_of` creates them,
-    and it returns one object per element of its context.  Identity is
-    therefore equality, so chambers keep the default identity `__eq__`
-    and `__hash__`; chambers of two separately built contexts are never
+    Chambers are interned: only the context's intern table creates them,
+    one object per element of the context.  Identity is therefore
+    equality, so chambers keep the default identity `__eq__` and
+    `__hash__`; chambers of two separately built contexts are never
     equal."""
 
     __slots__ = ("ctx", "element", "order_key", "floors", "_neighbors")
@@ -91,7 +91,7 @@ class Chamber:
         """The adjacent chambers, one per generator: the i-th lies across
         panel i, the one on the wall `panel_walls()[i]`."""
         if self._neighbors is None:
-            self._neighbors = tuple([self.ctx.chamber_of(compose(self.element, s))
+            self._neighbors = tuple([self.ctx._intern(compose(self.element, s))
                                      for s in self.ctx.gens])
         return self._neighbors
 
@@ -242,7 +242,7 @@ class GroupContext:
             raise RuntimeError(f"{tag.code} floor form with a non-positive divisor")
         self._family_by_dir = {(n1, n2): f for f, (n1, n2, _, _) in enumerate(self.families)}
         self._chambers: dict = {}
-        self.base_chamber = self.chamber_of(identity(tag.code))
+        self.base_chamber = self._intern(identity(tag.code))
         self._layers = [[self.base_chamber]]
         self._check_floor_forms()
 
@@ -263,16 +263,26 @@ class GroupContext:
 
     # -- chambers ---------------------------------------------------------
 
+    def _intern(self, element: tuple) -> Chamber:
+        """The one chamber of a product of generators, built on first
+        request: the intern table that makes chamber identity equality."""
+        ch = self._chambers.get(element)
+        if ch is None:
+            ch = self._chambers[element] = Chamber(self, element)
+        return ch
+
     def chamber_of(self, element: tuple) -> Chamber:
-        """The one chamber of this context for `element`: the intern table
-        that makes chamber identity equality.  Nothing else builds one.
-        Another type's element is refused when the lookup misses, as its
-        tag never equals an interned element's."""
+        """The chamber of `element`, found on a miss by folding its image of
+        the base barycenter: a tuple that is not that chamber's element
+        raises ValueError, and one of another type MixedContext."""
         ch = self._chambers.get(element)
         if ch is None:
             if element[0] != self.tag.code:
                 raise MixedContext(f"element of {element[0]} used in {self.tag.code}")
-            ch = self._chambers[element] = Chamber(self, element)
+            ch = self.chamber_from_word(self._fold(
+                *apply_scaled(element, *self.base_key, self.scale), self.scale))
+            if ch.element != element:
+                raise ValueError(f"{element!r} is not an element of {self.tag.code}")
         return ch
 
     def chamber_from_word(self, word) -> Chamber:
@@ -283,7 +293,7 @@ class GroupContext:
             if type(i) is not int or not 0 <= i < self.rank:
                 raise ValueError(f"letter {i!r} is not a generator index in 0..{self.rank - 1}")
             e = compose(e, self.gens[i])
-        return self.chamber_of(e)
+        return self._intern(e)
 
     # -- walls ------------------------------------------------------------
 
@@ -370,11 +380,12 @@ class GroupContext:
 
     def ball(self, radius: int) -> list:
         """A new list of the chambers at distance <= radius from the base,
-        by distance, then barycenter; radius must be >= 0.  The layers are
-        kept: as every generator flips the parity of word length, the next
-        is the last one's neighbours minus the one before it."""
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
+        by distance, then barycenter; radius must be an int >= 0, not a
+        bool.  The layers are kept: as every generator flips the parity of
+        word length, the next is the last one's neighbours minus the one
+        before it."""
+        if type(radius) is not int or radius < 0:
+            raise ValueError(f"radius must be a non-negative int, got {radius!r}")
         layers = self._layers
         while len(layers) <= radius:
             nxt = {nb for c in layers[-1] for nb in c.neighbors()}

@@ -11,7 +11,6 @@ import coxhull.convexity
 import coxhull.propcheck
 from coxhull.cli import main
 from coxhull.convexity import CheckReport
-from coxhull.formulas import c2_case2_counts
 
 
 def test_check_writes_report(tmp_path, capsys):
@@ -244,12 +243,8 @@ def test_formula_c2_verify_flags_middle_count(capsys, monkeypatch):
 
     # The paper's middle form is one chamber short of the enumerated hull;
     # --verify reports the mismatch and exits nonzero.
-    def paper_counts(params):
-        a, b, x, y = params.a, params.b, params.x, params.y
-        size_uv, _, size_uvw = c2_case2_counts(params)
-        return size_uv, 3 * (x - a + 3) + (y - b - 2) * (x - a + 5), size_uvw
-
-    monkeypatch.setattr(coxhull.cli, "c2_case2_counts", paper_counts)
+    monkeypatch.setattr(coxhull.cli, "c2_case2_counts",
+                        lambda params: coxhull.propcheck.c2_paper_forms(*params))
     assert main(["formula", "--type", "c2t", "--abxy", "2,2,5,4",
                  "--verify"]) == 1
     out = capsys.readouterr().out
@@ -349,6 +344,38 @@ def test_prove_c2_wrong_pin_fails(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "expansion mismatch" in out
     assert "k*q: expected 29, got 28" in out
+    assert out.strip().endswith("FAIL")
+
+
+def test_prove_c2_box_violation_fails(monkeypatch, capsys):
+    # The triple side one chamber larger than the product of the pair
+    # sides: every tuple in the box violates the inequality.
+    paper = coxhull.propcheck.c2_paper_forms
+
+    def broken(a, b, x, y):
+        size_uv, size_vw, _ = paper(a, b, x, y)
+        return size_uv, size_vw, size_uv * size_vw + 1
+
+    monkeypatch.setattr(coxhull.propcheck, "c2_paper_forms", broken)
+    assert main(["prove", "c2", "--box", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "brute-force box <= 5: 6 violations" in out
+    assert "  violation at (a,b,x,y)=(2,2,5,3): 40 < 41\n" in out
+    assert out.strip().endswith("FAIL")
+
+
+def test_prove_a2_box_violation_fails(monkeypatch, capsys):
+    sides = coxhull.propcheck.a2_sides_forms
+
+    def broken(x, y, a, b):
+        lhs, _ = sides(x, y, a, b)
+        return lhs, lhs + 1
+
+    monkeypatch.setattr(coxhull.propcheck, "a2_sides_forms", broken)
+    assert main(["prove", "a2", "--box", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "brute-force box <= 1: 2 violations" in out
+    assert "  violation at (x,y,a,b)=(0,1,1,1): 6 < 7\n" in out
     assert out.strip().endswith("FAIL")
 
 

@@ -257,6 +257,15 @@ def test_negative_radius_refused(a2):
         sweep_triples(TypeTag.A2Tilde, -2)
 
 
+@pytest.mark.parametrize("radius", [True, False, 2.5, 2.0, "2"])
+def test_non_int_radius_refused(a2, radius):
+    message = f"^radius must be a non-negative int, got {re.escape(repr(radius))}$"
+    with pytest.raises(ValueError, match=message):
+        a2.ball(radius)
+    with pytest.raises(ValueError, match="non-negative int"):
+        sweep_triples(TypeTag.A2Tilde, radius)
+
+
 def test_base_walls_in_table(ctx):
     for line in ctx.base_walls:
         wall = ctx.wall_of_line(line)
@@ -441,6 +450,32 @@ def test_crossed_walls_refuses_another_contexts_chambers(ctx):
 def test_chamber_of_refuses_another_types_element(a2):
     with pytest.raises(MixedContext, match="^element of c2t used in a2t$"):
         a2.chamber_of(identity("c2t"))
+
+
+@pytest.mark.parametrize("element", [
+    ("a2t", 2, 0, 0, 2, 0, 0),      # a dilation
+    ("a2t", 1, 0, 0, 1, 1, 0),      # a lattice translation outside the group
+    ("a2t", 1, 0, 0, 1, 0.5, 0),    # float entries
+])
+def test_chamber_of_refuses_a_tuple_outside_the_group(element):
+    a2 = GroupContext(TypeTag.A2Tilde)
+    a2.ball(3)
+    with pytest.raises(ValueError, match="is not an element of a2t$"):
+        a2.chamber_of(element)
+    assert element not in a2._chambers
+    # No two interned chambers share an order key.
+    assert len({c.order_key for c in a2._chambers.values()}) == len(a2._chambers)
+
+
+def test_chamber_of_an_element_is_its_chamber(ctx):
+    ball = ctx.ball(4)
+    assert all(ctx.chamber_of(c.element) is c for c in ball)
+    # An element not interned yet is built once, from its fold.
+    fresh = GroupContext(ctx.tag)
+    far = ball[-1]
+    c = fresh.chamber_of(far.element)
+    assert c.element == far.element and c.order_key == far.order_key
+    assert fresh.chamber_of(far.element) is c
 
 
 def test_chambers_are_interned(ctx):
